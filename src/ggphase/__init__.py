@@ -10,8 +10,7 @@ phase content in three dynamical guises: short-time projective-measurement
 cycles, the third-order stationary energy shift, and the triple-product term
 of the Born scattering series.
 
-Hot kernels are numba-compiled when numba is importable; set GGP_BACKEND to
-"numpy" to force the pure-numpy fallback or "numba" to require compilation.
+numpy is the only runtime dependency; the hot kernels are plain numpy.
 """
 
 from .errors import (
@@ -95,13 +94,11 @@ from .scattering import (
     separable_tmatrix,
     triple_product_phases,
 )
-from ._kernels import backend_name
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "backend_name",
     # errors
     "DomainError",
     "UndefinedPhase",

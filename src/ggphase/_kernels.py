@@ -1,161 +1,40 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: cyclic chain-link amplitudes over a stack of states,
+and per-sample connection numerators/denominators along a discretized curve.
 
-Two loops dominate every batch workload: cyclic chain-link amplitudes over a
-stack of states, and per-sample connection numerators/denominators along a
-discretized curve (finite differences evaluated inline). Both are provided as
-compiled numba kernels and as vectorized numpy functions.
-
-Backend selection happens once at import via the ``GGP_BACKEND`` env var:
-``numba`` (default when importable), ``numpy`` to force the fallback, or
-``auto``. The two paths agree to floating-point roundoff; `test_kernels`
-asserts it.
+Both are row sums against one shared product, ``bra = states.conj() @ obs``,
+so each row l of ``bra`` is <psi_l|O| and a sandwich <psi_l|O|ket_l> is the
+sum over row l of ``bra * ket``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "backend_name",
     "chain_link_amplitudes",
     "connection_terms",
 ]
 
-BACKEND_ENV = "GGP_BACKEND"
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback path
-# ---------------------------------------------------------------------------
-
-def _chain_link_amplitudes_numpy(states: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Cyclic link amplitudes a_l = <psi_l| obs |psi_{l+1 mod N}>."""
-    nxt = np.roll(states, -1, axis=0)
-    return np.einsum("ld,de,le->l", states.conj(), obs, nxt, optimize=True)
-
-
-def _gradient_nonuniform(states: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Second-order central differences on a non-uniform grid, first-order one-sided at the ends."""
-    return np.gradient(states, params, axis=0, edge_order=1)
-
-
-def _connection_terms_numpy(
-    params: np.ndarray, states: np.ndarray, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample numerator <psi|obs|D psi> and denominator <psi|obs|psi>."""
-    dstates = _gradient_nonuniform(states, params)
-    num = np.einsum("ld,de,le->l", states.conj(), obs, dstates, optimize=True)
-    den = np.einsum("ld,de,le->l", states.conj(), obs, states, optimize=True)
-    return num, den
-
-
-# ---------------------------------------------------------------------------
-# numba path
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _sandwich(bra, mat, ket):
-        """bra^dagger @ mat @ ket for 1-d complex vectors."""
-        dim = bra.shape[0]
-        acc = 0.0 + 0.0j
-        for i in range(dim):
-            row = 0.0 + 0.0j
-            for j in range(dim):
-                row += mat[i, j] * ket[j]
-            acc += np.conj(bra[i]) * row
-        return acc
-
-    @njit(cache=True)
-    def _chain_link_amplitudes_numba(states, obs):
-        n = states.shape[0]
-        out = np.empty(n, dtype=np.complex128)
-        for l in range(n):
-            out[l] = _sandwich(states[l], obs, states[(l + 1) % n])
-        return out
-
-    @njit(cache=True)
-    def _connection_terms_numba(params, states, obs):
-        m, dim = states.shape
-        num = np.empty(m, dtype=np.complex128)
-        den = np.empty(m, dtype=np.complex128)
-        dpsi = np.empty(dim, dtype=np.complex128)
-        for l in range(m):
-            if l == 0:
-                h = params[1] - params[0]
-                for j in range(dim):
-                    dpsi[j] = (states[1, j] - states[0, j]) / h
-            elif l == m - 1:
-                h = params[m - 1] - params[m - 2]
-                for j in range(dim):
-                    dpsi[j] = (states[m - 1, j] - states[m - 2, j]) / h
-            else:
-                hm = params[l] - params[l - 1]
-                hp = params[l + 1] - params[l]
-                denom = hp * hm * (hp + hm)
-                for j in range(dim):
-                    dpsi[j] = (
-                        hm * hm * states[l + 1, j]
-                        + (hp * hp - hm * hm) * states[l, j]
-                        - hp * hp * states[l - 1, j]
-                    ) / denom
-            num[l] = _sandwich(states[l], obs, dpsi)
-            den[l] = _sandwich(states[l], obs, states[l])
-        return num, den
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise ImportError(f"{BACKEND_ENV}=numba requested but numba is not importable")
-        return "numba"
-    raise ValueError(f"unknown {BACKEND_ENV} value {choice!r}; expected auto, numba, or numpy")
-
-
-_BACKEND = _select_backend()
-
-
-def backend_name() -> str:
-    """The kernel backend selected at import time ('numba' or 'numpy')."""
-    return _BACKEND
-
 
 def chain_link_amplitudes(states: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Cyclic link amplitudes for an (N, dim) stack of states under a (dim, dim) operator."""
-    states = np.ascontiguousarray(states, dtype=np.complex128)
-    obs = np.ascontiguousarray(obs, dtype=np.complex128)
-    if _BACKEND == "numba":
-        return _chain_link_amplitudes_numba(states, obs)
-    return _chain_link_amplitudes_numpy(states, obs)
+    """Cyclic link amplitudes a_l = <psi_l| obs |psi_{l+1 mod N}> for an
+    (N, dim) stack of states under a (dim, dim) operator."""
+    states = np.asarray(states, dtype=np.complex128)
+    return ((states.conj() @ obs) * np.roll(states, -1, axis=0)).sum(axis=1)
 
 
 def connection_terms(
     params: np.ndarray, states: np.ndarray, obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Connection numerators and denominators along a discretized curve.
+    """Connection numerators <psi|obs|D psi> and denominators <psi|obs|psi>
+    along a discretized curve.
 
     Derivatives use second-order central differences on the (possibly
     non-uniform) parameter grid and first-order one-sided stencils at the
     endpoints.
     """
-    params = np.ascontiguousarray(params, dtype=np.float64)
-    states = np.ascontiguousarray(states, dtype=np.complex128)
-    obs = np.ascontiguousarray(obs, dtype=np.complex128)
-    if _BACKEND == "numba":
-        return _connection_terms_numba(params, states, obs)
-    return _connection_terms_numpy(params, states, obs)
+    params = np.asarray(params, dtype=np.float64)
+    states = np.asarray(states, dtype=np.complex128)
+    bra = states.conj() @ obs
+    dstates = np.gradient(states, params, axis=0, edge_order=1)
+    return (bra * dstates).sum(axis=1), (bra * states).sum(axis=1)

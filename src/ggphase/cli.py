@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _io, _kernels
+from . import _io
 from ._io import InputError
-from .curve import ParamCurve, connection_samples, curve_phase, o_null_curve
+from .curve import ParamCurve, _connection, _curve_phase, _trapezoid, o_null_curve
 from .dynamics import TwoLevelParams, projective_cycle_amplitude, two_level_phase
 from .errors import DomainError
 from .hilbert import (
@@ -54,7 +54,6 @@ class JobConfig:
 
     command: str
     args: dict
-    seed: int = 0
     output: str | None = None
     csv: str | None = None
     tol_phase: float | None = None
@@ -70,7 +69,6 @@ class RunReport:
     """
 
     command: str
-    seed: int
     args: dict
     results: dict
     diagnostics: dict
@@ -81,7 +79,6 @@ class RunReport:
     def payload(self) -> dict:
         return {
             "command": self.command,
-            "seed": self.seed,
             "args": self.args,
             "results": self.results,
             "diagnostics": self.diagnostics,
@@ -216,9 +213,8 @@ def _run_phase(args: dict, tol: ToleranceConfig):
         "min_link_modulus": res.min_link_modulus,
         "chain_length": res.chain_length,
     }
-    diagnostics = {"backend": _kernels.backend_name()}
     header = ["value", "min_link_modulus", "chain_length"]
-    return results, diagnostics, header, [[res.value, res.min_link_modulus, res.chain_length]]
+    return results, {}, header, [[res.value, res.min_link_modulus, res.chain_length]]
 
 
 def _connection_csv(samples) -> tuple[list, list]:
@@ -230,17 +226,17 @@ def _connection_csv(samples) -> tuple[list, list]:
 def _run_curve(args: dict, tol: ToleranceConfig):
     curve = _curve_from_file(_need(args, "curve"), tol)
     obs = _resolve_observable(args, tol)
-    samples = connection_samples(curve, obs, tol=tol)
-    res = curve_phase(curve, obs, tol=tol)
+    connection = _connection(curve, obs, tol)
+    samples = connection[0]
+    res = _curve_phase(curve, obs, tol, connection)
     results = {
         "value": res.value,
         "min_link_modulus": res.min_link_modulus,
         "sample_count": curve.sample_count,
     }
     diagnostics = {
-        "connection_integral": float(np.trapezoid(samples.values, samples.params)),
+        "connection_integral": _trapezoid(samples.values, samples.params),
         "extrapolated_samples": list(samples.extrapolated),
-        "backend": _kernels.backend_name(),
     }
     header, rows = _connection_csv(samples)
     return results, diagnostics, header, rows
@@ -251,14 +247,15 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
     b = _state_from_file(_need(args, "b"))
     obs = _resolve_observable(args, tol)
     samples_count = _as_int(args, "samples", default=1001)
-    tau = float(args.get("tau") or 1.0)
+    tau = 1.0 if args.get("tau") is None else _as_float(args, "tau")
     curve = o_null_curve(a, b, obs, tau=tau, M=samples_count, tol=tol)
-    samples = connection_samples(curve, obs, tol=tol)
-    res = curve_phase(curve, obs, tol=tol)
+    connection = _connection(curve, obs, tol)
+    samples = connection[0]
+    res = _curve_phase(curve, obs, tol, connection)
     expected = principal_arg(matrix_element(a, obs, b) / b.norm_sq)
     results = {
         "curve_phase": res.value,
-        "connection_integral": float(np.trapezoid(samples.values, samples.params)),
+        "connection_integral": _trapezoid(samples.values, samples.params),
         "expected_integral": expected,
         "sample_count": curve.sample_count,
     }
@@ -266,7 +263,6 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
         "nullity_residual": abs(res.value),
         "min_link_modulus": res.min_link_modulus,
         "extrapolated_samples": list(samples.extrapolated),
-        "backend": _kernels.backend_name(),
     }
     header, rows = _connection_csv(samples)
     return results, diagnostics, header, rows
@@ -531,7 +527,6 @@ def run(config: JobConfig) -> RunReport:
     results, diagnostics, header, rows = _HANDLERS[config.command](config.args, tol)
     report = RunReport(
         command=config.command,
-        seed=config.seed,
         args=config.args,
         results=results,
         diagnostics=diagnostics,
@@ -577,7 +572,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="FILE", help="write the JSON report here instead of stdout")
     p.add_argument("--csv", metavar="FILE", help="also write the CSV table here")
-    p.add_argument("--seed", type=int, default=0, help="echoed into the report (default 0)")
     p.add_argument("--tol-phase", type=float, default=None, dest="tol_phase",
                    help="override the phase-comparison tolerance (also via GGP_TOL_PHASE)")
     p.add_argument("--tol-zero", type=float, default=None, dest="tol_zero",
@@ -718,7 +712,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_DESTS = ("command", "output", "csv", "seed", "tol_phase", "tol_zero")
+_CONFIG_DESTS = ("command", "output", "csv", "tol_phase", "tol_zero")
 
 
 def main(argv=None) -> int:
@@ -731,7 +725,6 @@ def main(argv=None) -> int:
     config = JobConfig(
         command=ns.command,
         args=args,
-        seed=ns.seed,
         output=ns.output,
         csv=ns.csv,
         tol_phase=ns.tol_phase,
@@ -745,7 +738,6 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         payload = {
             "command": config.command,
-            "seed": config.seed,
             "args": config.args,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }

@@ -28,6 +28,7 @@ from .hilbert import (
     Observable,
     StateVector,
     ToleranceConfig,
+    observable_entries,
     principal_arg,
     wrap_angle,
 )
@@ -125,14 +126,6 @@ class ConnectionSamples:
     extrapolated: tuple[int, ...] = ()
 
 
-def _resolve_obs(O: Observable | None, dim: int) -> np.ndarray:
-    if O is None:
-        return np.eye(dim, dtype=np.complex128)
-    if O.dim != dim:
-        raise ValueError(f"observable dim {O.dim} does not match curve dim {dim}")
-    return O.entries
-
-
 def _trapezoid(values: np.ndarray, params: np.ndarray) -> float:
     """Trapezoid rule with a deterministic, correctly rounded accumulation."""
     panels = 0.5 * (values[1:] + values[:-1]) * np.diff(params)
@@ -157,7 +150,18 @@ def connection_samples(
     SingularConnection
         Naming the first interior sample where |<psi|O|psi>| <= tol_zero.
     """
-    obs = _resolve_obs(O, curve.dim)
+    return _connection(curve, O, tol)[0]
+
+
+def _connection(
+    curve: ParamCurve, O: Observable | None, tol: ToleranceConfig
+) -> tuple[ConnectionSamples, float]:
+    """The connection samples plus the smallest |<psi|O|psi>| among the
+    samples evaluated directly (extrapolated endpoints excluded).
+
+    This is the one place the connection kernel runs for a curve.
+    """
+    obs = observable_entries(O, curve.dim)
     num, den = _kernels.connection_terms(curve.params, curve.states, obs)
     moduli = np.abs(den)
     singular = moduli <= tol.tol_zero
@@ -186,15 +190,8 @@ def connection_samples(
             slope = (values[second] - values[first]) / (p[second] - p[first])
             values[end] = values[first] + slope * (p[end] - p[first])
     values.setflags(write=False)
-    return ConnectionSamples(curve.params, values, tuple(sorted(extrapolated)))
-
-
-def _min_used_modulus(den_moduli: np.ndarray, extrapolated: tuple[int, ...]) -> float:
-    if not extrapolated:
-        return float(den_moduli.min())
-    mask = np.ones(den_moduli.shape[0], dtype=bool)
-    mask[list(extrapolated)] = False
-    return float(den_moduli[mask].min())
+    samples = ConnectionSamples(curve.params, values, tuple(sorted(extrapolated)))
+    return samples, float(moduli[good].min())
 
 
 def curve_phase(
@@ -215,7 +212,17 @@ def curve_phase(
     SingularConnection
         Propagated from the connection sampling.
     """
-    obs = _resolve_obs(O, curve.dim)
+    return _curve_phase(curve, O, tol)
+
+
+def _curve_phase(
+    curve: ParamCurve,
+    O: Observable | None,
+    tol: ToleranceConfig,
+    connection: tuple[ConnectionSamples, float] | None = None,
+) -> PhaseResult:
+    """curve_phase, reusing ``connection`` (a :func:`_connection` result) when given."""
+    obs = observable_entries(O, curve.dim)
     last = curve.states[-1]
     endpoint_amp = complex(np.vdot(last, obs @ curve.states[0]))
     if abs(endpoint_amp) <= tol.tol_zero:
@@ -224,10 +231,9 @@ def curve_phase(
             f"{abs(endpoint_amp):.3e} <= tol_zero"
         )
     endpoint_arg = principal_arg(endpoint_amp / np.vdot(last, last).real)
-    samples = connection_samples(curve, O, tol=tol)
+    samples, min_den = connection if connection is not None else _connection(curve, O, tol)
     integral = _trapezoid(samples.values, samples.params)
-    _, den = _kernels.connection_terms(curve.params, curve.states, obs)
-    min_mod = min(abs(endpoint_amp), _min_used_modulus(np.abs(den), samples.extrapolated))
+    min_mod = min(abs(endpoint_amp), min_den)
     return PhaseResult(wrap_angle(endpoint_arg + integral), min_mod, curve.sample_count)
 
 
@@ -320,7 +326,7 @@ def o_null_curve(
         raise ValueError(f"tau must be positive, got {tau}")
     if A.dim != B.dim:
         raise ValueError(f"state dims differ: {A.dim} vs {B.dim}")
-    obs = _resolve_obs(O, A.dim)
+    obs = observable_entries(O, A.dim)
     link = complex(np.vdot(B.components, obs @ A.components))
     if abs(link) <= tol.tol_zero:
         raise UndefinedPhase(
@@ -381,18 +387,14 @@ def loop_holonomy(
         M=open_curve.sample_count,
         tol=tol,
     )
-    open_samples = connection_samples(open_curve, O, tol=tol)
-    closing_samples = connection_samples(closing, O, tol=tol)
+    open_samples, open_min = _connection(open_curve, O, tol)
+    closing_samples, closing_min = _connection(closing, O, tol)
     value = wrap_angle(
         _trapezoid(open_samples.values, open_samples.params)
         + _trapezoid(closing_samples.values, closing_samples.params)
     )
-    obs = _resolve_obs(O, open_curve.dim)
-    moduli = []
-    for crv, smp in ((open_curve, open_samples), (closing, closing_samples)):
-        _, den = _kernels.connection_terms(crv.params, crv.states, obs)
-        moduli.append(_min_used_modulus(np.abs(den), smp.extrapolated))
-    return PhaseResult(value, min(moduli), open_curve.sample_count + closing.sample_count)
+    min_mod = min(open_min, closing_min)
+    return PhaseResult(value, min_mod, open_curve.sample_count + closing.sample_count)
 
 
 def triangle_holonomy(
@@ -411,13 +413,11 @@ def triangle_holonomy(
     vertices = (psi1, psi2, psi3)
     total = 0.0
     min_mod = math.inf
-    obs = _resolve_obs(O, psi1.dim)
     for a in range(3):
         segment = o_null_curve(vertices[a], vertices[(a + 1) % 3], O, tau=1.0, M=M, tol=tol)
-        samples = connection_samples(segment, O, tol=tol)
+        samples, min_den = _connection(segment, O, tol)
         total += _trapezoid(samples.values, samples.params)
-        _, den = _kernels.connection_terms(segment.params, segment.states, obs)
-        min_mod = min(min_mod, _min_used_modulus(np.abs(den), samples.extrapolated))
+        min_mod = min(min_mod, min_den)
     return PhaseResult(wrap_angle(total), min_mod, 3 * M)
 
 

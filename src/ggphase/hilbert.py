@@ -43,7 +43,8 @@ class ToleranceConfig:
     tol_zero : float
         Modulus below which an amplitude is treated as vanishing.
     tol_herm : float
-        Largest allowed entrywise deviation from Hermiticity.
+        Largest allowed entrywise deviation from Hermiticity; density
+        matrices also use it for their unit-trace and idempotency checks.
     tol_phase : float
         Angular tolerance for phase comparisons.
     """
@@ -206,9 +207,9 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {arr.shape}")
         if float(np.max(np.abs(arr - arr.conj().T))) > tol.tol_herm:
             raise ValueError("density matrix is not Hermitian")
-        if abs(complex(np.trace(arr)) - 1.0) > 1e-10:
+        if abs(complex(np.trace(arr)) - 1.0) > tol.tol_herm:
             raise ValueError("density matrix trace differs from 1")
-        if float(np.max(np.abs(arr @ arr - arr))) > 1e-10:
+        if float(np.max(np.abs(arr @ arr - arr))) > tol.tol_herm:
             raise ValueError("density matrix is not idempotent (mixed states rejected)")
         arr.setflags(write=False)
         self._entries = arr
@@ -227,10 +228,16 @@ class DensityMatrix:
         return self._entries.shape[0]
 
 
-def _observable_entries(O: Observable | None, dim: int) -> np.ndarray | None:
-    """Resolve an optional observable to raw entries; None means identity."""
+def observable_entries(O: Observable | None, dim: int) -> np.ndarray:
+    """The entries of an optional observable; None means the dim x dim identity.
+
+    Raises
+    ------
+    ValueError
+        If the observable's dimension differs from ``dim``.
+    """
     if O is None:
-        return None
+        return np.eye(dim, dtype=np.complex128)
     if O.dim != dim:
         raise ValueError(f"observable dim {O.dim} does not match state dim {dim}")
     return O.entries
@@ -252,9 +259,9 @@ def matrix_element(A: StateVector, O: Observable | None, B: StateVector) -> comp
     """
     if A.dim != B.dim:
         raise ValueError(f"state dims differ: {A.dim} vs {B.dim}")
-    entries = _observable_entries(O, A.dim)
-    if entries is None:
+    if O is None:
         return complex(np.vdot(A.components, B.components))
+    entries = observable_entries(O, A.dim)
     return complex(np.vdot(A.components, entries @ B.components))
 
 

@@ -24,6 +24,7 @@ from .hilbert import (
     Observable,
     StateVector,
     ToleranceConfig,
+    observable_entries,
     principal_arg,
     relative_phase,
     weak_value,
@@ -68,14 +69,6 @@ def _state_stack(states: Sequence[StateVector]) -> np.ndarray:
     return np.stack([s.components for s in states])
 
 
-def _resolve_obs(O: Observable | None, dim: int) -> np.ndarray:
-    if O is None:
-        return np.eye(dim, dtype=np.complex128)
-    if O.dim != dim:
-        raise ValueError(f"observable dim {O.dim} does not match state dim {dim}")
-    return O.entries
-
-
 def generalized_phase_chain(
     states: Sequence[StateVector],
     O: Observable | None = None,
@@ -105,7 +98,7 @@ def generalized_phase_chain(
     if len(states) < 3:
         raise ValueError(f"chain needs at least 3 states, got {len(states)}")
     stack = _state_stack(states)
-    obs = _resolve_obs(O, stack.shape[1])
+    obs = observable_entries(O, stack.shape[1])
     amps = _kernels.chain_link_amplitudes(stack, obs)
     moduli = np.abs(amps)
     small = np.flatnonzero(moduli <= tol.tol_zero)
@@ -132,7 +125,7 @@ def bargmann_density_phase(
     """
     if len(states) != 3:
         raise ValueError(f"density-matrix form takes exactly 3 states, got {len(states)}")
-    obs = _resolve_obs(O, states[0].dim)
+    obs = observable_entries(O, states[0].dim)
     prod = np.eye(states[0].dim, dtype=np.complex128)
     for s in states:
         rho = DensityMatrix.from_state(s).entries

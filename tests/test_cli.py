@@ -6,8 +6,11 @@ script. Every numeric claim is cross-checked against the library call the
 subcommand wraps.
 """
 
+import importlib
 import json
 import math
+import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -42,6 +45,13 @@ def cvec(values) -> list:
 
 def cmat(matrix) -> list:
     return [cvec(row) for row in np.asarray(matrix, dtype=complex)]
+
+
+def csv_trapezoid(path) -> float:
+    """math.fsum of the trapezoid panels over a connection CSV's s, a_o columns."""
+    rows = [[float(cell) for cell in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    s, a = np.array(rows).T
+    return math.fsum((0.5 * (a[1:] + a[:-1]) * np.diff(s)).tolist())
 
 
 @pytest.fixture
@@ -230,6 +240,18 @@ class TestCurve:
         assert lines[0] == "s,a_o"
         assert len(lines) == 52
 
+    def test_connection_integral_is_fsum_trapezoid_of_csv(self, capsys, tmp_path):
+        s = np.cumsum(np.linspace(0.001, 0.003, 1001))
+        states = [cvec([math.cos(t), np.exp(0.7j * t * t) * math.sin(t)]) for t in s]
+        curve = write_json(tmp_path / "curve.json", {"params": list(s), "states": states})
+        out_csv = tmp_path / "conn.csv"
+        code, out, _ = invoke(
+            capsys, "curve", "--curve", curve, "--identity", "--csv", str(out_csv)
+        )
+        assert code == 0
+        reported = json.loads(out)["diagnostics"]["connection_integral"]
+        assert reported == csv_trapezoid(out_csv)
+
     def test_bad_curve_file_shape(self, capsys, tmp_path, x_file):
         curve = write_json(tmp_path / "curve.json", {"params": [0, 1]})
         code, _, err = invoke(capsys, "curve", "--curve", curve, "--observable", x_file)
@@ -254,6 +276,31 @@ class TestNullCurve:
         assert results["expected_integral"] == pytest.approx(0.5, abs=1e-12)
         assert abs(results["curve_phase"]) < 1e-5
         assert results["connection_integral"] == pytest.approx(0.5, abs=1e-5)
+
+    def test_connection_integral_is_fsum_trapezoid_of_csv(self, capsys, tmp_path):
+        a = write_json(tmp_path / "a.json", cvec([0.6, 0.8j, 0.0]))
+        b = write_json(tmp_path / "b.json", cvec([0.3, 0.4 - 0.5j, 0.2 + 0.6j]))
+        positive = np.array([[2.0, 0.3 + 0.2j, 0.0], [0.3 - 0.2j, 1.5, 0.1j], [0.0, -0.1j, 1.0]])
+        obs = write_json(tmp_path / "o.json", cmat(positive))
+        out_csv = tmp_path / "conn.csv"
+        code, out, _ = invoke(
+            capsys, "null-curve", "--a", a, "--b", b, "--observable", obs,
+            "--samples", "1001", "--tau", "0.7", "--csv", str(out_csv),
+        )
+        assert code == 0
+        reported = json.loads(out)["results"]["connection_integral"]
+        assert reported == csv_trapezoid(out_csv)
+
+    def test_zero_tau_is_rejected(self, capsys, tmp_path):
+        # tau = 0 is not a usable parameter length and must never fall back
+        # to the default tau = 1
+        a = write_json(tmp_path / "a.json", [1, 0])
+        b = write_json(tmp_path / "b.json", cvec([0.6, 0.8j]))
+        code, out, err = invoke(
+            capsys, "null-curve", "--a", a, "--b", b, "--identity", "--tau", "0"
+        )
+        assert code != 0
+        assert "tau must be positive" in out + err
 
     def test_orthogonal_pair_is_domain_error(self, capsys, tmp_path):
         # The identity-observable null curve needs a nonvanishing endpoint
@@ -460,6 +507,7 @@ class TestDeterminism:
             assert code == 0
             payload = json.loads(path.read_text())
             assert isinstance(payload.pop("wall_time_s"), float)
+            assert set(payload) == {"command", "args", "results", "diagnostics"}
             return payload
 
         assert run_once(tmp_path / "r1.json") == run_once(tmp_path / "r2.json")
@@ -492,8 +540,19 @@ class TestDeterminism:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # The [project.scripts] target must resolve without an install; the
+        # real console script is run as well whenever one is on PATH.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["ggphase"]
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+        script = shutil.which("ggphase")
+        if script is None:
+            return
         proc = subprocess.run(
-            ["ggphase", "two-level", "--kind", "x", "--theta", "1.0", "--phi", "0.25"],
+            [script, "two-level", "--kind", "x", "--theta", "1.0", "--phi", "0.25"],
             capture_output=True,
             text=True,
         )

@@ -33,6 +33,7 @@ from ggphase import (
     triangle_holonomy,
     wrapped_distance,
 )
+from ggphase import _kernels
 
 X = Observable([[0.0, 1.0], [1.0, 0.0]])
 
@@ -394,3 +395,41 @@ class TestHolonomy:
             tri = triangle_holonomy(states[0], states[1], states[2], obs, M=4001)
             chain = generalized_phase_chain(states, obs)
             assert wrapped_distance(tri.value, chain.value) < 1e-6
+
+
+class TestConnectionEvaluatedOncePerCurve:
+    @pytest.fixture
+    def kernel_curves(self, monkeypatch):
+        """Record the params array of every connection-kernel call."""
+        seen = []
+        original = _kernels.connection_terms
+
+        def counting(params, states, obs):
+            seen.append(params)
+            return original(params, states, obs)
+
+        monkeypatch.setattr(_kernels, "connection_terms", counting)
+        return seen
+
+    @staticmethod
+    def distinct(arrays) -> int:
+        return len({id(a) for a in arrays})
+
+    def test_curve_phase(self, kernel_curves):
+        curve_phase(great_circle_curve(201, 0.5, start=0.4, stop=2.2), X)
+        assert len(kernel_curves) == 1
+
+    def test_loop_holonomy(self, kernel_curves):
+        loop_holonomy(great_circle_curve(201, 0.5, start=0.4, stop=2.2), X)
+        assert len(kernel_curves) == 2
+        assert self.distinct(kernel_curves) == 2
+
+    def test_triangle_holonomy(self, kernel_curves):
+        states = [
+            bloch_state(0.0, 0.0),
+            bloch_state(math.pi / 2, math.pi / 3),
+            bloch_state(math.pi, 0.0),
+        ]
+        triangle_holonomy(states[0], states[1], states[2], X, M=101)
+        assert len(kernel_curves) == 3
+        assert self.distinct(kernel_curves) == 3

@@ -117,6 +117,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix([[0.5, 0.0], [0.0, 0.5]])
 
+    def test_trace_and_idempotency_follow_tol_herm(self):
+        off = np.diag([1.0 + 1e-9, 0.0])
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(off)
+        loose = ToleranceConfig(tol_herm=1e-8)
+        np.testing.assert_array_equal(DensityMatrix(off, tol=loose).entries, off)
+
 
 class TestMatrixElementAndPhases:
     def test_swap_matrix_element(self):

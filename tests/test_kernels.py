@@ -1,28 +1,12 @@
-"""Backend parity and selection for the hot kernels.
-
-The compiled numba loops and the vectorized numpy fallbacks must agree to
-floating-point roundoff on the same inputs; backend selection is driven by
-the GGP_BACKEND environment variable at import time, so the selection tests
-run fresh interpreters.
-"""
-
-import os
-import subprocess
-import sys
+"""The hot kernels against direct per-row sandwiches and explicit
+finite-difference stencils."""
 
 import numpy as np
 import pytest
 
-from ggphase import _kernels
-from ggphase._kernels import (
-    HAS_NUMBA,
-    chain_link_amplitudes,
-    connection_terms,
-)
+from ggphase._kernels import chain_link_amplitudes, connection_terms
 
 from conftest import random_hermitian, rng_for
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not importable")
 
 
 def random_stack(seed: int, count: int, dim: int):
@@ -45,14 +29,6 @@ class TestChainLinkAmplitudes:
         links = chain_link_amplitudes(states, np.eye(6, dtype=complex))
         expected = [np.vdot(states[l], states[(l + 1) % 4]) for l in range(4)]
         np.testing.assert_allclose(links, expected, rtol=1e-13)
-
-    @needs_numba
-    @pytest.mark.parametrize("count,dim", [(3, 2), (7, 5), (40, 9)])
-    def test_backends_agree(self, count, dim):
-        states, obs = random_stack(count * 100 + dim, count, dim)
-        fast = _kernels._chain_link_amplitudes_numba(states, obs)
-        slow = _kernels._chain_link_amplitudes_numpy(states, obs)
-        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
     def test_accepts_non_contiguous_input(self):
         states, obs = random_stack(9, 6, 4)
@@ -88,56 +64,3 @@ class TestConnectionTerms:
             - hp * hp * states[0]
         ) / (hp * hm * (hp + hm))
         assert num[1] == pytest.approx(states[1].conj() @ obs @ d1, rel=1e-12)
-
-    @needs_numba
-    @pytest.mark.parametrize("count,dim", [(5, 2), (33, 4), (101, 3)])
-    def test_backends_agree(self, count, dim):
-        rng = rng_for(count + dim)
-        params = np.cumsum(rng.uniform(0.01, 0.1, size=count))
-        states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-        obs = random_hermitian(rng, dim).entries
-        num_f, den_f = _kernels._connection_terms_numba(params, states, obs)
-        num_s, den_s = _kernels._connection_terms_numpy(params, states, obs)
-        np.testing.assert_allclose(num_f, num_s, rtol=1e-10, atol=1e-13)
-        np.testing.assert_allclose(den_f, den_s, rtol=1e-12, atol=1e-14)
-
-
-def run_with_backend(value: str | None) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    if value is None:
-        env.pop("GGP_BACKEND", None)
-    else:
-        env["GGP_BACKEND"] = value
-    return subprocess.run(
-        [sys.executable, "-c", "import ggphase; print(ggphase.backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-class TestBackendSelection:
-    def test_numpy_forced(self):
-        proc = run_with_backend("numpy")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "numpy"
-
-    @needs_numba
-    def test_numba_forced(self):
-        proc = run_with_backend("numba")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "numba"
-
-    @needs_numba
-    def test_auto_prefers_numba(self):
-        proc = run_with_backend("auto")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "numba"
-
-    def test_unknown_value_rejected_at_import(self):
-        proc = run_with_backend("gpu")
-        assert proc.returncode != 0
-        assert "GGP_BACKEND" in proc.stderr
-
-    def test_current_backend_reported(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
