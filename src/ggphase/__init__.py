@@ -20,6 +20,7 @@ from .errors import (
     NonOrthogonalBasis,
     OrthogonalEndpoints,
     PoleAtEnergy,
+    QuadratureNotConverged,
     SingularConnection,
     SingularKernel,
     UndefinedPhase,
@@ -110,6 +111,7 @@ __all__ = [
     "DegenerateSpectrum",
     "SingularKernel",
     "PoleAtEnergy",
+    "QuadratureNotConverged",
     # hilbert
     "ToleranceConfig",
     "DEFAULT_TOLS",

@@ -341,7 +341,7 @@ def o_null_curve(
         + frac[:, None] * np.exp(1j * theta) * B.components[None, :]
     )
     curve = ParamCurve(x, states, tol=tol)
-    den = np.einsum("ld,de,le->l", states.conj(), obs, states).real
+    den = ((states.conj() @ obs) * states).sum(axis=1).real
     interior_bad = np.flatnonzero(np.abs(den[1 : M - 1]) <= tol.tol_zero)
     if interior_bad.size:
         l = int(interior_bad[0]) + 1

@@ -246,69 +246,73 @@ def two_level_phase(
     return math.atan2(im, re)
 
 
-# Series cutoff for exponential divided differences: below this node-cluster
-# diameter the downward recursion loses digits to cancellation, above it the
-# shifted Taylor series converges slowly. 0.05 keeps both branches < 1e-13.
+# Series cutoff for exponential divided differences. Every node interval of
+# every row picks its own branch from its width: at or below this diameter
+# the shifted Taylor series (the recursion would lose digits to
+# cancellation), above it the recursion (the series would converge slowly).
+# A batch evaluates one interval level at a time, the series only on the
+# rows masked tight at that level and the recursion on the others. 0.05
+# keeps both branches < 1e-13.
 _CLUSTER_DIAMETER = 0.05
 _SERIES_TERMS = 30
 
 
-def _cluster_series(nodes: np.ndarray) -> complex:
-    """Divided difference of exp over a tight node cluster.
+def _cluster_series(nodes: np.ndarray) -> np.ndarray:
+    """Divided differences of exp over tight node clusters, one per row of
+    an (P, L) array.
 
-    Shifts to the centroid c and sums exp(c) * sum_m h_m(d) / (m + n)! where
-    h_m are complete homogeneous symmetric polynomials of the shifts d.
+    Shifts each row to its centroid c and sums exp(c) * sum_m h_m(d) / (m + n)!
+    where h_m are complete homogeneous symmetric polynomials of the shifts d.
     """
-    n = nodes.shape[0] - 1
-    center = complex(nodes.mean())
-    shifts = nodes - center
-    h = np.zeros(_SERIES_TERMS, dtype=np.complex128)
+    n = nodes.shape[1] - 1
+    center = nodes.mean(axis=1)
+    shifts = nodes - center[:, None]
+    h = np.zeros((_SERIES_TERMS, nodes.shape[0]), dtype=np.complex128)
     h[0] = 1.0
-    for x in shifts:
+    for x in shifts.T:
         for m in range(1, _SERIES_TERMS):
             h[m] += x * h[m - 1]
-    acc = 0.0j
+    acc = np.zeros(nodes.shape[0], dtype=np.complex128)
     for m in range(_SERIES_TERMS - 1, -1, -1):
         acc += h[m] / math.factorial(m + n)
-    return complex(np.exp(center)) * acc
+    # exp(c) * acc spelled out: numpy's SIMD complex multiply may fuse into
+    # FMA, and the recursion above a cluster amplifies that last-bit
+    # difference to ~1e-13, so the result would vary with the CPU
+    scale = np.exp(center)
+    out = np.empty_like(acc)
+    out.real = scale.real * acc.real - scale.imag * acc.imag
+    out.imag = scale.real * acc.imag + scale.imag * acc.real
+    return out
 
 
-def _exp_divided_difference(nodes: np.ndarray) -> complex:
-    """Divided difference of exp over nodes sorted along the imaginary axis.
+def _ordered_exponential_integral(freqs: np.ndarray, t: float) -> np.ndarray:
+    """Nested integrals of exp(i w_1 s_1) ... exp(i w_k s_k) over
+    t > s_1 > ... > s_k > 0, one per row of a (B, k) frequency array.
 
-    Dynamic program over node intervals: tight intervals use the shifted
-    series, wide ones the standard recursion, whose divisor is then large
-    enough that the subtraction is benign.
+    Each equals t^k times the divided difference of exp over the nodes
+    {0, i B_1 t, ..., i B_k t} with B_j the partial sums of the row. The
+    nodes are sorted along the imaginary axis and the divided differences
+    built level by level over node intervals, a (B, k + 1 - span) table per
+    level: tight intervals use the shifted series, wide ones the recursion,
+    whose divisor is then large enough that the subtraction is benign.
     """
-    count = nodes.shape[0]
-    table = {(i, i): complex(np.exp(nodes[i])) for i in range(count)}
-    for span in range(1, count):
-        for i in range(count - span):
-            j = i + span
-            width = abs(nodes[j] - nodes[i])
-            if width <= _CLUSTER_DIAMETER:
-                table[(i, j)] = _cluster_series(nodes[i : j + 1])
-            else:
-                table[(i, j)] = (table[(i + 1, j)] - table[(i, j - 1)]) / (
-                    nodes[j] - nodes[i]
-                )
-    return table[(0, count - 1)]
-
-
-def _ordered_exponential_integral(freqs: Sequence[float], t: float) -> complex:
-    """Nested integral of exp(i w_1 s_1) ... exp(i w_k s_k) over t > s_1 > ... > s_k > 0.
-
-    Equals t^k times the divided difference of exp over the nodes
-    {0, i B_1 t, ..., i B_k t} with B_j the partial sums of the frequencies.
-    """
+    freqs = np.asarray(freqs, dtype=np.float64)
+    rows, k = freqs.shape
     if t == 0.0:
-        return 0.0j
-    partial = [0.0]
-    for w in freqs:
-        partial.append(partial[-1] + w)
-    nodes = 1j * np.asarray(partial, dtype=np.float64) * t
-    nodes = nodes[np.argsort(nodes.imag)]
-    return t ** len(freqs) * _exp_divided_difference(nodes)
+        return np.zeros(rows, dtype=np.complex128)
+    partial = np.zeros((rows, k + 1))
+    np.cumsum(freqs, axis=1, out=partial[:, 1:])
+    nodes = 1j * partial * t
+    nodes = np.take_along_axis(nodes, np.argsort(nodes.imag, axis=1), axis=1)
+    table = np.exp(nodes)
+    for span in range(1, k + 1):
+        tight = nodes.imag[:, span:] - nodes.imag[:, :-span] <= _CLUSTER_DIAMETER
+        gaps = np.where(tight, 1.0, nodes[:, span:] - nodes[:, :-span])
+        table = (table[:, 1:] - table[:, :-1]) / gaps
+        if tight.any():
+            windows = np.lib.stride_tricks.sliding_window_view(nodes, span + 1, axis=1)
+            table[tight] = _cluster_series(windows[tight])
+    return t**k * table[:, 0]
 
 
 def f_mn(w1: float, w2: float, w3: float, t: float) -> complex:
@@ -322,7 +326,12 @@ def f_mn(w1: float, w2: float, w3: float, t: float) -> complex:
     for name, v in (("w1", w1), ("w2", w2), ("w3", w3), ("t", t)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    return _ordered_exponential_integral((w1, w2, w3), t)
+    return complex(_ordered_exponential_integral([[w1, w2, w3]], t)[0])
+
+
+def _fsum_complex(terms: np.ndarray) -> complex:
+    """Correctly rounded sum of complex terms, real and imaginary parts apart."""
+    return complex(math.fsum(terms.real.ravel().tolist()), math.fsum(terms.imag.ravel().tolist()))
 
 
 def survival_amplitude(
@@ -368,19 +377,15 @@ def survival_amplitude(
     amp = 1.0 + 0.0j
     if order >= 1:
         amp += -1j * t * v[i, i]
+    w_im = energies[i] - energies
     if order >= 2:
-        terms = []
-        for m in range(H0.dim):
-            w_im = energies[i] - energies[m]
-            terms.append(-v[i, m] * v[m, i] * _ordered_exponential_integral((w_im, -w_im), t))
-        amp += complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), t)
+        amp += _fsum_complex(-v[i, :] * v[:, i] * f2)
     if order >= 3:
-        terms = []
-        for m in range(H0.dim):
-            w_im = energies[i] - energies[m]
-            for n in range(H0.dim):
-                w_mn = energies[m] - energies[n]
-                w_ni = energies[n] - energies[i]
-                terms.append(1j * v[i, m] * v[m, n] * v[n, i] * f_mn(w_im, w_mn, w_ni, t))
-        amp += complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        dim = H0.dim
+        w_mn = energies[:, None] - energies[None, :]
+        w_ni = energies - energies[i]
+        freqs = np.stack(np.broadcast_arrays(w_im[:, None], w_mn, w_ni[None, :]), axis=-1)
+        f3 = _ordered_exponential_integral(freqs.reshape(dim * dim, 3), t).reshape(dim, dim)
+        amp += _fsum_complex((1j * v[i, :])[:, None] * v * v[:, i][None, :] * f3)
     return amp

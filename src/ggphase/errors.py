@@ -16,6 +16,7 @@ __all__ = [
     "DegenerateSpectrum",
     "SingularKernel",
     "PoleAtEnergy",
+    "QuadratureNotConverged",
 ]
 
 
@@ -69,3 +70,7 @@ class SingularKernel(DomainError):
 
 class PoleAtEnergy(DomainError):
     """The separable T-matrix denominator vanished (bound-state pole at this energy)."""
+
+
+class QuadratureNotConverged(DomainError):
+    """The principal-value quadrature overflowed or its refinements never agreed."""

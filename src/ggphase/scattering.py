@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleAtEnergy, SingularKernel
+from .errors import PoleAtEnergy, QuadratureNotConverged, SingularKernel
 from .hilbert import DEFAULT_TOLS, Observable, StateVector, ToleranceConfig, wrap_angle
 from .perturbation import PhaseTermRow, PhaseTermTable
 
@@ -283,6 +283,12 @@ def _radial_principal_value(k: float, beta: float) -> float:
     the integrand above is integrated with Gauss-Legendre under the map
     p = beta u / (1 - u), doubling the node count until two successive
     refinements agree to 1e-9.
+
+    Raises
+    ------
+    QuadratureNotConverged
+        If the integrand overflows (a non-finite sum can never settle) or
+        the refinements still disagree at the node limit.
     """
     previous = None
     nodes = _PV_START_NODES
@@ -291,12 +297,17 @@ def _radial_principal_value(k: float, beta: float) -> float:
         u = 0.5 * (x + 1.0)
         p = beta * u / (1.0 - u)
         jac = beta / (1.0 - u) ** 2
-        value = float(np.sum(wgt * 0.5 * jac * _subtracted_radial_integrand(p, k, beta)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.sum(wgt * 0.5 * jac * _subtracted_radial_integrand(p, k, beta)))
+        if not math.isfinite(value):
+            raise QuadratureNotConverged(
+                f"principal-value quadrature overflowed at k = {k}, beta = {beta}"
+            )
         if previous is not None and abs(value - previous) < _PV_TOL:
             return value
         previous = value
         nodes *= 2
-    raise ArithmeticError(
+    raise QuadratureNotConverged(
         f"principal-value quadrature did not stabilize to {_PV_TOL} "
         f"within {_PV_MAX_NODES} nodes"
     )

@@ -452,6 +452,15 @@ class TestScatter:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ValueError"
 
+    def test_separable_unconverged_quadrature_exits_2(self, capsys):
+        code, out, err = invoke(
+            capsys, "scatter", "separable", "--coupling", "0.1",
+            "--beta", "1.0", "--mass", "1.0", "--k", "1e300",
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "QuadratureNotConverged"
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_epsilon_ladder(self, capsys, tmp_path, h3_file):

@@ -311,6 +311,13 @@ class TestLoopIntegral:
         with pytest.raises(ValueError):
             gg.loop_integral(model, k)
 
+    def test_unconverged_quadrature_is_a_domain_error(self):
+        # at k = 1e300 the integrand overflows, so the refinements never agree
+        model = gg.SeparableModel(coupling=0.1, beta=1.0, mass=1.0)
+        with pytest.raises(gg.QuadratureNotConverged) as info:
+            gg.loop_integral(model, 1e300)
+        assert isinstance(info.value, gg.DomainError)
+
 
 class TestSeparableModel:
     def test_field_validation(self):
