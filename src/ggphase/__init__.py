@@ -74,7 +74,6 @@ from .dynamics import (
 )
 from .perturbation import (
     EigenSystem,
-    PhaseTermRow,
     PhaseTermTable,
     ShiftSeries,
     energy_shift,
@@ -157,7 +156,6 @@ __all__ = [
     # perturbation
     "EigenSystem",
     "ShiftSeries",
-    "PhaseTermRow",
     "PhaseTermTable",
     "energy_shift",
     "perturbed_state",

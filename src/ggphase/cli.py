@@ -36,6 +36,7 @@ from .phase import generalized_phase_chain
 from .scattering import (
     GridModel,
     SeparableModel,
+    _green_diagonal,
     born_forward_amplitude,
     kernel_condition_number,
     lippmann_schwinger_solve,
@@ -308,6 +309,11 @@ def _run_two_level(args: dict, tol: ToleranceConfig):
     return results, {}, header, [[params.theta, params.phi, value]]
 
 
+def _column_rows(*columns: np.ndarray) -> list[tuple]:
+    """Table columns as Python row tuples, converted once for both JSON and CSV."""
+    return list(zip(*(col.tolist() for col in columns)))
+
+
 def _run_perturb(args: dict, tol: ToleranceConfig):
     h0_path = _need(args, "h0")
     levels = _io.parse_real_list(_io.load_json_file(h0_path), h0_path)
@@ -317,6 +323,7 @@ def _run_perturb(args: dict, tol: ToleranceConfig):
     coupling = _as_float(args, "coupling")
     shift = energy_shift(system, potential, n, coupling)
     table = third_order_phase_terms(system, potential, n, tol=tol)
+    rows = _column_rows(table.k, table.l, table.modulus, table.gamma_v, table.denominator)
     results = {
         "shift": {
             "order1": shift.order1,
@@ -326,19 +333,12 @@ def _run_perturb(args: dict, tol: ToleranceConfig):
             "total": shift.total,
         },
         "phase_terms": [
-            {
-                "k": row.k,
-                "l": row.l,
-                "modulus": row.modulus,
-                "gamma_v": row.gamma_v,
-                "denominator": row.denominator,
-            }
-            for row in table
+            {"k": k, "l": l, "modulus": modulus, "gamma_v": gamma, "denominator": den}
+            for k, l, modulus, gamma, den in rows
         ],
     }
     diagnostics = {"level_count": system.level_count, "term_count": len(table)}
     header = ["k", "l", "modulus", "gamma_v", "denominator"]
-    rows = [[row.k, row.l, row.modulus, row.gamma_v, row.denominator] for row in table]
     return results, diagnostics, header, rows
 
 
@@ -370,9 +370,7 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
     model = _grid_model_from_file(_need(args, "model"), tol)
     index = _incoming_index(model, _need(args, "incoming"))
     psi = lippmann_schwinger_solve(model, index, tol=tol)
-    green = 1.0 / (
-        model.energies[index] - model.energies + 1j * model.greens_epsilon
-    )
+    green = _green_diagonal(model, index)
     rhs = np.zeros(model.size, dtype=np.complex128)
     rhs[index] = 1.0
     defect = float(
@@ -380,6 +378,8 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
     )
     report = born_forward_amplitude(model, index)
     table = triple_product_phases(model, index, tol=tol)
+    den = table.denominator
+    rows = _column_rows(table.k, table.l, table.modulus, table.gamma_v, den.real, den.imag)
     results = {
         "born": {
             "term0": _io.complex_payload(report.term0),
@@ -389,13 +389,13 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
         },
         "phase_terms": [
             {
-                "p": row.k,
-                "q": row.l,
-                "modulus": row.modulus,
-                "gamma_v": row.gamma_v,
-                "denominator": _io.complex_payload(row.denominator),
+                "p": p,
+                "q": q,
+                "modulus": modulus,
+                "gamma_v": gamma,
+                "denominator": {"re": den_re, "im": den_im},
             }
-            for row in table
+            for p, q, modulus, gamma, den_re, den_im in rows
         ],
         "incoming": model.labels[index],
     }
@@ -406,10 +406,6 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
         "solve_defect": defect,
     }
     header = ["p", "q", "modulus", "gamma_v", "denominator_re", "denominator_im"]
-    rows = [
-        [row.k, row.l, row.modulus, row.gamma_v, row.denominator.real, row.denominator.imag]
-        for row in table
-    ]
     return results, diagnostics, header, rows
 
 

@@ -22,13 +22,11 @@ from .hilbert import (
     Observable,
     StateVector,
     ToleranceConfig,
-    wrap_angle,
 )
 
 __all__ = [
     "EigenSystem",
     "ShiftSeries",
-    "PhaseTermRow",
     "PhaseTermTable",
     "energy_shift",
     "perturbed_state",
@@ -136,60 +134,73 @@ class ShiftSeries:
         return c * self.order1 + c * c * self.order2 + c * c * c * self.order3
 
 
-@dataclass(frozen=True)
-class PhaseTermRow:
-    """One closed matrix-element triple: indices, modulus, phase, denominator.
+@dataclass(frozen=True, eq=False)
+class PhaseTermTable:
+    """Closed matrix-element triples as read-only columns, one row per index pair.
 
-    The denominator is real for stationary perturbation rows and complex
-    (regulated) for scattering rows.
+    Row r holds the pair (k[r], l[r]), the modulus and wrapped Arg gamma_v
+    of its triple, and its energy denominator, which is real for stationary
+    perturbation rows and complex (regulated) for scattering rows. Rows are
+    k-major; pairs whose modulus is at or below tol_zero are omitted.
     """
 
-    k: int
-    l: int
-    modulus: float
-    gamma_v: float
-    denominator: complex
-
-
-@dataclass(frozen=True)
-class PhaseTermTable:
-    """Deterministically ordered collection of PhaseTermRow entries."""
-
-    rows: tuple[PhaseTermRow, ...]
+    k: np.ndarray
+    l: np.ndarray
+    modulus: np.ndarray
+    gamma_v: np.ndarray
+    denominator: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
+        return self.k.shape[0]
 
     def reconstruct(self) -> complex:
         """Sum of modulus * exp(i gamma_v) / denominator over all rows."""
-        terms = [
-            row.modulus * complex(math.cos(row.gamma_v), math.sin(row.gamma_v)) / row.denominator
-            for row in self.rows
-        ]
-        return complex(
-            math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)
-        )
+        terms = self.modulus * np.exp(1j * self.gamma_v) / self.denominator
+        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
-def _projected_potential(sys: EigenSystem, V: Observable) -> np.ndarray:
-    """V in the eigenbasis, symmetrized so W[l,k] == conj(W[k,l]) exactly.
+def _wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle for angles in [-2 pi, 2 pi]; each shift by 2 pi is exact."""
+    a = np.where(a > math.pi, a - 2.0 * math.pi, a)
+    return np.where(a <= -math.pi, a + 2.0 * math.pi, a)
 
-    The exact pairing makes the double sums below real to the last bit
-    instead of merely within the hermiticity tolerance of the input.
+
+def _closed_triples(first, middle, last, den, labels, tol: ToleranceConfig) -> PhaseTermTable:
+    """Table of the triples first[a] middle[a, b] last[b] over all index pairs (a, b).
+
+    The row of (a, b) carries the pair (labels[a], labels[b]) and the
+    denominator den[a] * den[b], and is kept when its modulus exceeds
+    tol_zero. The Args are wrapped after each addition, so a real triple
+    has gamma_v exactly 0 or pi.
     """
+    modulus = np.abs(first)[:, None] * np.abs(middle) * np.abs(last)[None, :]
+    a, b = np.nonzero(modulus > tol.tol_zero)
+    gamma = _wrap_angles(
+        _wrap_angles(np.angle(first[a]) + np.angle(middle[a, b])) + np.angle(last[b])
+    )
+    columns = (labels[a], labels[b], modulus[a, b], gamma, den[a] * den[b])
+    for col in columns:
+        col.setflags(write=False)
+    return PhaseTermTable(*columns)
+
+
+def _level_projection(
+    sys: EigenSystem, V: Observable, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V in the eigenbasis, the levels k != n (ascending) and the gaps E_n - E_k.
+
+    The projected V is symmetrized so W[l,k] == conj(W[k,l]) exactly, which
+    makes the double sums below real to the last bit instead of merely
+    within the hermiticity tolerance of the input.
+    """
+    if not 0 <= n < sys.level_count:
+        raise ValueError(f"level {n} out of range for {sys.level_count} levels")
     if V.dim != sys.dim:
         raise ValueError(f"V dim {V.dim} does not match system dim {sys.dim}")
     b = sys.basis_matrix
     m = b.conj() @ V.entries @ b.T
-    return 0.5 * (m + m.conj().T)
-
-
-def _check_level(sys: EigenSystem, n: int) -> None:
-    if not 0 <= n < sys.level_count:
-        raise ValueError(f"level {n} out of range for {sys.level_count} levels")
+    others = np.delete(np.arange(sys.level_count), n)
+    return 0.5 * (m + m.conj().T), others, sys.energies[n] - sys.energies[others]
 
 
 def energy_shift(
@@ -205,25 +216,22 @@ def energy_shift(
     Every order is real; the third-order double sum cancels its imaginary
     parts in (k,l) <-> (l,k) pairs and is verified to below 1e-12.
     """
-    _check_level(sys, n)
+    w, others, gaps = _level_projection(sys, V, n)
     if not math.isfinite(coupling):
         raise ValueError(f"coupling must be finite, got {coupling}")
-    w = _projected_potential(sys, V)
-    e = sys.energies
-    others = [k for k in range(sys.level_count) if k != n]
-    gaps = {k: e[n] - e[k] for k in others}
     order1 = w[n, n].real
-    order2 = math.fsum(abs(w[n, k]) ** 2 / gaps[k] for k in others)
-    double = [
-        w[n, k] * w[k, l] * w[l, n] / (gaps[k] * gaps[l])
-        for k in others
-        for l in others
-    ]
-    residue = math.fsum(z.imag for z in double)
+    strength = np.abs(w[n, others]) ** 2
+    order2 = math.fsum(strength / gaps)
+    double = (
+        w[n, others][:, None] * w[np.ix_(others, others)] * w[others, n][None, :]
+        / np.multiply.outer(gaps, gaps)
+    ).ravel()
+    # fsum iterates a list of Python floats faster than numpy scalars
+    residue = math.fsum(double.imag.tolist())
     if abs(residue) > _REALITY_TOL:
         raise ValueError(f"third-order imaginary residue {residue:.3e} exceeds 1e-12")
-    correction = order1 * math.fsum(abs(w[n, k]) ** 2 / gaps[k] ** 2 for k in others)
-    order3 = math.fsum(z.real for z in double) - correction
+    correction = order1 * math.fsum(strength / gaps**2)
+    order3 = math.fsum(double.real.tolist()) - correction
     return ShiftSeries(order1, order2, order3, coupling)
 
 
@@ -240,23 +248,16 @@ def perturbed_state(
 
     so the result is not unit-normalized.
     """
-    _check_level(sys, n)
+    w, others, gaps = _level_projection(sys, V, n)
     if not math.isfinite(coupling):
         raise ValueError(f"coupling must be finite, got {coupling}")
-    w = _projected_potential(sys, V)
-    e = sys.energies
-    b = sys.basis_matrix
-    others = [k for k in range(sys.level_count) if k != n]
-    vec = b[n].astype(np.complex128)
-    for k in others:
-        gap_k = e[n] - e[k]
-        first = w[k, n] / gap_k
-        second = (
-            sum(w[k, l] * w[l, n] / (gap_k * (e[n] - e[l])) for l in others)
-            - w[n, n] * w[k, n] / gap_k**2
-        )
-        vec = vec + (coupling * first + coupling**2 * second) * b[k]
-    return StateVector(vec)
+    col = w[others, n]
+    first = col / gaps
+    second = (
+        w[np.ix_(others, others)] * col[None, :] / np.multiply.outer(gaps, gaps)
+    ).sum(axis=1) - w[n, n] * col / gaps**2
+    coeff = coupling * first + coupling**2 * second
+    return StateVector(sys.basis_matrix[n] + coeff @ sys.basis_matrix[others])
 
 
 def third_order_phase_terms(
@@ -275,21 +276,7 @@ def third_order_phase_terms(
     the double-sum part of ShiftSeries.order3; rows (k, l) and (l, k) carry
     opposite gamma_v.
     """
-    _check_level(sys, n)
-    w = _projected_potential(sys, V)
-    e = sys.energies
-    others = [k for k in range(sys.level_count) if k != n]
-    rows = []
-    for k in others:
-        for l in others:
-            triple = (w[n, k], w[k, l], w[l, n])
-            modulus = abs(triple[0]) * abs(triple[1]) * abs(triple[2])
-            if modulus <= tol.tol_zero:
-                continue
-            gamma = wrap_angle(math.fsum(np.angle(z) for z in triple))
-            rows.append(
-                PhaseTermRow(
-                    k, l, float(modulus), gamma, float((e[n] - e[k]) * (e[n] - e[l]))
-                )
-            )
-    return PhaseTermTable(tuple(rows))
+    w, others, gaps = _level_projection(sys, V, n)
+    return _closed_triples(
+        w[n, others], w[np.ix_(others, others)], w[others, n], gaps, others, tol
+    )

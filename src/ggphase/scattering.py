@@ -10,14 +10,15 @@ epsilon -> 0+ limit analytically (principal value plus on-shell pole term).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoleAtEnergy, QuadratureNotConverged, SingularKernel
-from .hilbert import DEFAULT_TOLS, Observable, StateVector, ToleranceConfig, wrap_angle
-from .perturbation import PhaseTermRow, PhaseTermTable
+from .hilbert import DEFAULT_TOLS, Observable, StateVector, ToleranceConfig
+from .perturbation import PhaseTermTable, _closed_triples
 
 __all__ = [
     "GridModel",
@@ -156,6 +157,11 @@ def _green_diagonal(model: GridModel, i: int) -> np.ndarray:
     return 1.0 / (model.energies[i] - model.energies + 1j * model.greens_epsilon)
 
 
+def _scattering_kernel(model: GridModel, i: int) -> np.ndarray:
+    """The Lippmann-Schwinger matrix 1 - G0 V at the energy of grid point i."""
+    return np.eye(model.size) - _green_diagonal(model, i)[:, None] * model.V.entries
+
+
 def _check_index(model: GridModel, i: int) -> None:
     if not 0 <= i < model.size:
         raise ValueError(f"momentum index {i} out of range for grid size {model.size}")
@@ -171,8 +177,7 @@ def born_spectral_radius(model: GridModel, i: int) -> float:
 def kernel_condition_number(model: GridModel, i: int) -> float:
     """Condition number of the linear system (1 - G0 V) solved for |psi+>."""
     _check_index(model, i)
-    kernel = np.eye(model.size) - _green_diagonal(model, i)[:, None] * model.V.entries
-    return float(np.linalg.cond(kernel))
+    return float(np.linalg.cond(_scattering_kernel(model, i)))
 
 
 def lippmann_schwinger_solve(
@@ -191,7 +196,7 @@ def lippmann_schwinger_solve(
         above 1e14).
     """
     _check_index(model, i)
-    kernel = np.eye(model.size) - _green_diagonal(model, i)[:, None] * model.V.entries
+    kernel = _scattering_kernel(model, i)
     cond = np.linalg.cond(kernel)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularKernel(
@@ -236,27 +241,16 @@ def triple_product_phases(
 ) -> PhaseTermTable:
     """Phase decomposition of the V^3 forward term at grid point i.
 
-    One row per ordered pair (p, q) with nonvanishing modulus
-    |V_ip V_pq V_qi|; gamma_v is the wrapped Arg sum of the three elements
-    and the denominator is the complex product
+    One row per ordered pair (p, q), held in the columns k and l, with
+    nonvanishing modulus |V_ip V_pq V_qi|; gamma_v is the wrapped Arg sum of
+    the three elements and the denominator is the complex product
     (E_i - E_p + ie)(E_i - E_q + ie). Rows are p-major. Summing
     modulus * exp(i gamma_v) / denominator reproduces <i|V G0 V G0 V|i>.
     """
     _check_index(model, i)
     v = model.V.entries
-    e = model.energies
-    eps = model.greens_epsilon
-    rows = []
-    for p in range(model.size):
-        for q in range(model.size):
-            triple = (v[i, p], v[p, q], v[q, i])
-            modulus = abs(triple[0]) * abs(triple[1]) * abs(triple[2])
-            if modulus <= tol.tol_zero:
-                continue
-            gamma = wrap_angle(math.fsum(np.angle(z) for z in triple))
-            den = complex((e[i] - e[p] + 1j * eps) * (e[i] - e[q] + 1j * eps))
-            rows.append(PhaseTermRow(p, q, float(modulus), gamma, den))
-    return PhaseTermTable(tuple(rows))
+    den = model.energies[i] - model.energies + 1j * model.greens_epsilon
+    return _closed_triples(v[i, :], v, v[:, i], den, np.arange(model.size), tol)
 
 
 # Separable continuum model ------------------------------------------------
@@ -276,6 +270,16 @@ def _subtracted_radial_integrand(p: np.ndarray, k: float, beta: float) -> np.nda
     return (p * p * k * k - beta**4) / ((p * p + beta**2) ** 2 * (k * k + beta**2) ** 2)
 
 
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per
+    count; the doubling ladder below asks for at most eight counts."""
+    x, wgt = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    wgt.setflags(write=False)
+    return x, wgt
+
+
 def _radial_principal_value(k: float, beta: float) -> float:
     """PV integral of g(p) / (k^2 - p^2) over p in (0, inf).
 
@@ -293,7 +297,7 @@ def _radial_principal_value(k: float, beta: float) -> float:
     previous = None
     nodes = _PV_START_NODES
     while nodes <= _PV_MAX_NODES:
-        x, wgt = np.polynomial.legendre.leggauss(nodes)
+        x, wgt = _gauss_legendre(nodes)
         u = 0.5 * (x + 1.0)
         p = beta * u / (1.0 - u)
         jac = beta / (1.0 - u) ** 2

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ggphase import Observable, StateVector
+from ggphase import Observable, StateVector, wrap_angle
 
 # One line per acceptance check, echoed after the run summary so the result
 # of every released guarantee is visible even when its test passes.
@@ -136,3 +136,65 @@ def bloch_curve_arrays(s, theta, phi):
     states[:, 0] = np.cos(theta / 2.0)
     states[:, 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
     return np.asarray(s, dtype=float), states
+
+
+def table_pairs(table) -> list[tuple[int, int]]:
+    """The (k, l) index pairs of a phase-term table, in row order."""
+    return list(zip(table.k.tolist(), table.l.tolist()))
+
+
+def _triple_row(k, l, triple, den, tol_zero):
+    modulus = abs(triple[0]) * abs(triple[1]) * abs(triple[2])
+    if modulus <= tol_zero:
+        return None
+    gamma = wrap_angle(math.fsum(np.angle(z) for z in triple))
+    return (k, l, float(modulus), gamma, den)
+
+
+def third_order_rows_oracle(system, V: Observable, n: int, tol_zero: float) -> list[tuple]:
+    """Rows (k, l, modulus, gamma_v, denominator) of the third-order table,
+    one closed triple V_nk V_kl V_ln at a time in a Python double loop."""
+    b = np.asarray(system.basis_matrix)
+    m = b.conj() @ np.asarray(V.entries) @ b.T
+    w = 0.5 * (m + m.conj().T)
+    e = system.energies
+    others = [k for k in range(system.level_count) if k != n]
+    rows = [
+        _triple_row(
+            k, l, (w[n, k], w[k, l], w[l, n]), float((e[n] - e[k]) * (e[n] - e[l])), tol_zero
+        )
+        for k in others
+        for l in others
+    ]
+    return [row for row in rows if row is not None]
+
+
+def triple_product_rows_oracle(model, i: int, tol_zero: float) -> list[tuple]:
+    """Rows (p, q, modulus, gamma_v, denominator) of the V^3 Born table,
+    one closed triple V_ip V_pq V_qi at a time in a Python double loop."""
+    v = np.asarray(model.V.entries)
+    e = model.energies
+    eps = model.greens_epsilon
+    rows = [
+        _triple_row(
+            p,
+            q,
+            (v[i, p], v[p, q], v[q, i]),
+            complex((e[i] - e[p] + 1j * eps) * (e[i] - e[q] + 1j * eps)),
+            tol_zero,
+        )
+        for p in range(model.size)
+        for q in range(model.size)
+    ]
+    return [row for row in rows if row is not None]
+
+
+def assert_table_matches_rows(table, rows) -> None:
+    """Same pairs in the same order; moduli and denominators within rtol
+    1e-14 and each gamma_v within 1e-14 of the oracle's on the circle (the
+    vectorised products and Arg sums may round differently by a few ulps)."""
+    assert table_pairs(table) == [(row[0], row[1]) for row in rows]
+    np.testing.assert_allclose(table.modulus, [row[2] for row in rows], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(table.denominator, [row[4] for row in rows], rtol=1e-14, atol=0.0)
+    for got, row in zip(table.gamma_v.tolist(), rows):
+        assert abs(wrap_angle(got - row[3])) <= 1e-14

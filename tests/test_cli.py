@@ -354,7 +354,7 @@ class TestPerturb:
         assert report["results"]["shift"]["order2"] == shift.order2
         rows = report["results"]["phase_terms"]
         assert len(rows) == len(table)
-        assert rows[0]["gamma_v"] == table.rows[0].gamma_v
+        assert rows[0]["gamma_v"] == table.gamma_v[0]
 
     def test_bad_level_is_domain_error(self, capsys, tmp_path):
         h0 = write_json(tmp_path / "h0.json", [0.0, 1.0])

@@ -5,24 +5,72 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, rng_for
+from conftest import (
+    assert_table_matches_rows,
+    random_hermitian,
+    rng_for,
+    table_pairs,
+    third_order_rows_oracle,
+)
 from ggphase import (
     DegenerateSpectrum,
     EigenSystem,
     Observable,
     PhaseTermTable,
     StateVector,
+    ToleranceConfig,
     energy_shift,
     perturbed_state,
     third_order_phase_terms,
+    wrap_angle,
     wrapped_distance,
 )
+from ggphase.perturbation import _wrap_angles
 
 
 def seeded_problem(seed: int, dim: int, spread: float = 1.0):
     rng = rng_for(seed)
     energies = np.cumsum(rng.uniform(0.5, 1.5, size=dim)) * spread
     return EigenSystem.standard(energies), random_hermitian(rng, dim)
+
+
+def zeroed_problem(seed: int, dim: int):
+    """A seeded problem with some V entries zeroed in Hermitian pairs, so
+    that whole rows of the triple table vanish."""
+    sys, v = seeded_problem(seed, dim)
+    w = np.array(v.entries)
+    rng = rng_for(seed + 1000)
+    for a, b in rng.integers(0, dim, size=(dim, 2)):
+        w[a, b] = w[b, a] = 0.0
+    return sys, Observable(w)
+
+
+def rotated_problem(seed: int, dim: int):
+    """A seeded problem in a random unitary eigenbasis."""
+    rng = rng_for(seed)
+    q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    energies = np.cumsum(rng.uniform(0.5, 1.5, size=dim))
+    system = EigenSystem(energies, [StateVector(q[:, k]) for k in range(dim)])
+    return system, random_hermitian(rng, dim)
+
+
+def perturbed_state_oracle(sys: EigenSystem, v: Observable, n: int, coupling: float) -> np.ndarray:
+    """The second-order eigenvector, one basis state and one inner sum at a time."""
+    b = np.asarray(sys.basis_matrix)
+    m = b.conj() @ np.asarray(v.entries) @ b.T
+    w = 0.5 * (m + m.conj().T)
+    e = sys.energies
+    others = [k for k in range(sys.level_count) if k != n]
+    vec = b[n].astype(np.complex128)
+    for k in others:
+        gap_k = e[n] - e[k]
+        first = w[k, n] / gap_k
+        second = (
+            sum(w[k, l] * w[l, n] / (gap_k * (e[n] - e[l])) for l in others)
+            - w[n, n] * w[k, n] / gap_k**2
+        )
+        vec = vec + (coupling * first + coupling**2 * second) * b[k]
+    return vec
 
 
 def exact_shift(sys: EigenSystem, v: Observable, n: int, coupling: float) -> float:
@@ -145,6 +193,18 @@ class TestPerturbedState:
         overlap = np.vdot(sys.basis_matrix[1], state.components)
         assert overlap == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "make,seed,dim,n", [(seeded_problem, 125, 9, 4), (rotated_problem, 126, 7, 0)]
+    )
+    def test_matches_loop_oracle(self, make, seed, dim, n):
+        sys, v = make(seed, dim)
+        for coupling in (0.3, -1.7):
+            np.testing.assert_allclose(
+                perturbed_state(sys, v, n, coupling).components,
+                perturbed_state_oracle(sys, v, n, coupling),
+                rtol=1e-13,
+            )
+
     def test_zero_coupling_returns_reference(self):
         sys, v = seeded_problem(120, 3)
         state = perturbed_state(sys, v, 2, 0.0)
@@ -156,22 +216,23 @@ class TestPhaseTermTable:
         sys, v = seeded_problem(121, 4)
         table = third_order_phase_terms(sys, v, 0)
         assert isinstance(table, PhaseTermTable)
-        pairs = [(row.k, row.l) for row in table]
+        pairs = table_pairs(table)
         assert pairs == sorted(pairs)
-        by_pair = {(row.k, row.l): row for row in table}
-        for (k, l), row in by_pair.items():
+        by_pair = {pair: r for r, pair in enumerate(pairs)}
+        for (k, l), r in by_pair.items():
             mirror = by_pair[(l, k)]
-            assert mirror.modulus == pytest.approx(row.modulus, rel=1e-12)
-            assert mirror.denominator == pytest.approx(row.denominator, rel=1e-12)
+            assert table.modulus[mirror] == pytest.approx(table.modulus[r], rel=1e-12)
+            assert table.denominator[mirror] == pytest.approx(table.denominator[r], rel=1e-12)
             if k != l:
-                assert wrapped_distance(mirror.gamma_v, -row.gamma_v) < 1e-12
+                assert wrapped_distance(table.gamma_v[mirror], -table.gamma_v[r]) < 1e-12
 
     def test_diagonal_rows_have_real_triple(self):
         sys, v = seeded_problem(122, 3)
-        for row in third_order_phase_terms(sys, v, 1):
-            if row.k == row.l:
+        table = third_order_phase_terms(sys, v, 1)
+        for k, l, gamma in zip(table.k, table.l, table.gamma_v):
+            if k == l:
                 # V_nk V_kk V_kn = |V_nk|^2 V_kk is real
-                assert abs(math.sin(row.gamma_v)) < 1e-12
+                assert abs(math.sin(gamma)) < 1e-12
 
     def test_reconstruct_recovers_double_sum(self):
         sys, v = seeded_problem(123, 4)
@@ -197,8 +258,10 @@ class TestPhaseTermTable:
         phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=3))
         basis = [StateVector(phases[k] * np.eye(3)[k]) for k in range(3)]
         rephased = EigenSystem(energies, basis)
-        a = {(r.k, r.l): r.gamma_v for r in third_order_phase_terms(plain, v, 0)}
-        b = {(r.k, r.l): r.gamma_v for r in third_order_phase_terms(rephased, v, 0)}
+        ta = third_order_phase_terms(plain, v, 0)
+        tb = third_order_phase_terms(rephased, v, 0)
+        a = dict(zip(table_pairs(ta), ta.gamma_v))
+        b = dict(zip(table_pairs(tb), tb.gamma_v))
         assert a.keys() == b.keys()
         for key in a:
             assert wrapped_distance(a[key], b[key]) < 1e-12
@@ -206,12 +269,54 @@ class TestPhaseTermTable:
     def test_real_potential_rows_carry_zero_or_pi(self):
         sys = EigenSystem.standard([0.0, 1.0, 2.3])
         v = Observable([[0.2, 0.5, -0.1], [0.5, 0.0, 0.3], [-0.1, 0.3, 0.4]])
-        for row in third_order_phase_terms(sys, v, 0):
-            assert min(abs(row.gamma_v), abs(abs(row.gamma_v) - math.pi)) < 1e-12
+        for gamma in third_order_phase_terms(sys, v, 0).gamma_v:
+            assert min(abs(gamma), abs(abs(gamma) - math.pi)) < 1e-12
 
     def test_vanishing_triples_skipped(self):
         sys = EigenSystem.standard([0.0, 1.0, 2.0])
         v = Observable([[0.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
         # V_02 = 0 removes every pair touching level 2
-        pairs = [(r.k, r.l) for r in third_order_phase_terms(sys, v, 0)]
+        pairs = table_pairs(third_order_phase_terms(sys, v, 0))
         assert pairs == [(1, 1)]
+
+    def test_vectorised_wrap_matches_wrap_angle(self):
+        edges = [k * math.pi / 2 for k in range(-4, 5)]
+        edges += [np.nextafter(x, d) for x in edges for d in (-np.inf, np.inf)]
+        angles = np.clip(edges + list(rng_for(133).uniform(-7.0, 7.0, 200)), -2 * math.pi, 2 * math.pi)
+        assert _wrap_angles(angles).tolist() == [wrap_angle(x) for x in angles.tolist()]
+
+    def test_columns_are_read_only(self):
+        sys, v = seeded_problem(127, 4)
+        table = third_order_phase_terms(sys, v, 1)
+        for col in (table.k, table.l, table.modulus, table.gamma_v, table.denominator):
+            assert not col.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make,seed,dim,n,tol_zero",
+        [
+            (seeded_problem, 128, 12, 5, 1e-12),
+            (zeroed_problem, 129, 10, 0, 1e-12),
+            (zeroed_problem, 130, 11, 7, 0.05),
+            (rotated_problem, 131, 8, 3, 1e-12),
+        ],
+    )
+    def test_matches_loop_oracle(self, make, seed, dim, n, tol_zero):
+        sys, v = make(seed, dim)
+        tol = ToleranceConfig(tol_zero=tol_zero)
+        rows = third_order_rows_oracle(sys, v, n, tol_zero)
+        if make is zeroed_problem:
+            assert len(rows) < (dim - 1) ** 2
+        assert_table_matches_rows(third_order_phase_terms(sys, v, n, tol=tol), rows)
+
+    def test_negative_real_triples_carry_exactly_pi(self):
+        rng = rng_for(132)
+        m = rng.uniform(-1.0, 1.0, size=(6, 6))
+        sys = EigenSystem.standard(np.arange(6.0))
+        v = Observable((m + m.T) / 2.0)
+        w = np.asarray(v.entries).real
+        table = third_order_phase_terms(sys, v, 2)
+        assert_table_matches_rows(table, third_order_rows_oracle(sys, v, 2, 1e-12))
+        signs = [w[2, k] * w[k, l] * w[l, 2] for k, l in table_pairs(table)]
+        assert any(x < 0.0 for x in signs) and any(x > 0.0 for x in signs)
+        for sign, gamma in zip(signs, table.gamma_v.tolist()):
+            assert gamma == (math.pi if sign < 0.0 else 0.0)

@@ -14,9 +14,15 @@ import numpy as np
 import pytest
 
 import ggphase as gg
-from ggphase import PoleAtEnergy, SingularKernel
+from ggphase import PoleAtEnergy, SingularKernel, scattering
 
-from conftest import random_hermitian, rng_for
+from conftest import (
+    assert_table_matches_rows,
+    random_hermitian,
+    rng_for,
+    table_pairs,
+    triple_product_rows_oracle,
+)
 
 
 def seeded_grid(seed: int, size: int, *, scale: float = 1.0, epsilon: float = 0.8):
@@ -227,7 +233,7 @@ class TestTripleProductPhases:
         model = gg.GridModel(list("abcd"), np.arange(4.0), 1.0, obs, 1e-2)
         table = gg.triple_product_phases(model, 0)
         assert len(table) == 16
-        assert all(row.gamma_v == 0.0 for row in table)
+        assert all(gamma == 0.0 for gamma in table.gamma_v)
 
     def test_three_point_example(self):
         # Off-diagonal triple <0|V|1><1|V|2><2|V|0> = e^{i pi/3}; zero
@@ -238,14 +244,14 @@ class TestTripleProductPhases:
         )
         model = gg.GridModel(["a", "b", "c"], [0.0, 1.0, 2.0], 1.0, gg.Observable(v), 1e-2)
         table = gg.triple_product_phases(model, 0)
-        pairs = [(row.k, row.l) for row in table]
+        pairs = table_pairs(table)
         assert pairs == [(1, 2), (2, 1)]
-        assert table.rows[0].gamma_v == pytest.approx(math.pi / 3, abs=1e-15)
-        assert table.rows[1].gamma_v == pytest.approx(-math.pi / 3, abs=1e-15)
+        assert table.gamma_v[0] == pytest.approx(math.pi / 3, abs=1e-15)
+        assert table.gamma_v[1] == pytest.approx(-math.pi / 3, abs=1e-15)
 
     def test_rows_are_p_major(self):
         table = gg.triple_product_phases(seeded_grid(62, 5), 2)
-        pairs = [(row.k, row.l) for row in table]
+        pairs = table_pairs(table)
         assert pairs == sorted(pairs)
 
     @pytest.mark.parametrize("seed,size,i", [(63, 4, 0), (64, 6, 3)])
@@ -258,7 +264,7 @@ class TestTripleProductPhases:
     def test_antisymmetry_under_pair_swap(self):
         model = seeded_grid(65, 5)
         table = gg.triple_product_phases(model, 1)
-        gamma = {(row.k, row.l): row.gamma_v for row in table}
+        gamma = dict(zip(table_pairs(table), table.gamma_v))
         for (p, q), g in gamma.items():
             # Negation modulo 2 pi: a phase of exactly pi is its own negative.
             assert gg.wrapped_distance(gamma[(q, p)], -g) < 1e-15
@@ -274,17 +280,50 @@ class TestTripleProductPhases:
         t1 = gg.triple_product_phases(model, 2)
         t2 = gg.triple_product_phases(model2, 2)
         assert len(t1) == len(t2)
-        for a, b in zip(t1, t2):
-            assert (a.k, a.l) == (b.k, b.l)
-            assert b.gamma_v == pytest.approx(a.gamma_v, abs=1e-12)
-            assert b.modulus == pytest.approx(a.modulus, rel=1e-12)
+        for r in range(len(t1)):
+            assert (t1.k[r], t1.l[r]) == (t2.k[r], t2.l[r])
+            assert t2.gamma_v[r] == pytest.approx(t1.gamma_v[r], abs=1e-12)
+            assert t2.modulus[r] == pytest.approx(t1.modulus[r], rel=1e-12)
 
     def test_zero_modulus_rows_skipped(self):
         v = np.array([[0.5, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         model = gg.GridModel(["a", "b", "c"], [0.0, 1.0, 2.0], 1.0, gg.Observable(v), 1e-2)
-        pairs = [(row.k, row.l) for row in gg.triple_product_phases(model, 0)]
+        pairs = table_pairs(gg.triple_product_phases(model, 0))
         # Only triples through p, q in {0, 1} with every factor nonzero.
         assert pairs == [(0, 0), (0, 1), (1, 0)]
+
+    @pytest.mark.parametrize(
+        "seed,size,i,zeroed,tol_zero",
+        [(68, 9, 4, 0, 1e-12), (69, 12, 0, 8, 1e-12), (70, 10, 9, 6, 0.05)],
+    )
+    def test_matches_loop_oracle(self, seed, size, i, zeroed, tol_zero):
+        model = seeded_grid(seed, size)
+        v = np.array(model.V.entries)
+        for a, b in rng_for(seed + 1000).integers(0, size, size=(zeroed, 2)):
+            v[a, b] = v[b, a] = 0.0
+        model = gg.GridModel(
+            model.labels, model.energies, model.mass, gg.Observable(v), model.greens_epsilon
+        )
+        rows = triple_product_rows_oracle(model, i, tol_zero)
+        if zeroed:
+            assert len(rows) < size**2
+        table = gg.triple_product_phases(model, i, tol=gg.ToleranceConfig(tol_zero=tol_zero))
+        assert_table_matches_rows(table, rows)
+
+    @pytest.mark.parametrize("imag_zero", [0.0, -0.0])
+    def test_negative_real_triples_carry_exactly_pi(self, imag_zero):
+        # with a -0.0 imaginary part a negative element has Arg -pi
+        m = rng_for(71).uniform(-1.0, 1.0, size=(6, 6))
+        entries = np.empty((6, 6), dtype=complex)
+        entries.real, entries.imag = (m + m.T) / 2, imag_zero
+        model = gg.GridModel(list("abcdef"), np.arange(6.0), 1.0, gg.Observable(entries), 1e-2)
+        v = entries.real
+        table = gg.triple_product_phases(model, 3)
+        assert_table_matches_rows(table, triple_product_rows_oracle(model, 3, 1e-12))
+        signs = [v[3, p] * v[p, q] * v[q, 3] for p, q in table_pairs(table)]
+        assert any(x < 0.0 for x in signs) and any(x > 0.0 for x in signs)
+        for sign, gamma in zip(signs, table.gamma_v.tolist()):
+            assert gamma == (math.pi if sign < 0.0 else 0.0)
 
 
 class TestLoopIntegral:
@@ -317,6 +356,27 @@ class TestLoopIntegral:
         with pytest.raises(gg.QuadratureNotConverged) as info:
             gg.loop_integral(model, 1e300)
         assert isinstance(info.value, gg.DomainError)
+
+    def test_gauss_legendre_nodes_built_once_per_count(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(nodes):
+            built.append(nodes)
+            return leggauss(nodes)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        scattering._gauss_legendre.cache_clear()
+        try:
+            model = gg.SeparableModel(coupling=0.1, beta=0.7, mass=1.3)
+            first = gg.loop_integral(model, 2.0)
+            assert gg.loop_integral(model, 2.0) == first
+            gg.loop_integral(model, 0.5)
+            x, wgt = scattering._gauss_legendre(built[0])
+        finally:
+            scattering._gauss_legendre.cache_clear()
+        assert built and len(built) == len(set(built))
+        assert not x.flags.writeable and not wgt.flags.writeable
 
 
 class TestSeparableModel:
