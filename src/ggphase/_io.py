@@ -23,6 +23,7 @@ __all__ = [
     "parse_complex",
     "parse_vector",
     "parse_matrix",
+    "parse_real",
     "parse_real_list",
 ]
 
@@ -35,13 +36,14 @@ def format_float(x: float) -> str:
     """A float as a JSON number with 17 significant digits.
 
     17 digits round-trip IEEE doubles exactly, so equal inputs produce
-    byte-identical reports.
+    byte-identical reports; integral values print as "1.0", not "1".
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"reports must be finite, got {x}")
     text = f"{x:.17g}"
-    return text
+    # An integral value keeps a fractional part so that it re-parses as a float.
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def complex_payload(z: complex) -> dict:
@@ -131,6 +133,13 @@ def load_json_file(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def parse_real(obj, where: str) -> float:
+    """A JSON number (not a boolean) as a float."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise InputError(f"{where}: expected a real number, got {obj!r}")
+    return float(obj)
+
+
 def parse_complex(obj, where: str) -> complex:
     """A JSON scalar as complex: a bare number or a {"re", "im"} object."""
     if isinstance(obj, bool):
@@ -169,9 +178,5 @@ def parse_real_list(obj, where: str) -> np.ndarray:
     """A JSON array of real numbers."""
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{where}: expected a non-empty array")
-    values = []
-    for i, x in enumerate(obj):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise InputError(f"{where}[{i}]: expected a real number, got {x!r}")
-        values.append(float(x))
+    values = [parse_real(x, f"{where}[{i}]") for i, x in enumerate(obj)]
     return np.asarray(values, dtype=np.float64)

@@ -1,11 +1,14 @@
 """Batch command-line front door: one declarative job per invocation, files
 in, a deterministic JSON report (and optional CSV table) out.
 
+``main`` times the subcommand's handler, then writes the report, or the error
+payload of a domain error, by one path: to --output, or to stdout without it.
 Exit status contract: 0 on success, 2 when a typed domain error (or an
 operation-level ValueError) says the requested quantity does not exist, 1 on
 I/O or parse failures, including bad flags. Reports print every float with
-17 significant digits, so identical inputs produce byte-identical reports
-except for the wall_time_s field. All angles are radians in (-pi, pi].
+17 significant digits (integral ones as "1.0"), so identical inputs produce
+byte-identical reports except for the wall_time_s field. All angles are
+radians in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,45 +48,7 @@ from .scattering import (
     triple_product_phases,
 )
 
-__all__ = ["JobConfig", "RunReport", "run", "main"]
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """One fully resolved batch job."""
-
-    command: str
-    args: dict
-    output: str | None = None
-    csv: str | None = None
-    tol_phase: float | None = None
-    tol_zero: float | None = None
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """The JSON-serializable outcome of one job.
-
-    Identical config and inputs yield byte-identical payloads except for
-    wall_time_s.
-    """
-
-    command: str
-    args: dict
-    results: dict
-    diagnostics: dict
-    wall_time_s: float
-    csv_header: list = field(default_factory=list)
-    csv_rows: list = field(default_factory=list)
-
-    def payload(self) -> dict:
-        return {
-            "command": self.command,
-            "args": self.args,
-            "results": self.results,
-            "diagnostics": self.diagnostics,
-            "wall_time_s": self.wall_time_s,
-        }
+__all__ = ["main"]
 
 
 # Input loading ---------------------------------------------------------------
@@ -163,13 +127,9 @@ def _curve_from_file(path: str, tol: ToleranceConfig) -> ParamCurve:
     if not isinstance(data, dict) or set(data) != {"params", "states"}:
         raise InputError(f'{path}: expected an object with keys "params" and "states"')
     params = _io.parse_real_list(data["params"], f"{path}.params")
-    if not isinstance(data["states"], list):
-        raise InputError(f"{path}.states: expected an array of state vectors")
-    states = [
-        _io.parse_vector(row, f"{path}.states[{i}]") for i, row in enumerate(data["states"])
-    ]
+    states = _io.parse_matrix(data["states"], f"{path}.states")
     try:
-        return ParamCurve(params, np.stack(states), tol=tol)
+        return ParamCurve(params, states, tol=tol)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -189,15 +149,12 @@ def _grid_model_from_file(path: str, tol: ToleranceConfig) -> GridModel:
                 f'{path}.momenta[{i}]: expected an object with keys "label" and "energy"'
             )
         labels.append(str(entry["label"]))
-        if isinstance(entry["energy"], bool) or not isinstance(entry["energy"], (int, float)):
-            raise InputError(f"{path}.momenta[{i}].energy: expected a number")
-        energies.append(float(entry["energy"]))
-    for key in ("mass", "epsilon"):
-        if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
-            raise InputError(f"{path}.{key}: expected a number")
+        energies.append(_io.parse_real(entry["energy"], f"{path}.momenta[{i}].energy"))
+    mass = _io.parse_real(data["mass"], f"{path}.mass")
+    epsilon = _io.parse_real(data["epsilon"], f"{path}.epsilon")
     try:
         potential = Observable(_io.parse_matrix(data["V"], f"{path}.V"), tol=tol)
-        return GridModel(labels, energies, float(data["mass"]), potential, float(data["epsilon"]))
+        return GridModel(labels, energies, mass, potential, epsilon)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -493,51 +450,22 @@ _HANDLERS = {
 # Orchestration ---------------------------------------------------------------
 
 
-def _tolerances(config: JobConfig) -> ToleranceConfig:
-    # Bad tolerance values are configuration problems (exit 1), not domain
-    # errors, so the ValueError from ToleranceConfig is rewrapped.
+def _tolerances(tol_zero: float | None) -> ToleranceConfig:
+    if tol_zero is None:
+        return DEFAULT_TOLS
+    # A bad tolerance is a configuration problem (exit 1), not a domain
+    # error, so the ValueError from ToleranceConfig is rewrapped.
     try:
-        tol = ToleranceConfig.from_env(DEFAULT_TOLS)
-        if config.tol_phase is not None or config.tol_zero is not None:
-            tol = ToleranceConfig(
-                tol_zero=config.tol_zero if config.tol_zero is not None else tol.tol_zero,
-                tol_herm=tol.tol_herm,
-                tol_phase=config.tol_phase if config.tol_phase is not None else tol.tol_phase,
-            )
+        return ToleranceConfig(tol_zero=tol_zero)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return tol
 
 
-def run(config: JobConfig) -> RunReport:
-    """Execute one job, write any configured files, and return the report.
-
-    Raises InputError for unreadable or malformed inputs and DomainError
-    (or ValueError) when the requested quantity does not exist; the CLI
-    entry point maps those to exit statuses 1 and 2.
-    """
-    if config.command not in _HANDLERS:
-        raise InputError(f"unknown command {config.command!r}")
-    tol = _tolerances(config)
-    start = time.perf_counter()
-    results, diagnostics, header, rows = _HANDLERS[config.command](config.args, tol)
-    report = RunReport(
-        command=config.command,
-        args=config.args,
-        results=results,
-        diagnostics=diagnostics,
-        wall_time_s=time.perf_counter() - start,
-        csv_header=header,
-        csv_rows=rows,
-    )
-    if config.output:
-        _write_text(config.output, _io.emit_json(report.payload()))
-    if config.csv:
-        _write_text(config.csv, _io.write_csv_text(header, rows))
-    return report
-
-
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str | None, text: str) -> None:
+    """Write a report or table to the named file, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -566,12 +494,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", metavar="FILE", help="write the JSON report here instead of stdout")
+    p.add_argument("--output", metavar="FILE", help="write the JSON report (or error payload) here instead of stdout")
     p.add_argument("--csv", metavar="FILE", help="also write the CSV table here")
-    p.add_argument("--tol-phase", type=float, default=None, dest="tol_phase",
-                   help="override the phase-comparison tolerance (also via GGP_TOL_PHASE)")
     p.add_argument("--tol-zero", type=float, default=None, dest="tol_zero",
                    help="override the vanishing-amplitude threshold")
+
+
+def _add_observable(p: argparse.ArgumentParser) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--observable", metavar="FILE", help="JSON matrix, Hermitian")
+    g.add_argument("--identity", action="store_true", help="use the identity observable")
 
 
 def _build_parser() -> _Parser:
@@ -592,9 +524,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--states", required=True, metavar="FILE",
                    help="JSON array of state vectors (complex as {re, im})")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--observable", metavar="FILE", help="JSON matrix, Hermitian")
-    g.add_argument("--identity", action="store_true", help="use the identity observable")
+    _add_observable(p)
     _add_common(p)
 
     p = sub.add_parser(
@@ -605,9 +535,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--curve", required=True, metavar="FILE",
                    help='JSON object {"params": [...], "states": [[{re, im}, ...], ...]}')
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--observable", metavar="FILE", help="JSON matrix, Hermitian")
-    g.add_argument("--identity", action="store_true", help="use the identity observable")
+    _add_observable(p)
     _add_common(p)
 
     p = sub.add_parser(
@@ -619,9 +547,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--a", required=True, metavar="FILE", help="JSON state vector")
     p.add_argument("--b", required=True, metavar="FILE", help="JSON state vector")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--observable", metavar="FILE", help="JSON matrix, Hermitian")
-    g.add_argument("--identity", action="store_true", help="use the identity observable")
+    _add_observable(p)
     p.add_argument("--samples", type=int, default=1001, help="number of curve samples (default 1001)")
     p.add_argument("--tau", type=float, default=1.0, help="parameter length (default 1)")
     _add_common(p)
@@ -708,51 +634,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_DESTS = ("command", "output", "csv", "tol_phase", "tol_zero")
-
-
 def main(argv=None) -> int:
     """Entry point; returns the process exit status."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    args = {k: v for k, v in vars(ns).items() if k not in _CONFIG_DESTS}
-    if ns.command == "sweep":
-        args["values"] = [_parse_scalar(v) for v in args["values"]]
-    config = JobConfig(
-        command=ns.command,
-        args=args,
-        output=ns.output,
-        csv=ns.csv,
-        tol_phase=ns.tol_phase,
-        tol_zero=ns.tol_zero,
+    args = vars(_build_parser().parse_args(argv))
+    command, output, csv, tol_zero = (
+        args.pop(key) for key in ("command", "output", "csv", "tol_zero")
     )
+    if command == "sweep":
+        args["values"] = [_parse_scalar(v) for v in args["values"]]
     try:
-        report = run(config)
+        tol = _tolerances(tol_zero)
+        try:
+            start = time.perf_counter()
+            results, diagnostics, header, rows = _HANDLERS[command](args, tol)
+            report = {
+                "command": command,
+                "args": args,
+                "results": results,
+                "diagnostics": diagnostics,
+                "wall_time_s": time.perf_counter() - start,
+            }
+            _write_text(output, _io.emit_json(report))
+            if csv:
+                _write_text(csv, _io.write_csv_text(header, rows))
+        except (DomainError, ValueError) as exc:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            for attr in ("link_index", "sample_index"):
+                value = getattr(exc, attr, None)
+                if value is not None:
+                    error[attr] = value
+            _write_text(output, _io.emit_json({"command": command, "args": args, "error": error}))
+            return 2
     except InputError as exc:
         sys.stderr.write(f"ggphase: error: {exc}\n")
         return 1
-    except (DomainError, ValueError) as exc:
-        payload = {
-            "command": config.command,
-            "args": config.args,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        for attr in ("link_index", "sample_index"):
-            value = getattr(exc, attr, None)
-            if value is not None:
-                payload["error"][attr] = value
-        text = _io.emit_json(payload)
-        if config.output:
-            try:
-                _write_text(config.output, text)
-            except InputError as write_exc:
-                sys.stderr.write(f"ggphase: error: {write_exc}\n")
-                return 1
-        else:
-            sys.stdout.write(text)
-        return 2
-    if not config.output:
-        sys.stdout.write(_io.emit_json(report.payload()))
     return 0
 
 

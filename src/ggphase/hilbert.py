@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ __all__ = [
     "relative_phase",
     "weak_value",
 ]
-
-TOL_PHASE_ENV = "GGP_TOL_PHASE"
 
 
 @dataclass(frozen=True)
@@ -58,19 +55,6 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-    @classmethod
-    def from_env(cls, base: "ToleranceConfig | None" = None) -> "ToleranceConfig":
-        """Return `base` with tol_phase overridden by the GGP_TOL_PHASE env var, if set."""
-        base = base if base is not None else cls()
-        raw = os.environ.get(TOL_PHASE_ENV)
-        if raw is None:
-            return base
-        try:
-            tol_phase = float(raw)
-        except ValueError as exc:
-            raise ValueError(f"{TOL_PHASE_ENV} must parse as a float, got {raw!r}") from exc
-        return cls(tol_zero=base.tol_zero, tol_herm=base.tol_herm, tol_phase=tol_phase)
 
 
 DEFAULT_TOLS = ToleranceConfig()

@@ -10,6 +10,7 @@ epsilon -> 0+ limit analytically (principal value plus on-shell pole term).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -359,15 +360,22 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
     """Born series of the separable amplitude truncated at the given power.
 
     Sums -4 pi^2 m chi(k)^2 * (c + c^2 I + ... + c^order I^(order-1)); the
-    deviation from the exact amplitude is O(c^(order+1)).
+    deviation from the exact amplitude is O(c^(order+1)). Raises ValueError
+    if order < 1 or if the truncated series overflows a double.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     loop = loop_integral(model, k)
     chi_sq = 1.0 / (k * k + model.beta**2) ** 2
     c = model.coupling
-    series = sum(c ** (j + 1) * loop**j for j in range(order))
-    return -4.0 * math.pi**2 * model.mass * chi_sq * series
+    try:
+        series = sum(c ** (j + 1) * loop**j for j in range(order))
+    except OverflowError:
+        series = complex(math.inf)
+    amplitude = -4.0 * math.pi**2 * model.mass * chi_sq * series
+    if not cmath.isfinite(amplitude):
+        raise ValueError(f"the order-{order} Born amplitude overflows a double at coupling {c}")
+    return amplitude
 
 
 def optical_theorem_residual(
@@ -381,10 +389,19 @@ def optical_theorem_residual(
     The rank-1 amplitude is isotropic, so the total cross section is
     4 pi |f|^2 and unitarity demands Im f = k |f|^2. The exact T-matrix
     satisfies this to quadrature accuracy; a Born truncation at order n
-    violates it at O(coupling^(n+1)).
+    violates it at O(coupling^(n+1)). Raises ValueError if the residual
+    overflows a double.
     """
     if born_order is None:
         f = separable_tmatrix(model, k, tol=tol)
     else:
         f = separable_born_amplitude(model, k, order=born_order)
-    return abs(f.imag - k * abs(f) ** 2)
+    try:
+        residual = abs(f.imag - k * abs(f) ** 2)
+    except OverflowError:
+        residual = math.inf
+    if not math.isfinite(residual):
+        source = "exact" if born_order is None else f"order-{born_order} Born"
+        raise ValueError(f"the optical residual of the {source} amplitude overflows "
+                         f"a double at coupling {model.coupling}")
+    return residual

@@ -94,6 +94,19 @@ class TestTwoLevel:
         assert lines[0] == "theta,phi,phase"
         assert lines[1].split(",")[2] == "1.0471975511965976"
 
+    def test_integral_floats_reparse_as_floats(self, capsys, tmp_path):
+        out_csv = tmp_path / "row.csv"
+        code, out, _ = invoke(
+            capsys, "two-level", "--kind", "x", "--theta", "1", "--phi", "0",
+            "--csv", str(out_csv),
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        for key in ("theta", "phi", "phase"):
+            assert type(results[key]) is float
+        assert '"theta": 1.0,' in out
+        assert out_csv.read_text().splitlines()[1] == "1.0,0.0,0.0"
+
     def test_pole_is_domain_error(self, capsys):
         code, out, _ = invoke(capsys, "two-level", "--kind", "x", "--theta", "0", "--phi", "1")
         assert code == 2
@@ -193,16 +206,14 @@ class TestInputFailures:
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 1
 
-    def test_bad_env_tolerance_exits_one(self, capsys, monkeypatch, states_file):
-        monkeypatch.setenv("GGP_TOL_PHASE", "not-a-number")
-        code, _, err = invoke(capsys, "phase", "--states", states_file, "--identity")
+    def test_tol_phase_flag_is_gone(self, capsys, states_file):
+        # No subcommand compares phases against a tolerance, so there is no
+        # phase-tolerance flag to accept.
+        code, _, err = invoke(
+            capsys, "phase", "--states", states_file, "--identity", "--tol-phase", "1e-3"
+        )
         assert code == 1
-        assert "GGP_TOL_PHASE" in err
-
-    def test_valid_env_tolerance_accepted(self, capsys, monkeypatch, states_file):
-        monkeypatch.setenv("GGP_TOL_PHASE", "1e-6")
-        code, _, _ = invoke(capsys, "phase", "--states", states_file, "--identity")
-        assert code == 0
+        assert "--tol-phase" in err
 
     def test_negative_tol_flag_exits_one(self, capsys, states_file):
         code, _, err = invoke(
@@ -257,6 +268,14 @@ class TestCurve:
         code, _, err = invoke(capsys, "curve", "--curve", curve, "--observable", x_file)
         assert code == 1
         assert "params" in err
+
+    def test_ragged_curve_states_named(self, capsys, tmp_path, x_file):
+        curve = write_json(
+            tmp_path / "curve.json", {"params": [0, 1], "states": [[1, 0], [1, 0, 0]]}
+        )
+        code, _, err = invoke(capsys, "curve", "--curve", curve, "--observable", x_file)
+        assert code == 1
+        assert f"{curve}.states: rows have unequal lengths" in err
 
 
 class TestNullCurve:
@@ -421,6 +440,28 @@ class TestScatter:
         assert code == 0
         assert json.loads(out)["results"]["incoming"] == "k2"
 
+    @pytest.mark.parametrize(
+        ("field", "where", "value"),
+        [
+            ("energy", "momenta[1].energy", "1.2"),
+            ("mass", "mass", True),
+            ("epsilon", "epsilon", None),
+        ],
+    )
+    def test_grid_non_number_names_field(self, capsys, grid_file, field, where, value):
+        model = json.loads(pathlib.Path(grid_file).read_text())
+        if field == "energy":
+            model["momenta"][1]["energy"] = value
+        else:
+            model[field] = value
+        pathlib.Path(grid_file).write_text(json.dumps(model))
+        code, out, err = invoke(
+            capsys, "scatter", "grid", "--model", grid_file, "--incoming", "k0"
+        )
+        assert code == 1
+        assert out == ""
+        assert f"{grid_file}.{where}: expected a real number" in err
+
     def test_grid_unknown_incoming(self, capsys, grid_file):
         code, _, err = invoke(
             capsys, "scatter", "grid", "--model", grid_file, "--incoming", "zzz"
@@ -451,6 +492,21 @@ class TestScatter:
         )
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("order", [100, 150, 300])
+    def test_separable_born_overflow_exits_2(self, capsys, order):
+        # Order 100 overflows the optical residual, 150 and 300 the Born
+        # amplitude itself.
+        code, out, err = invoke(
+            capsys, "scatter", "separable", "--coupling", "10",
+            "--beta", "1", "--mass", "1", "--k", "0.5", "--born-order", str(order),
+        )
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert f"order-{order}" in error["message"]
+        assert "coupling 10.0" in error["message"]
+        assert "Traceback" not in err
 
     def test_separable_unconverged_quadrature_exits_2(self, capsys):
         code, out, err = invoke(
@@ -545,6 +601,57 @@ class TestDeterminism:
         exact = gg.generalized_phase_chain(states, gg.Observable(X_MATRIX)).value
         # Parsing the emitted text reproduces the double bit for bit.
         assert report["results"]["value"] == exact
+
+
+class TestEmission:
+    """Reports and error payloads leave by one path, to stdout or --output."""
+
+    @pytest.mark.parametrize(
+        ("chain", "status"),
+        [
+            ([[1, 0], [0.6, {"re": 0, "im": 0.8}], [0.5, {"re": 0.5, "im": 0.2}]], 0),
+            # Link amplitudes of 1e400 overflow: the report cannot carry them.
+            ([[1e200, 0], [1e200, 0], [1e200, 0]], 2),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stdout_and_output_give_the_same_bytes(self, capsys, tmp_path, chain, status):
+        argv = ["phase", "--states", write_json(tmp_path / "s.json", chain), "--identity"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == status
+        assert "Traceback" not in err
+        path = tmp_path / "report.json"
+        code, printed, err = invoke(capsys, *argv, "--output", str(path))
+        assert code == status
+        assert (printed, err) == ("", "")
+        written = path.read_text(encoding="utf-8")
+
+        def without_wall_time(text):
+            return [line for line in text.splitlines() if '"wall_time_s"' not in line]
+
+        assert without_wall_time(out) == without_wall_time(written)
+        assert ("error" in json.loads(written)) == (status == 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_report_is_exit_2_on_both_destinations(self, capsys, tmp_path):
+        # Third-order terms of V entries of 1e200 overflow to inf, which a
+        # report cannot carry.
+        h0 = write_json(tmp_path / "h0.json", [0.0, 1.0])
+        v = write_json(tmp_path / "v.json", [[1e200, 1e200], [1e200, 1e200]])
+        argv = ["perturb", "--h0", h0, "--v", v, "--level", "0", "--lambda", "1e-300"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        path = tmp_path / "report.json"
+        code, printed, err = invoke(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert printed == ""
+        assert "Traceback" not in err
+        written = path.read_text(encoding="utf-8")
+        assert written == out
+        error = json.loads(written)["error"]
+        assert error["type"] == "ValueError"
+        assert "finite" in error["message"]
 
 
 class TestConsoleScript:

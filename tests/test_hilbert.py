@@ -161,14 +161,3 @@ class TestToleranceConfig:
         assert DEFAULT_TOLS.tol_zero == 1e-12
         assert DEFAULT_TOLS.tol_herm == 1e-10
         assert DEFAULT_TOLS.tol_phase == 1e-9
-
-    def test_from_env_override(self, monkeypatch):
-        monkeypatch.setenv("GGP_TOL_PHASE", "1e-6")
-        cfg = ToleranceConfig.from_env(DEFAULT_TOLS)
-        assert cfg.tol_phase == 1e-6
-        assert cfg.tol_zero == DEFAULT_TOLS.tol_zero
-
-    def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("GGP_TOL_PHASE", "not-a-number")
-        with pytest.raises(ValueError):
-            ToleranceConfig.from_env(DEFAULT_TOLS)

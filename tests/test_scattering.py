@@ -446,6 +446,14 @@ class TestSeparableModel:
         with pytest.raises(ValueError):
             gg.separable_born_amplitude(model, 0.5, 0)
 
+    @pytest.mark.parametrize("order", [150, 300])
+    def test_overflowing_series_rejected(self, order):
+        # At coupling 10, |c I| > 1: the truncated series overflows a double
+        # (order 150 to inf, order 300 inside the complex power).
+        model = gg.SeparableModel(coupling=10.0, beta=1.0, mass=1.0)
+        with pytest.raises(ValueError, match=f"order-{order} .*coupling 10.0"):
+            gg.separable_born_amplitude(model, 0.5, order)
+
     def test_pole_guard(self):
         # No real coupling puts a pole exactly on the real axis, so the
         # guard is exercised by widening the zero tolerance past |1 - cI|.
@@ -477,6 +485,13 @@ class TestOpticalTheorem:
         f1 = gg.separable_born_amplitude(model, k, 1)
         residual = gg.optical_theorem_residual(model, k, born_order=1)
         assert residual == pytest.approx(k * abs(f1) ** 2, rel=1e-14)
+
+    def test_overflowing_residual_rejected(self):
+        # The order-100 amplitude is finite, but |f|^2 exceeds a double.
+        model = gg.SeparableModel(coupling=10.0, beta=1.0, mass=1.0)
+        assert math.isfinite(abs(gg.separable_born_amplitude(model, 0.5, 100)))
+        with pytest.raises(ValueError, match="order-100 .*coupling 10.0"):
+            gg.optical_theorem_residual(model, 0.5, born_order=100)
 
     def test_second_born_residual_is_cubic_in_coupling(self):
         def res(lam):
