@@ -1,6 +1,8 @@
 """File formats shared by the CLI: JSON with complex scalars encoded as
 {"re": x, "im": y} objects and every float printed with 17 significant
 digits (so a report re-parses to bit-identical values), plus flat CSV tables.
+A report Table's JSON rows and CSV lines (a complex column as <name>_re and
+<name>_im) join the same cells; a non-finite value is named, e.g. phase_terms.modulus[17].
 
 Parse failures raise InputError, which the CLI maps to exit status 1; typed
 domain errors keep exit status 2 for themselves.
@@ -15,8 +17,7 @@ import numpy as np
 
 __all__ = [
     "InputError",
-    "format_float",
-    "complex_payload",
+    "Table",
     "emit_json",
     "write_csv_text",
     "load_json_file",
@@ -32,41 +33,93 @@ class InputError(Exception):
     """A job input failed to load or parse (I/O problem, not a domain one)."""
 
 
-def format_float(x: float) -> str:
-    """A float as a JSON number with 17 significant digits.
-
-    17 digits round-trip IEEE doubles exactly, so equal inputs produce
-    byte-identical reports; integral values print as "1.0", not "1".
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"reports must be finite, got {x}")
+def _float_text(x: float) -> str:
+    """A finite float with 17 significant digits, which round-trip IEEE
+    doubles exactly; an integral value prints as "1.0", not "1"."""
     text = f"{x:.17g}"
-    # An integral value keeps a fractional part so that it re-parses as a float.
     return text if "." in text or "e" in text else text + ".0"
 
 
-def complex_payload(z: complex) -> dict:
-    """A complex value as its JSON object form."""
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+def _scalar(value, where: str) -> str:
+    """A bool, integer, float or string as report text; JSON quotes a string."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"reports must be finite, but {where} is {value}")
+        return _float_text(float(value))
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__} at {where}")
 
 
-def _emit(obj, indent: int, out: list) -> None:
+def _column_texts(col: np.ndarray, where: str) -> list[str]:
+    """One column's cells as _scalar gives them: a float column is checked for
+    finiteness at once, and a numeric one needs no per-cell dispatch."""
+    if col.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            _scalar(col[bad[0]], f"{where}[{bad[0]}]")  # raises, naming the row
+        return list(map(_float_text, col.tolist()))
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    return [_scalar(v, f"{where}[{i}]") for i, v in enumerate(col.tolist())]
+
+
+class Table:
+    """One report table: named, equal-length numpy columns, given once. In
+    JSON it is an array of row objects, in CSV a header and one line per row;
+    a complex column is a {"re", "im"} object there and <name>_re, <name>_im here."""
+
+    def __init__(self, **columns):
+        self.columns = {name: np.asarray(col) for name, col in columns.items()}
+        if len({col.shape for col in self.columns.values()}) > 1:
+            raise ValueError("table columns must have equal length")
+        self._cells: dict | None = None
+
+    def cells(self, where: str) -> dict:
+        """Cell strings by (column, part "" or "re" or "im"), formatted at the
+        first call; where names the table in a non-finite value's error."""
+        if self._cells is None:
+            cells = {}
+            for name, col in self.columns.items():
+                parts = {"re": col.real, "im": col.imag} if col.dtype.kind == "c" else {"": col}
+                for part, values in parts.items():
+                    cells[name, part] = _column_texts(values, f"{where}.{name}" + (part and f".{part}"))
+            self._cells = cells
+        return self._cells
+
+    def _json(self, indent: int, where: str) -> str:
+        """The rows as a JSON array of objects, every row from one template."""
+        cells = self.cells(where)
+        pad, row_pad, pad2 = ("  " * (indent + n) for n in range(3))
+        fields, columns = [], []
+        for (name, part), texts in cells.items():
+            key = json.dumps(name).replace("%", "%%")
+            fields.append({"": f"{pad2}{key}: %s", "re": f'{pad2}{key}: {{\n{pad2}  "re": %s',
+                           "im": f'{pad2}  "im": %s\n{pad2}}}'}[part])
+            if self.columns[name].dtype == object:
+                texts = [json.dumps(t) if isinstance(v, str) else t
+                         for v, t in zip(self.columns[name].tolist(), texts)]
+            columns.append(texts)
+        template = f"{row_pad}{{\n" + ",\n".join(fields) + f"\n{row_pad}}}"
+        rows = [template % row for row in zip(*columns)]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]" if rows else "[]"
+
+
+def _emit(obj, indent: int, out: list, where: str) -> None:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
         out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _emit(complex_payload(obj), indent, out)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _emit({"re": obj.real, "im": obj.imag}, indent, out, where)
+    elif isinstance(obj, Table):
+        out.append(obj._json(indent, where))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -76,7 +129,7 @@ def _emit(obj, indent: int, out: list) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {type(key).__name__}")
             out.append(f"{inner}{json.dumps(key)}: ")
-            _emit(value, indent + 1, out)
+            _emit(value, indent + 1, out, f"{where}.{key}" if where else key)
             out.append(",\n" if pos < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -87,39 +140,26 @@ def _emit(obj, indent: int, out: list) -> None:
         out.append("[\n")
         for pos, value in enumerate(items):
             out.append(inner)
-            _emit(value, indent + 1, out)
+            _emit(value, indent + 1, out, f"{where}[{pos}]")
             out.append(",\n" if pos < len(items) - 1 else "\n")
         out.append(pad + "]")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append(_scalar(obj, where))
 
 
 def emit_json(obj) -> str:
     """Deterministic pretty-printed JSON text for a report object."""
     out: list = []
-    _emit(obj, 0, out)
+    _emit(obj, 0, out, "")
     out.append("\n")
     return "".join(out)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    raise TypeError(f"cannot place {type(value).__name__} in a CSV cell")
-
-
-def write_csv_text(header: list, rows: list) -> str:
-    """CSV text with the same float formatting as the JSON reports."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def write_csv_text(table: Table) -> str:
+    """CSV text of a table, joined from the same cells as its JSON rows."""
+    cells = table.cells("csv")
+    header = ",".join(f"{name}_{part}" if part else name for name, part in cells)
+    return "\n".join([header, *map(",".join, zip(*cells.values()))]) + "\n"
 
 
 def load_json_file(path: str):

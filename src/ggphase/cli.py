@@ -14,13 +14,14 @@ radians in (-pi, pi].
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import _io
-from ._io import InputError
+from ._io import InputError, Table
 from .curve import ParamCurve, _connection, _curve_phase, _trapezoid, o_null_curve
 from .dynamics import TwoLevelParams, projective_cycle_amplitude, two_level_phase
 from .errors import DomainError
@@ -171,14 +172,7 @@ def _run_phase(args: dict, tol: ToleranceConfig):
         "min_link_modulus": res.min_link_modulus,
         "chain_length": res.chain_length,
     }
-    header = ["value", "min_link_modulus", "chain_length"]
-    return results, {}, header, [[res.value, res.min_link_modulus, res.chain_length]]
-
-
-def _connection_csv(samples) -> tuple[list, list]:
-    header = ["s", "a_o"]
-    rows = [[float(s), float(v)] for s, v in zip(samples.params, samples.values)]
-    return header, rows
+    return results, {}, Table(**{name: [value] for name, value in results.items()})
 
 
 def _run_curve(args: dict, tol: ToleranceConfig):
@@ -196,8 +190,7 @@ def _run_curve(args: dict, tol: ToleranceConfig):
         "connection_integral": _trapezoid(samples.values, samples.params),
         "extrapolated_samples": list(samples.extrapolated),
     }
-    header, rows = _connection_csv(samples)
-    return results, diagnostics, header, rows
+    return results, diagnostics, Table(s=samples.params, a_o=samples.values)
 
 
 def _run_null_curve(args: dict, tol: ToleranceConfig):
@@ -222,8 +215,7 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
         "min_link_modulus": res.min_link_modulus,
         "extrapolated_samples": list(samples.extrapolated),
     }
-    header, rows = _connection_csv(samples)
-    return results, diagnostics, header, rows
+    return results, diagnostics, Table(s=samples.params, a_o=samples.values)
 
 
 def _run_cycle(args: dict, tol: ToleranceConfig):
@@ -245,7 +237,7 @@ def _run_cycle(args: dict, tol: ToleranceConfig):
         * np.vdot(stack[1], h.entries @ stack[0])
     )
     results = {
-        "amplitude": _io.complex_payload(res.amplitude),
+        "amplitude": res.amplitude,
         "extracted_phase": res.extracted_phase,
         "epsilon": res.epsilon,
     }
@@ -253,8 +245,7 @@ def _run_cycle(args: dict, tol: ToleranceConfig):
         "limit_phase": limit,
         "limit_gap": wrapped_distance(res.extracted_phase, limit),
     }
-    header = ["epsilon", "extracted_phase"]
-    return results, diagnostics, header, [[res.epsilon, res.extracted_phase]]
+    return results, diagnostics, Table(epsilon=[res.epsilon], extracted_phase=[res.extracted_phase])
 
 
 def _run_two_level(args: dict, tol: ToleranceConfig):
@@ -262,13 +253,7 @@ def _run_two_level(args: dict, tol: ToleranceConfig):
     params = TwoLevelParams(_as_float(args, "theta"), _as_float(args, "phi"))
     value = two_level_phase(kind, params, tol=tol)
     results = {"kind": kind, "theta": params.theta, "phi": params.phi, "phase": value}
-    header = ["theta", "phi", "phase"]
-    return results, {}, header, [[params.theta, params.phi, value]]
-
-
-def _column_rows(*columns: np.ndarray) -> list[tuple]:
-    """Table columns as Python row tuples, converted once for both JSON and CSV."""
-    return list(zip(*(col.tolist() for col in columns)))
+    return results, {}, Table(theta=[params.theta], phi=[params.phi], phase=[value])
 
 
 def _run_perturb(args: dict, tol: ToleranceConfig):
@@ -279,8 +264,9 @@ def _run_perturb(args: dict, tol: ToleranceConfig):
     n = _as_int(args, "level")
     coupling = _as_float(args, "coupling")
     shift = energy_shift(system, potential, n, coupling)
-    table = third_order_phase_terms(system, potential, n, tol=tol)
-    rows = _column_rows(table.k, table.l, table.modulus, table.gamma_v, table.denominator)
+    terms = third_order_phase_terms(system, potential, n, tol=tol)
+    table = Table(k=terms.k, l=terms.l, modulus=terms.modulus, gamma_v=terms.gamma_v,
+                  denominator=terms.denominator)
     results = {
         "shift": {
             "order1": shift.order1,
@@ -289,14 +275,10 @@ def _run_perturb(args: dict, tol: ToleranceConfig):
             "coupling": shift.coupling,
             "total": shift.total,
         },
-        "phase_terms": [
-            {"k": k, "l": l, "modulus": modulus, "gamma_v": gamma, "denominator": den}
-            for k, l, modulus, gamma, den in rows
-        ],
+        "phase_terms": table,
     }
-    diagnostics = {"level_count": system.level_count, "term_count": len(table)}
-    header = ["k", "l", "modulus", "gamma_v", "denominator"]
-    return results, diagnostics, header, rows
+    diagnostics = {"level_count": system.level_count, "term_count": len(terms)}
+    return results, diagnostics, table
 
 
 def _run_scatter(args: dict, tol: ToleranceConfig):
@@ -334,26 +316,17 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
         np.linalg.norm(psi.components - rhs - green * (model.V.entries @ psi.components))
     )
     report = born_forward_amplitude(model, index)
-    table = triple_product_phases(model, index, tol=tol)
-    den = table.denominator
-    rows = _column_rows(table.k, table.l, table.modulus, table.gamma_v, den.real, den.imag)
+    terms = triple_product_phases(model, index, tol=tol)
+    table = Table(p=terms.k, q=terms.l, modulus=terms.modulus, gamma_v=terms.gamma_v,
+                  denominator=terms.denominator)
     results = {
         "born": {
-            "term0": _io.complex_payload(report.term0),
-            "term1": _io.complex_payload(report.term1),
-            "term2": _io.complex_payload(report.term2),
-            "total": _io.complex_payload(report.total),
+            "term0": report.term0,
+            "term1": report.term1,
+            "term2": report.term2,
+            "total": report.total,
         },
-        "phase_terms": [
-            {
-                "p": p,
-                "q": q,
-                "modulus": modulus,
-                "gamma_v": gamma,
-                "denominator": {"re": den_re, "im": den_im},
-            }
-            for p, q, modulus, gamma, den_re, den_im in rows
-        ],
+        "phase_terms": table,
         "incoming": model.labels[index],
     }
     diagnostics = {
@@ -362,8 +335,7 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
         "born_series_converges": report.spectral_radius < 1.0,
         "solve_defect": defect,
     }
-    header = ["p", "q", "modulus", "gamma_v", "denominator_re", "denominator_im"]
-    return results, diagnostics, header, rows
+    return results, diagnostics, table
 
 
 def _run_scatter_separable(args: dict, tol: ToleranceConfig):
@@ -379,29 +351,27 @@ def _run_scatter_separable(args: dict, tol: ToleranceConfig):
     born = separable_born_amplitude(model, k, order=born_order)
     born_residual = optical_theorem_residual(model, k, born_order=born_order, tol=tol)
     results = {
-        "amplitude": _io.complex_payload(exact),
+        "amplitude": exact,
         "optical_residual": residual,
         "born_order": born_order,
-        "born_amplitude": _io.complex_payload(born),
+        "born_amplitude": born,
         "born_optical_residual": born_residual,
         "born_error": abs(exact - born),
     }
-    header = ["k", "amplitude_re", "amplitude_im", "optical_residual"]
-    return results, {}, header, [[k, exact.real, exact.imag, residual]]
+    return results, {}, Table(k=[k], amplitude=[exact], optical_residual=[residual])
 
 
-def _flatten_row(param: str, value, results: dict) -> tuple[list, list]:
-    header, cells = [param], [value]
+def _flatten_row(param: str, value, results: dict) -> dict:
+    """One sweep row: the swept value, then the scalar results by column name."""
+    row = {param: value}
     for key, item in results.items():
         if isinstance(item, bool) or key == param:
             continue
         if isinstance(item, (int, float)):
-            header.append(key)
-            cells.append(item)
-        elif isinstance(item, dict) and set(item) == {"re", "im"}:
-            header.extend([f"{key}_re", f"{key}_im"])
-            cells.extend([item["re"], item["im"]])
-    return header, cells
+            row[key] = item
+        elif isinstance(item, complex):
+            row[f"{key}_re"], row[f"{key}_im"] = item.real, item.imag
+    return row
 
 
 def _run_sweep(args: dict, tol: ToleranceConfig):
@@ -420,19 +390,18 @@ def _run_sweep(args: dict, tol: ToleranceConfig):
         raise InputError("--values needs at least one entry")
     base = {key: val for key, val in template.items() if key != "command"}
     entries = []
-    header: list = []
-    rows: list = []
+    rows = []
     for value in values:
-        sub_args = dict(base)
-        sub_args[param] = value
-        sub_results, _, _, _ = _HANDLERS[command](sub_args, tol)
+        sub_results, _, _ = _HANDLERS[command]({**base, param: value}, tol)
         entries.append({"value": value, "results": sub_results})
-        row_header, row = _flatten_row(param, value, sub_results)
-        header = row_header
-        rows.append(row)
+        rows.append(_flatten_row(param, value, sub_results))
+    if any(row.keys() != rows[0].keys() for row in rows):
+        raise InputError(f"sweep rows of {command!r} have different result columns")
+    # Object columns keep each value's own type: --values 1 1.5 prints 1 and 1.5.
+    table = Table(**{name: np.array([row[name] for row in rows], dtype=object) for name in rows[0]})
     results = {"command": command, "param": param, "rows": entries}
     diagnostics = {"row_count": len(entries)}
-    return results, diagnostics, header, rows
+    return results, diagnostics, table
 
 
 _HANDLERS = {
@@ -450,17 +419,6 @@ _HANDLERS = {
 # Orchestration ---------------------------------------------------------------
 
 
-def _tolerances(tol_zero: float | None) -> ToleranceConfig:
-    if tol_zero is None:
-        return DEFAULT_TOLS
-    # A bad tolerance is a configuration problem (exit 1), not a domain
-    # error, so the ValueError from ToleranceConfig is rewrapped.
-    try:
-        return ToleranceConfig(tol_zero=tol_zero)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _write_text(path: str | None, text: str) -> None:
     """Write a report or table to the named file, or to stdout without one."""
     if not path:
@@ -473,15 +431,36 @@ def _write_text(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """A float flag; nan and inf, which no report can carry, exit 1 here."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> ToleranceConfig:
+    """--tol-zero; a bad tolerance is a flag problem (exit 1), not a domain error."""
+    try:
+        return ToleranceConfig(tol_zero=_finite_float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_scalar(text: str):
+    """A --values entry: an int, else a finite float, else the string itself."""
     try:
         return int(text)
     except ValueError:
         pass
     try:
-        return float(text)
+        float(text)
     except ValueError:
         return text
+    return _finite_float(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -496,7 +475,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="FILE", help="write the JSON report (or error payload) here instead of stdout")
     p.add_argument("--csv", metavar="FILE", help="also write the CSV table here")
-    p.add_argument("--tol-zero", type=float, default=None, dest="tol_zero",
+    p.add_argument("--tol-zero", type=_tolerance, default=DEFAULT_TOLS, dest="tol",
                    help="override the vanishing-amplitude threshold")
 
 
@@ -549,7 +528,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", required=True, metavar="FILE", help="JSON state vector")
     _add_observable(p)
     p.add_argument("--samples", type=int, default=1001, help="number of curve samples (default 1001)")
-    p.add_argument("--tau", type=float, default=1.0, help="parameter length (default 1)")
+    p.add_argument("--tau", type=_finite_float, default=1.0, help="parameter length (default 1)")
     _add_common(p)
 
     p = sub.add_parser(
@@ -560,7 +539,7 @@ def _build_parser() -> _Parser:
         "extracted_phase.",
     )
     p.add_argument("--h", required=True, metavar="FILE", help="JSON Hermitian matrix")
-    p.add_argument("--epsilon", required=True, type=float, help="time step per projection")
+    p.add_argument("--epsilon", required=True, type=_finite_float, help="time step per projection")
     p.add_argument("--basis", metavar="FILE",
                    help="JSON array of 3 orthonormal states (default: first three axes)")
     _add_common(p)
@@ -573,8 +552,8 @@ def _build_parser() -> _Parser:
         "CSV columns: theta, phi, phase.",
     )
     p.add_argument("--kind", required=True, choices=["x", "hadamard"])
-    p.add_argument("--theta", required=True, type=float, help="polar angle in [0, 2*pi]")
-    p.add_argument("--phi", required=True, type=float, help="azimuth in (-pi, pi]")
+    p.add_argument("--theta", required=True, type=_finite_float, help="polar angle in [0, 2*pi]")
+    p.add_argument("--phi", required=True, type=_finite_float, help="azimuth in (-pi, pi]")
     _add_common(p)
 
     p = sub.add_parser(
@@ -588,7 +567,7 @@ def _build_parser() -> _Parser:
                    help="JSON array of ascending level energies")
     p.add_argument("--v", required=True, metavar="FILE", help="JSON Hermitian matrix")
     p.add_argument("--level", required=True, type=int, help="level index n")
-    p.add_argument("--lambda", required=True, type=float, dest="coupling",
+    p.add_argument("--lambda", required=True, type=_finite_float, dest="coupling",
                    help="perturbation coupling strength")
     _add_common(p)
 
@@ -609,10 +588,10 @@ def _build_parser() -> _Parser:
                     help="incoming momentum: a grid label or an integer index")
     _add_common(pg)
     ps = ssub.add_parser("separable", help="rank-1 separable continuum model")
-    ps.add_argument("--beta", required=True, type=float, help="form-factor range (> 0)")
-    ps.add_argument("--coupling", required=True, type=float, help="potential strength")
-    ps.add_argument("--mass", required=True, type=float, help="particle mass (> 0)")
-    ps.add_argument("--k", required=True, type=float, help="on-shell momentum (> 0)")
+    ps.add_argument("--beta", required=True, type=_finite_float, help="form-factor range (> 0)")
+    ps.add_argument("--coupling", required=True, type=_finite_float, help="potential strength")
+    ps.add_argument("--mass", required=True, type=_finite_float, help="particle mass (> 0)")
+    ps.add_argument("--k", required=True, type=_finite_float, help="on-shell momentum (> 0)")
     ps.add_argument("--born-order", type=int, default=2, dest="born_order",
                     help="truncation order of the comparison Born series (default 2)")
     _add_common(ps)
@@ -627,7 +606,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--template", required=True, metavar="FILE", help="JSON job template")
     p.add_argument("--param", required=True, help="template key to sweep")
-    p.add_argument("--values", required=True, nargs="+",
+    p.add_argument("--values", required=True, nargs="+", type=_parse_scalar,
                    help="values to substitute (parsed as int, float, or string)")
     _add_common(p)
 
@@ -637,16 +616,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     """Entry point; returns the process exit status."""
     args = vars(_build_parser().parse_args(argv))
-    command, output, csv, tol_zero = (
-        args.pop(key) for key in ("command", "output", "csv", "tol_zero")
-    )
-    if command == "sweep":
-        args["values"] = [_parse_scalar(v) for v in args["values"]]
+    command, output, csv, tol = (args.pop(key) for key in ("command", "output", "csv", "tol"))
     try:
-        tol = _tolerances(tol_zero)
         try:
             start = time.perf_counter()
-            results, diagnostics, header, rows = _HANDLERS[command](args, tol)
+            results, diagnostics, table = _HANDLERS[command](args, tol)
             report = {
                 "command": command,
                 "args": args,
@@ -656,7 +630,7 @@ def main(argv=None) -> int:
             }
             _write_text(output, _io.emit_json(report))
             if csv:
-                _write_text(csv, _io.write_csv_text(header, rows))
+                _write_text(csv, _io.write_csv_text(table))
         except (DomainError, ValueError) as exc:
             error = {"type": type(exc).__name__, "message": str(exc)}
             for attr in ("link_index", "sample_index"):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,10 +83,6 @@ class ParamCurve:
         s.setflags(write=False)
         self._params = p
         self._states = s
-
-    @classmethod
-    def from_states(cls, params, states: Sequence[StateVector]) -> "ParamCurve":
-        return cls(params, np.stack([s.components for s in states]))
 
     @property
     def params(self) -> np.ndarray:

@@ -198,3 +198,26 @@ def assert_table_matches_rows(table, rows) -> None:
     np.testing.assert_allclose(table.denominator, [row[4] for row in rows], rtol=1e-14, atol=0.0)
     for got, row in zip(table.gamma_v.tolist(), rows):
         assert abs(wrap_angle(got - row[3])) <= 1e-14
+
+
+def _csv_cell_oracle(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        text = f"{float(value):.17g}"
+        return text if "." in text or "e" in text else text + ".0"
+    raise TypeError(f"cannot place {type(value).__name__} in a CSV cell")
+
+
+def csv_text_oracle(header: list, rows: list) -> str:
+    """CSV text written row by row, each cell by its own type: strings as
+    they are, bools as true/false, integers in decimal, and floats with 17
+    significant digits (integral ones as "1.0"). The reference for the
+    column-wise table writer _io.write_csv_text."""
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell_oracle(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ script. Every numeric claim is cross-checked against the library call the
 subcommand wraps.
 """
 
+import argparse
 import importlib
 import json
 import math
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 import ggphase as gg
-from ggphase.cli import main
+from conftest import random_hermitian, rng_for
+from ggphase.cli import _build_parser, _finite_float, _tolerance, main
 
 X_MATRIX = [[0, 1], [1, 0]]
 
@@ -52,6 +54,23 @@ def csv_trapezoid(path) -> float:
     rows = [[float(cell) for cell in line.split(",")] for line in path.read_text().splitlines()[1:]]
     s, a = np.array(rows).T
     return math.fsum((0.5 * (a[1:] + a[:-1]) * np.diff(s)).tolist())
+
+
+def assert_phase_terms_are_the_csv(report_text: str, csv_path) -> None:
+    """Every phase_terms cell of the JSON report is the same string as its
+    CSV cell; a {"re", "im"} cell is the <name>_re and <name>_im columns."""
+    rows = json.loads(report_text, parse_float=str, parse_int=str)["results"]["phase_terms"]
+    header, *lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert len(rows) == len(lines) > 0
+    for row, line in zip(rows, lines):
+        cells = {}
+        for name, cell in row.items():
+            if isinstance(cell, dict):
+                cells.update({f"{name}_{part}": text for part, text in cell.items()})
+            else:
+                cells[name] = cell
+        assert ",".join(cells) == header
+        assert ",".join(cells.values()) == line
 
 
 @pytest.fixture
@@ -222,6 +241,60 @@ class TestInputFailures:
         assert code == 1
 
 
+# Each float flag with the other arguments its subcommand needs. The flag is
+# refused before any file is opened, so the file names need not exist.
+FLOAT_FLAGS = [
+    (["two-level", "--kind", "x", "--phi", "0"], "--theta"),
+    (["two-level", "--kind", "x", "--theta", "1"], "--phi"),
+    (["cycle", "--h", "h.json"], "--epsilon"),
+    (["null-curve", "--a", "a.json", "--b", "b.json", "--identity"], "--tau"),
+    (["perturb", "--h0", "h0.json", "--v", "v.json", "--level", "0"], "--lambda"),
+    (["scatter", "separable", "--coupling", "1", "--mass", "1", "--k", "1"], "--beta"),
+    (["scatter", "separable", "--beta", "1", "--mass", "1", "--k", "1"], "--coupling"),
+    (["scatter", "separable", "--beta", "1", "--coupling", "1", "--k", "1"], "--mass"),
+    (["scatter", "separable", "--beta", "1", "--coupling", "1", "--mass", "1"], "--k"),
+    (["phase", "--states", "s.json", "--identity"], "--tol-zero"),
+]
+
+
+def float_typed_flags(parser) -> set:
+    """The option strings of every flag, in every subcommand, that parses a float."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= float_typed_flags(sub)
+        elif action.type in (float, _finite_float, _tolerance):
+            flags.update(action.option_strings)
+    return flags
+
+
+class TestNonFiniteFlags:
+    """nan and inf cannot appear in a report, not even in its echo of the
+    arguments, so they are refused with the flags (exit 1)."""
+
+    def test_every_float_flag_is_covered(self):
+        assert float_typed_flags(_build_parser()) == {flag for _, flag in FLOAT_FLAGS}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize(("argv", "flag"), FLOAT_FLAGS, ids=[flag for _, flag in FLOAT_FLAGS])
+    def test_flag_rejected(self, capsys, argv, flag, value):
+        code, out, err = invoke(capsys, *argv, f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: expected a finite number, got {value!r}" in err
+
+    @pytest.mark.parametrize("values", [["1", "nan"], ["inf"], ["2", "Infinity"], ["1e999"]])
+    def test_sweep_value_rejected(self, capsys, tmp_path, values):
+        template = write_json(tmp_path / "job.json", {"command": "two-level", "kind": "x", "phi": 0.0})
+        code, out, err = invoke(
+            capsys, "sweep", "--template", template, "--param", "theta", "--values", *values
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument --values: expected a finite number" in err
+
+
 class TestCurve:
     def test_constant_curve_zero_phase(self, capsys, tmp_path, x_file):
         curve = write_json(
@@ -375,6 +448,18 @@ class TestPerturb:
         assert len(rows) == len(table)
         assert rows[0]["gamma_v"] == table.gamma_v[0]
 
+    def test_phase_terms_cells_are_the_csv_cells(self, capsys, tmp_path):
+        h0 = write_json(tmp_path / "h0.json", [0.0, 1.0, 1.5, 3.0])
+        v_mat = random_hermitian(rng_for(5), 4).entries
+        v = write_json(tmp_path / "v.json", cmat(v_mat))
+        out_csv = tmp_path / "terms.csv"
+        code, out, _ = invoke(
+            capsys, "perturb", "--h0", h0, "--v", v, "--level", "1", "--lambda", "0.1",
+            "--csv", str(out_csv),
+        )
+        assert code == 0
+        assert_phase_terms_are_the_csv(out, out_csv)
+
     def test_bad_level_is_domain_error(self, capsys, tmp_path):
         h0 = write_json(tmp_path / "h0.json", [0.0, 1.0])
         v = write_json(tmp_path / "v.json", [[0.1, 0.0], [0.0, 0.2]])
@@ -432,6 +517,29 @@ class TestScatter:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "p,q,modulus,gamma_v,denominator_re,denominator_im"
         assert len(lines) == 1 + len(gg.triple_product_phases(self.grid_model(), 1))
+
+    def test_phase_terms_cells_are_the_csv_cells(self, capsys, grid_file, tmp_path):
+        out_csv = tmp_path / "table.csv"
+        code, out, _ = invoke(
+            capsys, "scatter", "grid", "--model", grid_file, "--incoming", "k2",
+            "--csv", str(out_csv),
+        )
+        assert code == 0
+        assert_phase_terms_are_the_csv(out, out_csv)
+
+    def test_sweep_over_mode_has_no_table(self, capsys, grid_file, tmp_path):
+        # Grid and separable rows have different scalar results, so the
+        # sweep's rows make no rectangular table.
+        template = write_json(tmp_path / "job.json", {
+            "command": "scatter", "model": grid_file, "incoming": "k1",
+            "beta": 1.0, "coupling": -0.5, "mass": 1.0, "k": 1.0,
+        })
+        code, out, err = invoke(
+            capsys, "sweep", "--template", template, "--param", "mode",
+            "--values", "grid", "separable",
+        )
+        assert (code, out) == (1, "")
+        assert "different result columns" in err
 
     def test_grid_by_index(self, capsys, grid_file):
         code, out, _ = invoke(
@@ -546,6 +654,25 @@ class TestSweep:
         assert lines[0] == "epsilon,amplitude_re,amplitude_im,extracted_phase"
         assert len(lines) == 4
 
+    def test_mixed_int_and_float_values_keep_their_types(self, capsys, tmp_path):
+        template = write_json(
+            tmp_path / "job.json", {"command": "two-level", "kind": "x", "phi": 0.25}
+        )
+        out_csv = tmp_path / "sweep.csv"
+        code, out, _ = invoke(
+            capsys, "sweep", "--template", template, "--param", "theta",
+            "--values", "1", "1.5", "2", "--csv", str(out_csv),
+        )
+        assert code == 0
+        assert out_csv.read_text().splitlines() == [
+            "theta,phi,phase",
+            "1,0.25,0.25",
+            "1.5,0.25,0.25",
+            "2,0.25,0.25",
+        ]
+        values = [row["value"] for row in json.loads(out)["results"]["rows"]]
+        assert [(v, type(v)) for v in values] == [(1, int), (1.5, float), (2, int)]
+
     def test_nested_sweep_rejected(self, capsys, tmp_path):
         template = write_json(tmp_path / "job.json", {"command": "sweep"})
         code, _, err = invoke(
@@ -634,24 +761,32 @@ class TestEmission:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_report_is_exit_2_on_both_destinations(self, capsys, tmp_path):
-        # Third-order terms of V entries of 1e200 overflow to inf, which a
-        # report cannot carry.
+        # Entries of 1e200 overflow: the perturbation series and the chain's
+        # link moduli become infinite, and a report cannot carry them. The
+        # message names the first such quantity by its key path.
         h0 = write_json(tmp_path / "h0.json", [0.0, 1.0])
         v = write_json(tmp_path / "v.json", [[1e200, 1e200], [1e200, 1e200]])
-        argv = ["perturb", "--h0", h0, "--v", v, "--level", "0", "--lambda", "1e-300"]
-        code, out, err = invoke(capsys, *argv)
-        assert code == 2
-        assert "Traceback" not in err
-        path = tmp_path / "report.json"
-        code, printed, err = invoke(capsys, *argv, "--output", str(path))
-        assert code == 2
-        assert printed == ""
-        assert "Traceback" not in err
-        written = path.read_text(encoding="utf-8")
-        assert written == out
-        error = json.loads(written)["error"]
-        assert error["type"] == "ValueError"
-        assert "finite" in error["message"]
+        states = write_json(tmp_path / "s.json", [[1e200, 0], [1e200, 0], [1e200, 0]])
+        cases = [
+            (["perturb", "--h0", h0, "--v", v, "--level", "0", "--lambda", "1e-300"],
+             "results.shift.order2 is -inf"),
+            (["phase", "--states", states, "--identity"], "results.min_link_modulus is inf"),
+        ]
+        for argv, quantity in cases:
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2
+            assert "Traceback" not in err
+            path = tmp_path / "report.json"
+            code, printed, err = invoke(capsys, *argv, "--output", str(path))
+            assert code == 2
+            assert printed == ""
+            assert "Traceback" not in err
+            written = path.read_text(encoding="utf-8")
+            assert written == out
+            error = json.loads(written)["error"]
+            assert error["type"] == "ValueError"
+            assert "finite" in error["message"]
+            assert quantity in error["message"]
 
 
 class TestConsoleScript:
