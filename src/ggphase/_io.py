@@ -169,15 +169,23 @@ def load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _double(x, where: str) -> float:
+    """float(x) for a JSON int or float; an int beyond the double range is refused."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"{where}: integer too large for a double") from None
 
 
 def parse_real(obj, where: str) -> float:
     """A JSON number (not a boolean) as a float."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise InputError(f"{where}: expected a real number, got {obj!r}")
-    return float(obj)
+    return _double(obj, where)
 
 
 def parse_complex(obj, where: str) -> complex:
@@ -185,11 +193,11 @@ def parse_complex(obj, where: str) -> complex:
     if isinstance(obj, bool):
         raise InputError(f"{where}: expected a number, got a boolean")
     if isinstance(obj, (int, float)):
-        return complex(float(obj), 0.0)
+        return complex(_double(obj, where), 0.0)
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
         re, im = obj["re"], obj["im"]
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-            return complex(float(re), float(im))
+            return complex(_double(re, f"{where}.re"), _double(im, f"{where}.im"))
     raise InputError(f'{where}: expected a number or {{"re": x, "im": y}}, got {obj!r}')
 
 

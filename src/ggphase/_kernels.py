@@ -1,9 +1,19 @@
 """Hot numeric kernels: cyclic chain-link amplitudes over a stack of states,
 and per-sample connection numerators/denominators along a discretized curve.
 
-Both are row sums against one shared product, ``bra = states.conj() @ obs``,
-so each row l of ``bra`` is <psi_l|O| and a sandwich <psi_l|O|ket_l> is the
-sum over row l of ``bra * ket``.
+Both are built from the same link sandwiches. With ``bra = states.conj() @ obs``
+each row l of ``bra`` is <psi_l|O|, and a sandwich <psi_l|O|ket_l> is the sum
+over row l of ``bra * ket``. The chain phase multiplies the links
+<psi_l|O|psi_{l+1}>. The connection numerator <psi_l|O|d psi_l> is the limit of
+those same links: on the grid h1 = s_l - s_{l-1}, h2 = s_{l+1} - s_l it is
+
+    a_l <psi_l|O|psi_{l-1}> + b_l <psi_l|O|psi_l> + c_l <psi_l|O|psi_{l+1}>,
+    a = -h2 / (h1 (h1 + h2)),  b = (h2 - h1) / (h1 h2),  c = h1 / (h2 (h1 + h2)),
+
+the second-order non-uniform central difference, with the first-order one-sided
+stencils (<psi_0|O|psi_1> - <psi_0|O|psi_0>) / h and
+(<psi_L|O|psi_L> - <psi_L|O|psi_{L-1}>) / h at the two ends. No derivative
+array of the states is ever formed.
 """
 
 from __future__ import annotations
@@ -16,11 +26,17 @@ __all__ = [
 ]
 
 
+def _sandwiches(bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Row by row, <psi_l|O|ket_l> = sum_j bra[l, j] kets[l, j]."""
+    return (bra * kets).sum(axis=1)
+
+
 def chain_link_amplitudes(states: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Cyclic link amplitudes a_l = <psi_l| obs |psi_{l+1 mod N}> for an
     (N, dim) stack of states under a (dim, dim) operator."""
     states = np.asarray(states, dtype=np.complex128)
-    return ((states.conj() @ obs) * np.roll(states, -1, axis=0)).sum(axis=1)
+    bra = states.conj() @ obs
+    return _sandwiches(bra, np.concatenate((states[1:], states[:1])))
 
 
 def connection_terms(
@@ -29,12 +45,28 @@ def connection_terms(
     """Connection numerators <psi|obs|D psi> and denominators <psi|obs|psi>
     along a discretized curve.
 
-    Derivatives use second-order central differences on the (possibly
-    non-uniform) parameter grid and first-order one-sided stencils at the
-    endpoints.
+    The numerator at an interior sample l is a_l <psi_l|O|psi_{l-1}> +
+    b_l <psi_l|O|psi_l> + c_l <psi_l|O|psi_{l+1}>, with the weights
+    a = -h2/(h1(h1+h2)), b = (h2-h1)/(h1 h2), c = h1/(h2(h1+h2)) of the
+    second-order central difference on the (possibly non-uniform) grid,
+    h1 = s_l - s_{l-1} and h2 = s_{l+1} - s_l. The two ends use the
+    first-order one-sided stencils. Only the three link sandwiches are
+    computed; the derivative of the states is never formed.
     """
     params = np.asarray(params, dtype=np.float64)
     states = np.asarray(states, dtype=np.complex128)
     bra = states.conj() @ obs
-    dstates = np.gradient(states, params, axis=0, edge_order=1)
-    return (bra * dstates).sum(axis=1), (bra * states).sum(axis=1)
+    den = _sandwiches(bra, states)
+    fwd = _sandwiches(bra[:-1], states[1:])  # <psi_l|O|psi_{l+1}>, l = 0 .. M-2
+    bwd = _sandwiches(bra[1:], states[:-1])  # <psi_l|O|psi_{l-1}>, l = 1 .. M-1
+    h = np.diff(params)
+    h1, h2 = h[:-1], h[1:]
+    num = np.empty_like(den)
+    num[1:-1] = (
+        (-h2 / (h1 * (h1 + h2))) * bwd[:-1]
+        + ((h2 - h1) / (h1 * h2)) * den[1:-1]
+        + (h1 / (h2 * (h1 + h2))) * fwd[1:]
+    )
+    num[0] = (fwd[0] - den[0]) / h[0]
+    num[-1] = (den[-1] - bwd[-1]) / h[-1]
+    return num, den

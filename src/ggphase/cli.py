@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 
@@ -63,11 +64,17 @@ def _need(args: dict, key: str):
 
 
 def _as_float(args: dict, key: str) -> float:
+    """A finite float argument; a template may hold any JSON value here."""
     value = _need(args, key)
     try:
-        return float(value)
+        number = float(value)
+    except OverflowError:
+        raise InputError(f"argument {key!r} is too large for a double") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"argument {key!r} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise InputError(f"argument {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_int(args: dict, key: str, default: int | None = None) -> int:
@@ -463,9 +470,20 @@ def _parse_scalar(text: str):
     return _finite_float(text)
 
 
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2; this front door reserves 2 for
-    domain errors, so flag problems exit 1 instead."""
+    domain errors, so flag problems exit 1 instead. A leading minus followed
+    by a number, exponent or not (-1e-3, -.5e1, -inf), is a value, not an
+    option string; the subcommand parsers inherit both rules."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -62,7 +62,7 @@ class ParamCurve:
 
     def __init__(self, params, states, tol: ToleranceConfig = DEFAULT_TOLS):
         p = np.asarray(params, dtype=np.float64)
-        s = np.asarray(states, dtype=np.complex128)
+        s = np.ascontiguousarray(states, dtype=np.complex128)
         if p.ndim != 1 or s.ndim != 2 or p.shape[0] != s.shape[0]:
             raise ValueError(
                 f"params shape {p.shape} and states shape {s.shape} are inconsistent"
@@ -73,9 +73,10 @@ class ParamCurve:
             raise ValueError("params contain non-finite entries")
         if not np.all(np.diff(p) > 0.0):
             raise ValueError("params must be strictly increasing")
-        if not np.all(np.isfinite(s.view(np.float64))):
+        parts = s.view(np.float64)  # (M, 2 dim): real and imaginary parts
+        if not np.all(np.isfinite(parts)):
             raise ValueError("states contain non-finite entries")
-        norms = np.einsum("ld,ld->l", s.conj(), s).real
+        norms = np.einsum("ld,ld->l", parts, parts)
         if np.any(norms <= tol.tol_zero):
             bad = int(np.argmax(norms <= tol.tol_zero))
             raise ValueError(f"curve state at sample {bad} has vanishing norm")
@@ -330,13 +331,14 @@ def o_null_curve(
     theta = principal_arg(link / np.vdot(B.components, B.components).real)
     x = np.linspace(0.0, tau, M)
     frac = x / tau
-    gauge = np.exp(-1j * theta * x / tau)[:, None]
-    states = gauge * (
-        (1.0 - frac)[:, None] * A.components[None, :]
-        + frac[:, None] * np.exp(1j * theta) * B.components[None, :]
-    )
-    curve = ParamCurve(x, states, tol=tol)
-    den = ((states.conj() @ obs) * states).sum(axis=1).real
+    gauge = np.exp(-1j * theta * frac)
+    # n(x) = c_A(x) A + c_B(x) B: one (M, 2) @ (2, dim) product, and
+    # <n|O|n> = c^* G c from the 2x2 Gram matrix G = [A;B]^* O [A;B]^T
+    coeffs = np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
+    span = np.stack((A.components, B.components))
+    curve = ParamCurve(x, coeffs @ span, tol=tol)
+    gram = span.conj() @ obs @ span.T
+    den = ((coeffs.conj() @ gram) * coeffs).sum(axis=1).real
     interior_bad = np.flatnonzero(np.abs(den[1 : M - 1]) <= tol.tol_zero)
     if interior_bad.size:
         l = int(interior_bad[0]) + 1

@@ -173,12 +173,14 @@ def _closed_triples(first, middle, last, den, labels, tol: ToleranceConfig) -> P
     tol_zero. The Args are wrapped after each addition, so a real triple
     has gamma_v exactly 0 or pi.
     """
-    modulus = np.abs(first)[:, None] * np.abs(middle) * np.abs(last)[None, :]
-    a, b = np.nonzero(modulus > tol.tol_zero)
-    gamma = _wrap_angles(
-        _wrap_angles(np.angle(first[a]) + np.angle(middle[a, b])) + np.angle(last[b])
-    )
-    columns = (labels[a], labels[b], modulus[a, b], gamma, den[a] * den[b])
+    # An overflowing product stays inf; the report emitter names it (exit 2).
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = np.abs(first)[:, None] * np.abs(middle) * np.abs(last)[None, :]
+        a, b = np.nonzero(modulus > tol.tol_zero)
+        gamma = _wrap_angles(
+            _wrap_angles(np.angle(first[a]) + np.angle(middle[a, b])) + np.angle(last[b])
+        )
+        columns = (labels[a], labels[b], modulus[a, b], gamma, den[a] * den[b])
     for col in columns:
         col.setflags(write=False)
     return PhaseTermTable(*columns)
@@ -220,18 +222,20 @@ def energy_shift(
     if not math.isfinite(coupling):
         raise ValueError(f"coupling must be finite, got {coupling}")
     order1 = w[n, n].real
-    strength = np.abs(w[n, others]) ** 2
-    order2 = math.fsum(strength / gaps)
-    double = (
-        w[n, others][:, None] * w[np.ix_(others, others)] * w[others, n][None, :]
-        / np.multiply.outer(gaps, gaps)
-    ).ravel()
-    # fsum iterates a list of Python floats faster than numpy scalars
-    residue = math.fsum(double.imag.tolist())
-    if abs(residue) > _REALITY_TOL:
-        raise ValueError(f"third-order imaginary residue {residue:.3e} exceeds 1e-12")
-    correction = order1 * math.fsum(strength / gaps**2)
-    order3 = math.fsum(double.real.tolist()) - correction
+    # An overflowing order stays non-finite; the report emitter names it (exit 2).
+    with np.errstate(over="ignore", invalid="ignore"):
+        strength = np.abs(w[n, others]) ** 2
+        order2 = math.fsum(strength / gaps)
+        double = (
+            w[n, others][:, None] * w[np.ix_(others, others)] * w[others, n][None, :]
+            / np.multiply.outer(gaps, gaps)
+        ).ravel()
+        # fsum iterates a list of Python floats faster than numpy scalars
+        residue = math.fsum(double.imag.tolist())
+        if abs(residue) > _REALITY_TOL:
+            raise ValueError(f"third-order imaginary residue {residue:.3e} exceeds 1e-12")
+        correction = order1 * math.fsum(strength / gaps**2)
+        order3 = math.fsum(double.real.tolist()) - correction
     return ShiftSeries(order1, order2, order3, coupling)
 
 

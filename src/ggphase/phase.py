@@ -59,16 +59,6 @@ class PhaseResult:
     chain_length: int
 
 
-def _state_stack(states: Sequence[StateVector]) -> np.ndarray:
-    if len(states) == 0:
-        raise ValueError("empty state sequence")
-    dim = states[0].dim
-    for s in states:
-        if s.dim != dim:
-            raise ValueError("states must share one dimension")
-    return np.stack([s.components for s in states])
-
-
 def generalized_phase_chain(
     states: Sequence[StateVector],
     O: Observable | None = None,
@@ -97,20 +87,23 @@ def generalized_phase_chain(
     """
     if len(states) < 3:
         raise ValueError(f"chain needs at least 3 states, got {len(states)}")
-    stack = _state_stack(states)
+    try:
+        stack = np.array([s.components for s in states])
+    except ValueError:  # ragged rows: numpy refuses the inhomogeneous shape
+        raise ValueError("states must share one dimension") from None
     obs = observable_entries(O, stack.shape[1])
     amps = _kernels.chain_link_amplitudes(stack, obs)
     moduli = np.abs(amps)
-    small = np.flatnonzero(moduli <= tol.tol_zero)
-    if small.size:
-        l = int(small[0])
+    min_modulus = float(moduli.min())
+    if min_modulus <= tol.tol_zero:
+        l = int(np.argmax(moduli <= tol.tol_zero))
         raise UndefinedPhase(
             f"chain phase undefined: link {l} -> {(l + 1) % len(states)} has "
             f"|amplitude| = {moduli[l]:.3e} <= tol_zero",
             link_index=l,
         )
-    value = wrap_angle(math.fsum(np.angle(amps)))
-    return PhaseResult(value, float(moduli.min()), len(states))
+    value = wrap_angle(math.fsum(np.angle(amps).tolist()))
+    return PhaseResult(value, min_modulus, len(states))
 
 
 def bargmann_density_phase(

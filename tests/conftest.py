@@ -113,6 +113,37 @@ def connection_value_oracle(curve_states, curve_params, obs, index: int) -> floa
     return (num / den).imag
 
 
+def connection_terms_gradient_oracle(params, states, obs) -> tuple[np.ndarray, np.ndarray]:
+    """Connection numerators <psi|O|D psi> and denominators <psi|O|psi> from
+    an explicit derivative array: numpy's np.gradient (second order inside,
+    first order one-sided at the ends), then one row sandwich each."""
+    states = np.asarray(states, dtype=np.complex128)
+    bra = states.conj() @ obs
+    dstates = np.gradient(states, np.asarray(params, dtype=np.float64), axis=0, edge_order=1)
+    return (bra * dstates).sum(axis=1), (bra * states).sum(axis=1)
+
+
+def null_curve_oracle(a: StateVector, b: StateVector, obs: Observable, tau: float, count: int):
+    """The straight-line O null curve by its documented formula, and the
+    sample its singularity check must name (None when there is none), both
+    from the direct (M, dim) sandwich <n|O|n>."""
+    op = np.asarray(obs.entries)
+    av, bv = np.asarray(a.components), np.asarray(b.components)
+    theta = cmath.phase(np.vdot(bv, op @ av) / np.vdot(bv, bv).real)
+    x = np.linspace(0.0, tau, count)
+    states = np.exp(-1j * theta * x / tau)[:, None] * (
+        (1.0 - x / tau)[:, None] * av + (x / tau * cmath.exp(1j * theta))[:, None] * bv
+    )
+    den = [np.vdot(n, op @ n).real for n in states]
+    for l in range(1, count - 1):
+        if abs(den[l]) <= 1e-12:
+            return states, l
+    for i in range(count - 1):
+        if den[i] * den[i + 1] < 0.0:
+            return states, i if abs(den[i]) < abs(den[i + 1]) else i + 1
+    return states, None
+
+
 def smooth_two_level_path(rng: np.random.Generator, count: int, x_safe: bool = False):
     """Seeded smooth (theta, phi) path sampled on a uniform grid.
 

@@ -10,6 +10,7 @@ import argparse
 import importlib
 import json
 import math
+import os
 import pathlib
 import shutil
 import subprocess
@@ -257,16 +258,24 @@ FLOAT_FLAGS = [
 ]
 
 
-def float_typed_flags(parser) -> set:
-    """The option strings of every flag, in every subcommand, that parses a float."""
-    flags = set()
+def all_actions(parser):
+    """Every action of the parser and, recursively, of its subcommands."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                flags |= float_typed_flags(sub)
-        elif action.type in (float, _finite_float, _tolerance):
-            flags.update(action.option_strings)
-    return flags
+                yield from all_actions(sub)
+        else:
+            yield action
+
+
+def float_typed_flags(parser) -> set:
+    """The option strings of every flag, in every subcommand, that parses a float."""
+    return {
+        flag
+        for action in all_actions(parser)
+        if action.type in (float, _finite_float, _tolerance)
+        for flag in action.option_strings
+    }
 
 
 class TestNonFiniteFlags:
@@ -293,6 +302,117 @@ class TestNonFiniteFlags:
         assert code == 1
         assert out == ""
         assert "argument --values: expected a finite number" in err
+
+
+# Negative numbers written with an exponent or without a leading digit.
+NEGATIVE_NUMBERS = [("-1e-3", -1e-3), ("-2.5E+4", -2.5e4), ("-.5e1", -5.0)]
+
+
+class TestNegativeFlagValues:
+    """argparse takes "-1e-3" for an option string unless the parser knows
+    it for a number; every float flag and --values must accept it."""
+
+    @pytest.mark.parametrize(("text", "number"), NEGATIVE_NUMBERS)
+    @pytest.mark.parametrize(("argv", "flag"), FLOAT_FLAGS, ids=[flag for _, flag in FLOAT_FLAGS])
+    def test_flag_parses_negative_exponent(self, argv, flag, text, number):
+        parser = _build_parser()
+        if flag == "--tol-zero":
+            # a negative tolerance is refused, but as a value, not as an option
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, flag, text])
+            assert exc.value.code == 1
+            return
+        action = next(a for a in all_actions(parser) if flag in a.option_strings)
+        assert getattr(parser.parse_args([*argv, flag, text]), action.dest) == number
+
+    @pytest.mark.parametrize(("text", "number"), NEGATIVE_NUMBERS)
+    def test_tol_zero_refuses_negative_as_a_value(self, capsys, states_file, text, number):
+        code, out, err = invoke(capsys, "phase", "--states", states_file, "--identity", "--tol-zero", text)
+        assert code == 1
+        assert out == ""
+        assert "argument --tol-zero: tol_zero must be finite and positive" in err
+
+    def test_two_level_phi(self, capsys):
+        code, out, _ = invoke(capsys, "two-level", "--kind", "x", "--theta", "1", "--phi", "-1e-3")
+        assert code == 0
+        assert json.loads(out)["results"]["phi"] == -1e-3
+
+    def test_sweep_values_parse(self):
+        args = _build_parser().parse_args(
+            ["sweep", "--template", "t.json", "--param", "phi", "--values", "0.1", "-1e-3", "-2.5E+4", "-.5e1"]
+        )
+        assert args.values == [0.1, -1e-3, -2.5e4, -5.0]
+
+    def test_sweep_values(self, capsys, tmp_path):
+        template = write_json(tmp_path / "job.json", {"command": "two-level", "kind": "x", "theta": 1.0})
+        code, out, _ = invoke(
+            capsys, "sweep", "--template", template, "--param", "phi", "--values", "0.1", "-1e-3", "-.5e-1"
+        )
+        assert code == 0
+        assert [r["value"] for r in json.loads(out)["results"]["rows"]] == [0.1, -1e-3, -0.05]
+
+    def test_negative_infinity_is_a_value_not_an_option(self, capsys, tmp_path):
+        template = write_json(tmp_path / "job.json", {"command": "two-level", "kind": "x", "theta": 1.0})
+        code, out, err = invoke(
+            capsys, "sweep", "--template", template, "--param", "phi", "--values", "0.1", "-inf"
+        )
+        assert code == 1
+        assert "argument --values: expected a finite number, got '-inf'" in err
+
+    def test_option_like_words_stay_options(self, capsys):
+        code, _, err = invoke(capsys, "two-level", "--kind", "x", "--theta", "1", "--phi", "-e3")
+        assert code == 1
+        assert "expected one argument" in err
+
+
+class TestHugeAndNonFiniteInputs:
+    """A JSON integer beyond the double range, or a template value that is not
+    a finite number, is an input problem: exit 1 with the place named."""
+
+    def test_state_entry_too_large_for_a_double(self, capsys, tmp_path):
+        states = write_json(tmp_path / "F.json", [[1, 0], [1, 10**400], [1, 1]])
+        code, out, err = invoke(capsys, "phase", "--states", states, "--identity")
+        assert code == 1
+        assert out == ""
+        assert f"{states}[1][1]: integer too large for a double" in err
+        assert "Traceback" not in err
+
+    def test_observable_entry_too_large_for_a_double(self, capsys, tmp_path, states_file):
+        obs = write_json(tmp_path / "o.json", [[1, {"re": 0, "im": -(10**400)}], [0, 1]])
+        code, _, err = invoke(capsys, "phase", "--states", states_file, "--observable", obs)
+        assert code == 1
+        assert f"{obs}[0][1].im: integer too large for a double" in err
+
+    def test_json_integer_beyond_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "F.json"
+        path.write_text("[[1" + "0" * 5000 + ", 0], [1, 0], [1, 1]]", encoding="utf-8")
+        code, out, err = invoke(capsys, "phase", "--states", str(path), "--identity")
+        assert code == 1
+        assert out == ""
+        assert "is not valid JSON" in err
+
+    def test_template_value_too_large_for_a_double(self, capsys, tmp_path):
+        template = write_json(
+            tmp_path / "job.json", {"command": "two-level", "kind": "x", "theta": 10**400}
+        )
+        code, out, err = invoke(capsys, "sweep", "--template", template, "--param", "phi", "--values", "0.1")
+        assert code == 1
+        assert out == ""
+        assert "argument 'theta' is too large for a double" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", '"nan"', '"inf"', "NaN", "Infinity"])
+    def test_template_value_not_finite(self, capsys, tmp_path, text):
+        template = tmp_path / "job.json"
+        template.write_text(
+            '{"command": "two-level", "kind": "x", "phi": 0.0, "theta": %s}' % text, encoding="utf-8"
+        )
+        code, out, err = invoke(
+            capsys, "sweep", "--template", str(template), "--param", "phi", "--values", "0.1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument 'theta' must be a finite number" in err
 
 
 class TestCurve:
@@ -787,6 +907,25 @@ class TestEmission:
             assert error["type"] == "ValueError"
             assert "finite" in error["message"]
             assert quantity in error["message"]
+
+
+class TestQuietExit2:
+    def test_overflowing_perturbation_prints_nothing_to_stderr(self, tmp_path):
+        # Entries of 1e200 overflow the series and the triple table; the
+        # exit-2 payload names the infinite value, and stderr stays empty.
+        h0 = write_json(tmp_path / "h0.json", [0.0, 1.0])
+        v = write_json(tmp_path / "v.json", [[1e200, 1e200], [1e200, 1e200]])
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ggphase.cli", "perturb", "--h0", h0, "--v", v,
+             "--level", "0", "--lambda", "1e-300"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert "results.shift.order2 is -inf" in json.loads(proc.stdout)["error"]["message"]
 
 
 class TestConsoleScript:

@@ -10,6 +10,8 @@ from conftest import (
     bloch_state,
     chain_arg_oracle,
     connection_value_oracle,
+    null_curve_oracle,
+    random_hermitian,
     random_positive_definite,
     random_state,
     rng_for,
@@ -57,8 +59,14 @@ class TestParamCurve:
     def test_rejects_zero_sample(self):
         states = np.ones((3, 2), dtype=complex)
         states[1] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample 1 has vanishing norm"):
             ParamCurve([0.0, 0.5, 1.0], states)
+
+    def test_accepts_column_strided_states(self):
+        wide = np.arange(18, dtype=float).reshape(3, 6) * (1 + 1j)
+        curve = ParamCurve([0.0, 0.5, 1.0], wide[:, ::2])
+        np.testing.assert_array_equal(curve.states, wide[:, ::2])
+        assert curve.dim == 3
 
     def test_state_accessor_roundtrip(self):
         curve = great_circle_curve(11, 0.3)
@@ -348,6 +356,34 @@ class TestONullCurve:
         with pytest.raises(SingularConnection) as err:
             o_null_curve(a, b, z, M=501)
         assert err.value.sample_index is not None
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_states_and_checks_match_the_direct_sandwich(self, seed):
+        # o_null_curve takes <n|O|n> from the 2x2 Gram matrix of [A; B]; on
+        # indefinite operators, where it often crosses zero, the sample it
+        # names must be the one the direct (M, dim) sandwich names
+        rng = rng_for(1500 + seed)
+        dim = int(rng.integers(2, 6))
+        a, b = random_state(rng, dim), random_state(rng, dim)
+        obs = random_hermitian(rng, dim)
+        tau = float(rng.uniform(0.5, 2.0))
+        states, bad = null_curve_oracle(a, b, obs, tau, 41)
+        if bad is None:
+            curve = o_null_curve(a, b, obs, tau=tau, M=41)
+            np.testing.assert_allclose(curve.states, states, rtol=0.0, atol=1e-15 * np.abs(states).max())
+        else:
+            with pytest.raises(SingularConnection) as err:
+                o_null_curve(a, b, obs, tau=tau, M=41)
+            assert err.value.sample_index == bad
+
+    def test_exact_interior_zero_is_named(self):
+        # theta = 0 and <n|Z|n> = (1 - x)^2 - 3 x^2 + 2 x (1 - x) = 1 - 4 x^2
+        # vanishes exactly at the middle sample
+        z = Observable([[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(SingularConnection, match="vanishes at interior sample 50 ") as err:
+            o_null_curve(StateVector([1.0, 0.0]), StateVector([1.0, 2.0]), z, M=101)
+        assert err.value.sample_index == 50
 
 
 class TestHolonomy:

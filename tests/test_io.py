@@ -1,5 +1,6 @@
 """Report emission: one Table of numpy columns, rendered as JSON rows and as
-CSV lines from the same cell strings.
+CSV lines from the same cell strings. Also the scalar parsers' refusal of
+integers that no double can hold.
 
 The references are independent of the column path: the generic recursive
 JSON emitter, fed the same rows as plain dicts of numpy scalars, and
@@ -15,7 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_text_oracle
-from ggphase._io import Table, emit_json, write_csv_text
+from ggphase._io import (
+    InputError,
+    Table,
+    emit_json,
+    parse_complex,
+    parse_matrix,
+    parse_real,
+    parse_real_list,
+    write_csv_text,
+)
 
 # Signed zero, integral floats on both sides of the 17-digit exponent switch,
 # the smallest subnormal and the largest double.
@@ -132,3 +142,29 @@ def test_non_finite_scalar_is_named_by_key_path():
 def test_columns_of_unequal_length_are_rejected():
     with pytest.raises(ValueError, match="equal length"):
         Table(a=np.zeros(2), b=np.zeros(3))
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    ("parse", "obj", "where"),
+    [
+        (parse_real, HUGE, "x"),
+        (parse_real, -HUGE, "x"),
+        (parse_complex, HUGE, "x"),
+        (parse_complex, {"re": HUGE, "im": 0}, "x.re"),
+        (parse_complex, {"re": 0, "im": -HUGE}, "x.im"),
+        (parse_real_list, [0.5, HUGE], "x[1]"),
+        (parse_matrix, [[1, 2], [3, {"re": 1, "im": HUGE}]], "x[1][1].im"),
+    ],
+)
+def test_integer_too_large_for_a_double_is_named(parse, obj, where):
+    with pytest.raises(InputError) as exc:
+        parse(obj, "x")
+    assert str(exc.value) == f"{where}: integer too large for a double"
+
+
+def test_largest_exact_integers_still_parse():
+    assert parse_real(2**1023, "x") == 2.0**1023
+    assert parse_complex({"re": -(2**53), "im": 3}, "x") == complex(-(2.0**53), 3.0)

@@ -1,12 +1,13 @@
-"""The hot kernels against direct per-row sandwiches and explicit
-finite-difference stencils."""
+"""The hot kernels against direct per-row sandwiches, explicit
+finite-difference stencils, the np.gradient derivative array and the
+np.roll link form they replace."""
 
 import numpy as np
 import pytest
 
 from ggphase._kernels import chain_link_amplitudes, connection_terms
 
-from conftest import random_hermitian, rng_for
+from conftest import connection_terms_gradient_oracle, random_hermitian, rng_for
 
 
 def random_stack(seed: int, count: int, dim: int):
@@ -64,3 +65,65 @@ class TestConnectionTerms:
             - hp * hp * states[0]
         ) / (hp * hm * (hp + hm))
         assert num[1] == pytest.approx(states[1].conj() @ obs @ d1, rel=1e-12)
+
+
+def random_grid(rng, count: int, uniform: bool) -> np.ndarray:
+    """Strictly increasing parameters; uniform ones are multiples of 1/8, so
+    every spacing is exactly equal."""
+    if uniform:
+        return float(rng.integers(-4, 5)) + np.arange(count) * 0.125
+    return float(rng.normal()) + np.cumsum(rng.uniform(0.05, 1.0, size=count))
+
+
+# (label, sample count, dim, uniform grid)
+GRIDS = [
+    ("nonuniform", 257, 5, False),
+    ("nonuniform_dim16", 64, 16, False),
+    ("uniform", 257, 5, True),
+    ("three_samples", 3, 4, False),
+    ("three_samples_uniform", 3, 4, True),
+    ("dim_one", 101, 1, False),
+    ("dim_one_uniform", 101, 1, True),
+]
+
+
+class TestConnectionTermsAgainstGradient:
+    """The link-sandwich numerators against <psi|O| applied to numpy's own
+    derivative array. Both round differently by a few ulps of the largest
+    term, which is of order |psi|^2 |O| dim / (smallest step)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(("label", "count", "dim", "uniform"), GRIDS, ids=[g[0] for g in GRIDS])
+    def test_matches_gradient_oracle(self, label, count, dim, uniform, seed):
+        rng = rng_for(900 + 10 * seed + GRIDS.index((label, count, dim, uniform)))
+        params = random_grid(rng, count, uniform)
+        states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+        obs = random_hermitian(rng, dim).entries
+        num, den = connection_terms(params, states, obs)
+        want_num, want_den = connection_terms_gradient_oracle(params, states, obs)
+        assert np.array_equal(den, want_den)
+        scale = np.max(np.abs(states)) ** 2 * np.max(np.abs(obs)) * dim / np.min(np.diff(params))
+        assert np.max(np.abs(num - want_num)) <= 1e-14 * scale
+
+    def test_endpoint_stencils_are_first_order(self):
+        # A quadratic path: the one-sided end stencils miss its curvature by
+        # exactly h * psi'' / 2, which a second-order end stencil would not.
+        params = np.array([0.0, 0.5, 2.0, 2.25])
+        states = np.array([[1.0 + s * s, 0.0] for s in params], dtype=complex)
+        num, den = connection_terms(params, states, np.eye(2, dtype=complex))
+        assert num[0] == pytest.approx(states[0, 0] * (0.25 - 0.0) / 0.5, rel=1e-14)
+        assert num[-1] == pytest.approx(states[-1, 0] * (2.25**2 - 4.0) / 0.25, rel=1e-14)
+        # the interior stencil is exact on a quadratic: psi' = 2 s
+        assert num[1] == pytest.approx(states[1, 0] * 1.0, rel=1e-14)
+        assert num[2] == pytest.approx(states[2, 0] * 4.0, rel=1e-14)
+
+
+class TestChainLinksAgainstRoll:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical_to_roll_form(self, seed):
+        rng = rng_for(950 + seed)
+        count, dim = int(rng.integers(3, 41)), int(rng.integers(1, 18))
+        states, obs = random_stack(950 + seed, count, dim)
+        rolled = ((states.conj() @ obs) * np.roll(states, -1, axis=0)).sum(axis=1)
+        assert np.array_equal(chain_link_amplitudes(states, obs), rolled)
+        assert np.array_equal(chain_link_amplitudes(states[:, ::-1][:, ::-1], obs), rolled)
