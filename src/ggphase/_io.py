@@ -4,6 +4,12 @@ digits (so a report re-parses to bit-identical values), plus flat CSV tables.
 A report Table's JSON rows and CSV lines (a complex column as <name>_re and
 <name>_im) join the same cells; a non-finite value is named, e.g. phase_terms.modulus[17].
 
+A well-formed JSON array is read in one pass (complex_rows): rows that are
+lists of one non-zero length, and elements that are a bare number or a dict
+with exactly the keys "re" and "im", where every value's type is int or float
+(so a bool or a numeric string is refused). Anything else falls back to the
+located parsers, which name the first bad element, e.g. c.json.states[12][3].im.
+
 Parse failures raise InputError, which the CLI maps to exit status 1; typed
 domain errors keep exit status 2 for themselves.
 """
@@ -12,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +28,7 @@ __all__ = [
     "emit_json",
     "write_csv_text",
     "load_json_file",
+    "complex_rows",
     "parse_complex",
     "parse_vector",
     "parse_matrix",
@@ -173,6 +181,32 @@ def load_json_file(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def complex_rows(obj) -> np.ndarray | None:
+    """A JSON array of equal-length, non-empty rows of complex scalars as one
+    (rows, width) complex matrix, read in one pass without locating anything;
+    None for any other input, which the located parsers then reject by name."""
+    if type(obj) is not list or not obj or type(obj[0]) is not list:
+        return None
+    width = len(obj[0])
+    if not width or any(type(row) is not list or len(row) != width for row in obj):
+        return None
+    elems = list(chain.from_iterable(obj))
+    try:
+        re = [x["re"] if type(x) is dict and len(x) == 2 else x for x in elems]
+        im = [x["im"] if type(x) is dict and len(x) == 2 else 0 for x in elems]
+        if not (set(map(type, re)) | set(map(type, im))) <= _NUMBER_TYPES:
+            return None
+        out = np.empty((len(obj), width), dtype=np.complex128)
+        out.real = np.array(re, dtype=np.float64).reshape(out.shape)
+        out.imag = np.array(im, dtype=np.float64).reshape(out.shape)
+    except (KeyError, OverflowError):  # a dict without "re" or "im"; an integer past the doubles
+        return None
+    return out
+
+
 def _double(x, where: str) -> float:
     """float(x) for a JSON int or float; an int beyond the double range is refused."""
     try:
@@ -203,6 +237,9 @@ def parse_complex(obj, where: str) -> complex:
 
 def parse_vector(obj, where: str) -> np.ndarray:
     """A JSON array of complex scalars as one complex vector."""
+    rows = complex_rows([obj])
+    if rows is not None:
+        return rows[0]
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{where}: expected a non-empty array")
     return np.array(
@@ -213,6 +250,9 @@ def parse_vector(obj, where: str) -> np.ndarray:
 
 def parse_matrix(obj, where: str) -> np.ndarray:
     """A JSON array of equal-length rows as one complex matrix."""
+    rows = complex_rows(obj)
+    if rows is not None:
+        return rows
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{where}: expected a non-empty array of rows")
     rows = [parse_vector(row, f"{where}[{i}]") for i, row in enumerate(obj)]
@@ -224,6 +264,11 @@ def parse_matrix(obj, where: str) -> np.ndarray:
 
 def parse_real_list(obj, where: str) -> np.ndarray:
     """A JSON array of real numbers."""
+    if type(obj) is list and obj and set(map(type, obj)) <= _NUMBER_TYPES:
+        try:
+            return np.array(obj, dtype=np.float64)
+        except OverflowError:  # an integer past the doubles: named below
+            pass
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{where}: expected a non-empty array")
     values = [parse_real(x, f"{where}[{i}]") for i, x in enumerate(obj)]

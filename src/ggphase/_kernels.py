@@ -13,7 +13,8 @@ those same links: on the grid h1 = s_l - s_{l-1}, h2 = s_{l+1} - s_l it is
 the second-order non-uniform central difference, with the first-order one-sided
 stencils (<psi_0|O|psi_1> - <psi_0|O|psi_0>) / h and
 (<psi_L|O|psi_L> - <psi_L|O|psi_{L-1}>) / h at the two ends. No derivative
-array of the states is ever formed.
+array of the states is ever formed. An operator of None is the identity, so
+``bra`` is then ``states.conj()`` with no matmul.
 """
 
 from __future__ import annotations
@@ -31,19 +32,21 @@ def _sandwiches(bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return (bra * kets).sum(axis=1)
 
 
-def chain_link_amplitudes(states: np.ndarray, obs: np.ndarray) -> np.ndarray:
+def chain_link_amplitudes(states: np.ndarray, obs: np.ndarray | None) -> np.ndarray:
     """Cyclic link amplitudes a_l = <psi_l| obs |psi_{l+1 mod N}> for an
-    (N, dim) stack of states under a (dim, dim) operator."""
+    (N, dim) stack of states under a (dim, dim) operator, or the identity
+    when obs is None."""
     states = np.asarray(states, dtype=np.complex128)
-    bra = states.conj() @ obs
-    return _sandwiches(bra, np.concatenate((states[1:], states[:1])))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan links are the caller's to report
+        bra = states.conj() if obs is None else states.conj() @ obs
+        return _sandwiches(bra, np.concatenate((states[1:], states[:1])))
 
 
 def connection_terms(
-    params: np.ndarray, states: np.ndarray, obs: np.ndarray
+    params: np.ndarray, states: np.ndarray, obs: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Connection numerators <psi|obs|D psi> and denominators <psi|obs|psi>
-    along a discretized curve.
+    along a discretized curve; obs None is the identity.
 
     The numerator at an interior sample l is a_l <psi_l|O|psi_{l-1}> +
     b_l <psi_l|O|psi_l> + c_l <psi_l|O|psi_{l+1}>, with the weights
@@ -55,7 +58,7 @@ def connection_terms(
     """
     params = np.asarray(params, dtype=np.float64)
     states = np.asarray(states, dtype=np.complex128)
-    bra = states.conj() @ obs
+    bra = states.conj() if obs is None else states.conj() @ obs
     den = _sandwiches(bra, states)
     fwd = _sandwiches(bra[:-1], states[1:])  # <psi_l|O|psi_{l+1}>, l = 0 .. M-2
     bwd = _sandwiches(bra[1:], states[:-1])  # <psi_l|O|psi_{l-1}>, l = 1 .. M-1

@@ -103,11 +103,11 @@ def _states_from_file(path: str) -> list[StateVector]:
     data = _io.load_json_file(path)
     if not isinstance(data, list):
         raise InputError(f"{path}: expected an array of state vectors")
+    rows = _io.complex_rows(data)
+    if rows is None:  # ragged or malformed: row by row, so the bad element is named
+        rows = (_io.parse_vector(row, f"{path}[{i}]") for i, row in enumerate(data))
     try:
-        return [
-            StateVector(_io.parse_vector(row, f"{path}[{i}]"))
-            for i, row in enumerate(data)
-        ]
+        return [StateVector(row) for row in rows]
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -205,6 +205,10 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
     b = _state_from_file(_need(args, "b"))
     obs = _resolve_observable(args, tol)
     samples_count = _as_int(args, "samples", default=1001)
+    if samples_count < 3:
+        raise InputError(f"argument 'samples' must be at least 3, got {samples_count}")
+    if samples_count > np.iinfo(np.intp).max // (16 * a.dim):  # no (M, dim) complex array
+        raise InputError(f"argument 'samples' is too large for one array, got {samples_count}")
     tau = 1.0 if args.get("tau") is None else _as_float(args, "tau")
     curve = o_null_curve(a, b, obs, tau=tau, M=samples_count, tol=tol)
     connection = _connection(curve, obs, tol)
@@ -545,7 +549,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", required=True, metavar="FILE", help="JSON state vector")
     p.add_argument("--b", required=True, metavar="FILE", help="JSON state vector")
     _add_observable(p)
-    p.add_argument("--samples", type=int, default=1001, help="number of curve samples (default 1001)")
+    p.add_argument("--samples", type=int, default=1001, help="number of curve samples, at least 3 (default 1001)")
     p.add_argument("--tau", type=_finite_float, default=1.0, help="parameter length (default 1)")
     _add_common(p)
 

@@ -157,7 +157,7 @@ def _connection(
 
     This is the one place the connection kernel runs for a curve.
     """
-    obs = observable_entries(O, curve.dim)
+    obs = None if O is None else observable_entries(O, curve.dim)
     num, den = _kernels.connection_terms(curve.params, curve.states, obs)
     moduli = np.abs(den)
     singular = moduli <= tol.tol_zero

@@ -91,7 +91,7 @@ def generalized_phase_chain(
         stack = np.array([s.components for s in states])
     except ValueError:  # ragged rows: numpy refuses the inhomogeneous shape
         raise ValueError("states must share one dimension") from None
-    obs = observable_entries(O, stack.shape[1])
+    obs = None if O is None else observable_entries(O, stack.shape[1])
     amps = _kernels.chain_link_amplitudes(stack, obs)
     moduli = np.abs(amps)
     min_modulus = float(moduli.min())

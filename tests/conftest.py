@@ -10,10 +10,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 
 import numpy as np
+from hypothesis import settings
 
 from ggphase import Observable, StateVector, wrap_angle
+from ggphase._io import InputError
+
+# HYPOTHESIS_PROFILE=ci (set by the CI workflow) keeps slow shared runners from
+# failing on deadlines and prints the @reproduce_failure blob of a failing example.
+settings.register_profile("ci", deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # One line per acceptance check, echoed after the run summary so the result
 # of every released guarantee is visible even when its test passes.
@@ -252,3 +260,60 @@ def csv_text_oracle(header: list, rows: list) -> str:
     lines = [",".join(header)]
     lines += [",".join(_csv_cell_oracle(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+# The located JSON parsers, one element at a time: every element's place is
+# spelled out (x[1][2].im) and checked before the next one is read. The
+# reference for _io's one-pass readers, which must give the same array bytes
+# or the same InputError message.
+
+
+def _located_double(x, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"{where}: integer too large for a double") from None
+
+
+def located_real_oracle(obj, where: str) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise InputError(f"{where}: expected a real number, got {obj!r}")
+    return _located_double(obj, where)
+
+
+def located_complex_oracle(obj, where: str) -> complex:
+    if isinstance(obj, bool):
+        raise InputError(f"{where}: expected a number, got a boolean")
+    if isinstance(obj, (int, float)):
+        return complex(_located_double(obj, where), 0.0)
+    if isinstance(obj, dict) and set(obj) == {"re", "im"}:
+        re, im = obj["re"], obj["im"]
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
+            return complex(_located_double(re, f"{where}.re"), _located_double(im, f"{where}.im"))
+    raise InputError(f'{where}: expected a number or {{"re": x, "im": y}}, got {obj!r}')
+
+
+def located_vector_oracle(obj, where: str) -> np.ndarray:
+    if not isinstance(obj, list) or not obj:
+        raise InputError(f"{where}: expected a non-empty array")
+    return np.array(
+        [located_complex_oracle(x, f"{where}[{i}]") for i, x in enumerate(obj)],
+        dtype=np.complex128,
+    )
+
+
+def located_matrix_oracle(obj, where: str) -> np.ndarray:
+    if not isinstance(obj, list) or not obj:
+        raise InputError(f"{where}: expected a non-empty array of rows")
+    rows = [located_vector_oracle(row, f"{where}[{i}]") for i, row in enumerate(obj)]
+    width = rows[0].shape[0]
+    if any(r.shape[0] != width for r in rows):
+        raise InputError(f"{where}: rows have unequal lengths")
+    return np.stack(rows)
+
+
+def located_real_list_oracle(obj, where: str) -> np.ndarray:
+    if not isinstance(obj, list) or not obj:
+        raise InputError(f"{where}: expected a non-empty array")
+    values = [located_real_oracle(x, f"{where}[{i}]") for i, x in enumerate(obj)]
+    return np.asarray(values, dtype=np.float64)

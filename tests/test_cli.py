@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import ggphase as gg
-from conftest import random_hermitian, rng_for
+from conftest import located_vector_oracle, random_hermitian, rng_for
+from ggphase._io import InputError
 from ggphase.cli import _build_parser, _finite_float, _tolerance, main
 
 X_MATRIX = [[0, 1], [1, 0]]
@@ -204,6 +205,63 @@ class TestPhase:
         code, _, err = invoke(capsys, "phase", "--states", states_file)
         assert code == 1
         assert "required" in err
+
+
+# A states file with one thing wrong, each read by the one-pass reader first.
+MALFORMED_STATES = [
+    [[1, 0], [1, True], [0, 1]],
+    [[1, 0], [1, "1"], [0, 1]],
+    [[1, 0], [1, {"re": 1, "im": 0, "x": 0}], [0, 1]],
+    [[1, 0], [1, {"re": 1}], [0, 1]],
+    [[1, 0], [], [0, 1]],
+    [[1, 0], [1, [0, 1]], [0, 1]],
+    [[1, 0], [1, 10**400], [0, 1]],
+    [[1, 0], [1, None], [0, 1]],
+    [[1, 0], [1, {"re": 1, "im": False}], [0, 1]],
+    [[1, 0], {"re": 1, "im": 0}, [0, 1]],
+]
+
+
+class TestStateFiles:
+    """A well-formed states file is read in one pass; a ragged or malformed
+    one row by row, so its errors are those of the located parsers."""
+
+    @pytest.mark.parametrize("data", MALFORMED_STATES)
+    def test_malformed_state_is_named(self, capsys, tmp_path, data):
+        states = write_json(tmp_path / "F.json", data)
+        with pytest.raises(InputError) as want:
+            for i, row in enumerate(data):
+                located_vector_oracle(row, f"{states}[{i}]")
+        code, out, err = invoke(capsys, "phase", "--states", states, "--identity")
+        assert code == 1
+        assert out == ""
+        assert err == f"ggphase: error: {want.value}\n"
+
+    def test_rows_are_checked_in_order(self, capsys, tmp_path):
+        # A vanishing row before a malformed one is the reported error, as when
+        # each row was parsed and built before the next was read.
+        states = write_json(tmp_path / "F.json", [[1, 0], [0, 0], [1, True]])
+        code, _, err = invoke(capsys, "phase", "--states", states, "--identity")
+        assert code == 1
+        assert err == f"ggphase: error: {states}: state vector has vanishing norm\n"
+
+    def test_ragged_states_are_a_domain_error(self, capsys, tmp_path):
+        states = write_json(tmp_path / "F.json", [[1, 0], [1, 0, 0], [0, 1]])
+        code, out, _ = invoke(capsys, "phase", "--states", states, "--identity")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "states must share one dimension"
+
+    def test_one_pass_states_match_the_row_parser(self, capsys, tmp_path):
+        rng = rng_for(12)
+        z = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        data = cvec(z.ravel())
+        data = [data[3 * i : 3 * i + 3] for i in range(6)]
+        data[2][1] = -2  # bare numbers mix with {re, im} objects
+        states = write_json(tmp_path / "F.json", data)
+        code, out, _ = invoke(capsys, "phase", "--states", states, "--identity")
+        assert code == 0
+        rows = [gg.StateVector(located_vector_oracle(row, "x")) for row in data]
+        assert json.loads(out)["results"]["value"] == gg.generalized_phase_chain(rows).value
 
 
 class TestInputFailures:
@@ -513,6 +571,35 @@ class TestNullCurve:
         )
         assert code != 0
         assert "tau must be positive" in out + err
+
+    # Only counts refused before anything is allocated: a count of about 1e8
+    # to 1e12 would really try to allocate gigabytes.
+    @pytest.mark.parametrize(
+        ("count", "message"),
+        [
+            ("2", "must be at least 3, got 2"),
+            ("0", "must be at least 3, got 0"),
+            ("-5", "must be at least 3, got -5"),
+            (str(10**20), f"is too large for one array, got {10**20}"),
+        ],
+    )
+    def test_unusable_sample_count_is_an_invocation_error(self, capsys, tmp_path, count, message):
+        a = write_json(tmp_path / "a.json", [1, 0])
+        b = write_json(tmp_path / "b.json", cvec([0.6, 0.8j]))
+        code, out, err = invoke(
+            capsys, "null-curve", "--a", a, "--b", b, "--identity", "--samples", count
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"ggphase: error: argument 'samples' {message}\n"
+        template = write_json(
+            tmp_path / "job.json", {"command": "null-curve", "a": a, "b": b, "identity": True}
+        )
+        code, out, err = invoke(
+            capsys, "sweep", "--template", template, "--param", "samples", "--values", "5", count
+        )
+        assert code == 1
+        assert err == f"ggphase: error: argument 'samples' {message}\n"
 
     def test_orthogonal_pair_is_domain_error(self, capsys, tmp_path):
         # The identity-observable null curve needs a nonvanishing endpoint
@@ -909,23 +996,39 @@ class TestEmission:
             assert quantity in error["message"]
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """python -m ggphase.cli in a fresh process, so numpy's warnings reach its stderr."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "ggphase.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+    )
+
+
 class TestQuietExit2:
     def test_overflowing_perturbation_prints_nothing_to_stderr(self, tmp_path):
         # Entries of 1e200 overflow the series and the triple table; the
         # exit-2 payload names the infinite value, and stderr stays empty.
         h0 = write_json(tmp_path / "h0.json", [0.0, 1.0])
         v = write_json(tmp_path / "v.json", [[1e200, 1e200], [1e200, 1e200]])
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "ggphase.cli", "perturb", "--h0", h0, "--v", v,
-             "--level", "0", "--lambda", "1e-300"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
-        )
+        proc = run_module("perturb", "--h0", h0, "--v", v, "--level", "0", "--lambda", "1e-300")
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert "results.shift.order2 is -inf" in json.loads(proc.stdout)["error"]["message"]
+
+    @pytest.mark.parametrize("observable", [None, [[1e200, 1e200], [1e200, 1e200]]])
+    def test_overflowing_chain_prints_nothing_to_stderr(self, tmp_path, observable):
+        # Links of 1e200-sized states overflow in the kernel's products; the
+        # exit-2 payload names the non-finite result, and stderr stays empty.
+        states = write_json(tmp_path / "F.json", [[1e200, 0], [1e200, 0], [1e200, 0]])
+        obs_args = ["--identity"] if observable is None else [
+            "--observable", write_json(tmp_path / "o.json", observable)]
+        proc = run_module("phase", "--states", states, *obs_args)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert "reports must be finite" in json.loads(proc.stdout)["error"]["message"]
 
 
 class TestConsoleScript:

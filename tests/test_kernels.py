@@ -127,3 +127,18 @@ class TestChainLinksAgainstRoll:
         rolled = ((states.conj() @ obs) * np.roll(states, -1, axis=0)).sum(axis=1)
         assert np.array_equal(chain_link_amplitudes(states, obs), rolled)
         assert np.array_equal(chain_link_amplitudes(states[:, ::-1][:, ::-1], obs), rolled)
+
+
+class TestIdentityObservable:
+    """obs=None is the identity: bra is states.conj(), with no matmul by eye."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_none_is_bit_identical_to_eye(self, seed):
+        rng = rng_for(seed)
+        count, dim = 257, 5
+        states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+        params = np.cumsum(rng.uniform(0.5, 1.5, size=count))
+        eye = np.eye(dim, dtype=np.complex128)
+        assert chain_link_amplitudes(states, None).tobytes() == chain_link_amplitudes(states, eye).tobytes()
+        for got, want in zip(connection_terms(params, states, None), connection_terms(params, states, eye)):
+            assert got.tobytes() == want.tobytes()
