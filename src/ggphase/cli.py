@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _io
 from ._io import InputError, Table
-from .curve import ParamCurve, _connection, _curve_phase, _trapezoid, o_null_curve
+from .curve import ParamCurve, connection_samples, curve_phase, o_null_curve
 from .dynamics import TwoLevelParams, projective_cycle_amplitude, two_level_phase
 from .errors import DomainError
 from .hilbert import (
@@ -185,16 +185,15 @@ def _run_phase(args: dict, tol: ToleranceConfig):
 def _run_curve(args: dict, tol: ToleranceConfig):
     curve = _curve_from_file(_need(args, "curve"), tol)
     obs = _resolve_observable(args, tol)
-    connection = _connection(curve, obs, tol)
-    samples = connection[0]
-    res = _curve_phase(curve, obs, tol, connection)
+    samples = connection_samples(curve, obs, tol)
+    res = curve_phase(curve, obs, tol, samples=samples)
     results = {
         "value": res.value,
         "min_link_modulus": res.min_link_modulus,
         "sample_count": curve.sample_count,
     }
     diagnostics = {
-        "connection_integral": _trapezoid(samples.values, samples.params),
+        "connection_integral": samples.integral,
         "extrapolated_samples": list(samples.extrapolated),
     }
     return results, diagnostics, Table(s=samples.params, a_o=samples.values)
@@ -210,14 +209,15 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
     if samples_count > np.iinfo(np.intp).max // (16 * a.dim):  # no (M, dim) complex array
         raise InputError(f"argument 'samples' is too large for one array, got {samples_count}")
     tau = 1.0 if args.get("tau") is None else _as_float(args, "tau")
+    if tau <= 0.0:
+        raise InputError(f"argument 'tau': tau must be positive, got {tau}")
     curve = o_null_curve(a, b, obs, tau=tau, M=samples_count, tol=tol)
-    connection = _connection(curve, obs, tol)
-    samples = connection[0]
-    res = _curve_phase(curve, obs, tol, connection)
+    samples = connection_samples(curve, obs, tol)
+    res = curve_phase(curve, obs, tol, samples=samples)
     expected = principal_arg(matrix_element(a, obs, b) / b.norm_sq)
     results = {
         "curve_phase": res.value,
-        "connection_integral": _trapezoid(samples.values, samples.params),
+        "connection_integral": samples.integral,
         "expected_integral": expected,
         "sample_count": curve.sample_count,
     }
@@ -241,20 +241,14 @@ def _run_cycle(args: dict, tol: ToleranceConfig):
         basis = [StateVector.basis_vector(h.dim, k) for k in range(3)]
     epsilon = _as_float(args, "epsilon")
     res = projective_cycle_amplitude(h, basis, epsilon, tol=tol)
-    stack = [s.components for s in basis]
-    limit = principal_arg(
-        np.vdot(stack[0], h.entries @ stack[2])
-        * np.vdot(stack[2], h.entries @ stack[1])
-        * np.vdot(stack[1], h.entries @ stack[0])
-    )
     results = {
         "amplitude": res.amplitude,
         "extracted_phase": res.extracted_phase,
         "epsilon": res.epsilon,
     }
     diagnostics = {
-        "limit_phase": limit,
-        "limit_gap": wrapped_distance(res.extracted_phase, limit),
+        "limit_phase": res.limit_phase,
+        "limit_gap": wrapped_distance(res.extracted_phase, res.limit_phase),
     }
     return results, diagnostics, Table(epsilon=[res.epsilon], extracted_phase=[res.extracted_phase])
 
@@ -400,6 +394,14 @@ def _run_sweep(args: dict, tol: ToleranceConfig):
     if not isinstance(values, (list, tuple)) or not values:
         raise InputError("--values needs at least one entry")
     base = {key: val for key, val in template.items() if key != "command"}
+    # a key the command never reads would silently leave its default in place
+    parsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    keys = _flag_keys(parsers.choices[command])
+    unknown = [key for key in [*base, param] if key not in keys]
+    if unknown:
+        raise InputError(
+            f"sweep key {unknown[0]!r} is not a flag of {command!r}; expected one of {sorted(keys)}"
+        )
     entries = []
     rows = []
     for value in values:
@@ -492,6 +494,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _flag_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The argument keys a command's handler reads: the dests of its flags and,
+    for a command with modes, the mode and every mode's flags. The common
+    flags are left out, because no handler reads them."""
+    keys = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            keys.add(action.dest)
+            for sub in action.choices.values():
+                keys |= _flag_keys(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            keys.add(action.dest)
+    return keys - {"output", "csv", "tol"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

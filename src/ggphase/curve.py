@@ -6,7 +6,13 @@ closure, so it can be serialized and replayed. The connection along a curve is
 A_O(s) = Im(<psi|O|d_s psi> / <psi|O|psi>), sampled with second-order central
 differences (first-order one-sided at the two ends) and integrated with the
 trapezoid rule. The continuous phase adds the endpoint term
-Arg(<psi(L)|O|psi(0)> / <psi(L)|psi(L)>) to that integral.
+Arg(<psi(L)|O|psi(0)> / <psi(L)|psi(L)>) to that integral. An observable of
+None is the identity.
+
+:func:`connection_samples` is the one path to the connection: it runs the
+kernel once per curve and returns the samples with their integral and their
+smallest denominator. :func:`curve_phase` takes such a result to reuse it,
+and the holonomies read theirs from it.
 
 Null curves make the phase a pure loop integral: along them the connection
 integral alone reproduces the relative phase of the endpoints, so closing an
@@ -112,20 +118,18 @@ class ParamCurve:
 class ConnectionSamples:
     """Sampled connection values along a curve.
 
-    ``extrapolated`` lists endpoint sample indices whose denominator vanished
-    and whose value is therefore a one-sided limit taken from the interior,
-    not a direct evaluation.
+    ``integral`` is the trapezoid integral of ``values`` over ``params``, and
+    ``min_modulus`` the smallest |<psi|O|psi>| among the directly evaluated
+    samples. ``extrapolated`` lists endpoint sample indices whose denominator
+    vanished and whose value is therefore a one-sided limit taken from the
+    interior, not a direct evaluation.
     """
 
     params: np.ndarray
     values: np.ndarray
+    integral: float
+    min_modulus: float
     extrapolated: tuple[int, ...] = ()
-
-
-def _trapezoid(values: np.ndarray, params: np.ndarray) -> float:
-    """Trapezoid rule with a deterministic, correctly rounded accumulation."""
-    panels = 0.5 * (values[1:] + values[:-1]) * np.diff(params)
-    return math.fsum(panels.tolist())
 
 
 def connection_samples(
@@ -135,10 +139,11 @@ def connection_samples(
 ) -> ConnectionSamples:
     """Sample A_O(s) = Im(<psi|O|D psi> / <psi|O|psi>) along the curve.
 
-    A vanishing denominator at an interior sample is an error. At an endpoint
-    sample only, the value is filled by a one-sided linear extrapolation from
-    the two nearest interior samples (the limit exists for the constructed
-    null curves, where the interior connection is constant) and the index is
+    This is the one place the connection kernel runs for a curve. A vanishing
+    denominator at an interior sample is an error. At an endpoint sample
+    only, the value is filled by a one-sided linear extrapolation from the
+    two nearest interior samples (the limit exists for the constructed null
+    curves, where the interior connection is constant) and the index is
     flagged in the result.
 
     Raises
@@ -146,19 +151,9 @@ def connection_samples(
     SingularConnection
         Naming the first interior sample where |<psi|O|psi>| <= tol_zero.
     """
-    return _connection(curve, O, tol)[0]
-
-
-def _connection(
-    curve: ParamCurve, O: Observable | None, tol: ToleranceConfig
-) -> tuple[ConnectionSamples, float]:
-    """The connection samples plus the smallest |<psi|O|psi>| among the
-    samples evaluated directly (extrapolated endpoints excluded).
-
-    This is the one place the connection kernel runs for a curve.
-    """
-    obs = None if O is None else observable_entries(O, curve.dim)
-    num, den = _kernels.connection_terms(curve.params, curve.states, obs)
+    num, den = _kernels.connection_terms(
+        curve.params, curve.states, observable_entries(O, curve.dim)
+    )
     moduli = np.abs(den)
     singular = moduli <= tol.tol_zero
     m = curve.sample_count
@@ -172,7 +167,8 @@ def _connection(
         )
     values = np.empty(m, dtype=np.float64)
     good = ~singular
-    values[good] = np.imag(num[good] / den[good])
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports inf or nan
+        values[good] = np.imag(num[good] / den[good])
     extrapolated = []
     for end, first, second in ((0, 1, 2), (m - 1, m - 2, m - 3)):
         if not singular[end]:
@@ -186,20 +182,26 @@ def _connection(
             slope = (values[second] - values[first]) / (p[second] - p[first])
             values[end] = values[first] + slope * (p[end] - p[first])
     values.setflags(write=False)
-    samples = ConnectionSamples(curve.params, values, tuple(sorted(extrapolated)))
-    return samples, float(moduli[good].min())
+    # trapezoid rule with a deterministic, correctly rounded accumulation
+    integral = math.fsum((0.5 * (values[1:] + values[:-1]) * np.diff(curve.params)).tolist())
+    return ConnectionSamples(
+        curve.params, values, integral, float(moduli[good].min()), tuple(sorted(extrapolated))
+    )
 
 
 def curve_phase(
     curve: ParamCurve,
     O: Observable | None = None,
     tol: ToleranceConfig = DEFAULT_TOLS,
+    samples: ConnectionSamples | None = None,
 ) -> PhaseResult:
     """Continuous geometric phase of an open curve.
 
     value = wrap(Arg(<psi(L)|O|psi(0)> / <psi(L)|psi(L)>) + integral of A_O).
     For dense sampling with O = None this converges to the chain phase over
-    the same samples plus the closing link.
+    the same samples plus the closing link. ``samples``, a
+    :func:`connection_samples` result for the same curve, observable and
+    tolerances, is reused when given, so the connection runs once.
 
     Raises
     ------
@@ -208,29 +210,21 @@ def curve_phase(
     SingularConnection
         Propagated from the connection sampling.
     """
-    return _curve_phase(curve, O, tol)
-
-
-def _curve_phase(
-    curve: ParamCurve,
-    O: Observable | None,
-    tol: ToleranceConfig,
-    connection: tuple[ConnectionSamples, float] | None = None,
-) -> PhaseResult:
-    """curve_phase, reusing ``connection`` (a :func:`_connection` result) when given."""
-    obs = observable_entries(O, curve.dim)
     last = curve.states[-1]
-    endpoint_amp = complex(np.vdot(last, obs @ curve.states[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports inf or nan
+        endpoint_amp = complex(
+            _kernels.bra_rows(last, observable_entries(O, curve.dim)) @ curve.states[0]
+        )
     if abs(endpoint_amp) <= tol.tol_zero:
         raise UndefinedPhase(
             f"curve phase undefined: endpoint link |<psi(L)|O|psi(0)>| = "
             f"{abs(endpoint_amp):.3e} <= tol_zero"
         )
     endpoint_arg = principal_arg(endpoint_amp / np.vdot(last, last).real)
-    samples, min_den = connection if connection is not None else _connection(curve, O, tol)
-    integral = _trapezoid(samples.values, samples.params)
-    min_mod = min(abs(endpoint_amp), min_den)
-    return PhaseResult(wrap_angle(endpoint_arg + integral), min_mod, curve.sample_count)
+    if samples is None:
+        samples = connection_samples(curve, O, tol)
+    min_mod = min(abs(endpoint_amp), samples.min_modulus)
+    return PhaseResult(wrap_angle(endpoint_arg + samples.integral), min_mod, curve.sample_count)
 
 
 def geodesic_null_curve(
@@ -322,22 +316,23 @@ def o_null_curve(
         raise ValueError(f"tau must be positive, got {tau}")
     if A.dim != B.dim:
         raise ValueError(f"state dims differ: {A.dim} vs {B.dim}")
+    # n(x) = c_A(x) A + c_B(x) B: one (M, 2) @ (2, dim) product, and
+    # <n|O|n> = c^* G c from the 2x2 Gram matrix G = [A;B]^* O [A;B]^T
     obs = observable_entries(O, A.dim)
-    link = complex(np.vdot(B.components, obs @ A.components))
+    span = np.stack((A.components, B.components))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan ones are reported below
+        link = complex(_kernels.bra_rows(B.components, obs) @ A.components)
+        gram = _kernels.bra_rows(span, obs) @ span.T
     if abs(link) <= tol.tol_zero:
         raise UndefinedPhase(
             f"null curve undefined: |<A|O|B>| = {abs(link):.3e} <= tol_zero"
         )
-    theta = principal_arg(link / np.vdot(B.components, B.components).real)
+    theta = principal_arg(link / B.norm_sq)
     x = np.linspace(0.0, tau, M)
     frac = x / tau
     gauge = np.exp(-1j * theta * frac)
-    # n(x) = c_A(x) A + c_B(x) B: one (M, 2) @ (2, dim) product, and
-    # <n|O|n> = c^* G c from the 2x2 Gram matrix G = [A;B]^* O [A;B]^T
     coeffs = np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
-    span = np.stack((A.components, B.components))
     curve = ParamCurve(x, coeffs @ span, tol=tol)
-    gram = span.conj() @ obs @ span.T
     den = ((coeffs.conj() @ gram) * coeffs).sum(axis=1).real
     interior_bad = np.flatnonzero(np.abs(den[1 : M - 1]) <= tol.tol_zero)
     if interior_bad.size:
@@ -384,13 +379,10 @@ def loop_holonomy(
         M=open_curve.sample_count,
         tol=tol,
     )
-    open_samples, open_min = _connection(open_curve, O, tol)
-    closing_samples, closing_min = _connection(closing, O, tol)
-    value = wrap_angle(
-        _trapezoid(open_samples.values, open_samples.params)
-        + _trapezoid(closing_samples.values, closing_samples.params)
-    )
-    min_mod = min(open_min, closing_min)
+    open_part = connection_samples(open_curve, O, tol)
+    closing_part = connection_samples(closing, O, tol)
+    value = wrap_angle(open_part.integral + closing_part.integral)
+    min_mod = min(open_part.min_modulus, closing_part.min_modulus)
     return PhaseResult(value, min_mod, open_curve.sample_count + closing.sample_count)
 
 
@@ -412,9 +404,9 @@ def triangle_holonomy(
     min_mod = math.inf
     for a in range(3):
         segment = o_null_curve(vertices[a], vertices[(a + 1) % 3], O, tau=1.0, M=M, tol=tol)
-        samples, min_den = _connection(segment, O, tol)
-        total += _trapezoid(samples.values, samples.params)
-        min_mod = min(min_mod, min_den)
+        samples = connection_samples(segment, O, tol)
+        total += samples.integral
+        min_mod = min(min_mod, samples.min_modulus)
     return PhaseResult(wrap_angle(total), min_mod, 3 * M)
 
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import NonOrthogonalBasis, UndefinedPhase
 from .hilbert import (
     DEFAULT_TOLS,
@@ -121,11 +122,15 @@ class CycleResult:
         wrapped to (-pi, pi].
     epsilon : float
         The time step per projection.
+    limit_phase : float
+        Arg(<b0|H|b2><b2|H|b1><b1|H|b0>), the epsilon -> 0 limit of
+        extracted_phase: the chain phase of b0 -> b2 -> b1 under H.
     """
 
     amplitude: complex
     extracted_phase: float
     epsilon: float
+    limit_phase: float
 
 
 def evolve(H: Observable, t: float) -> UnitaryMatrix:
@@ -151,7 +156,8 @@ def projective_cycle_amplitude(
     amplitude = <b0|U|b2><b2|U|b1><b1|U|b0> with U = evolve(H, epsilon).
     For small epsilon each off-diagonal factor is -i*epsilon*<.|H|.> to
     leading order, so extracted_phase = wrap(Arg(amplitude) + 3*pi/2) tends
-    to Arg(<b0|H|b2><b2|H|b1><b1|H|b0>) linearly in epsilon.
+    to limit_phase = Arg(<b0|H|b2><b2|H|b1><b1|H|b0>) linearly in epsilon.
+    Both products take their links from the chain b0 -> b2 -> b1.
 
     Raises
     ------
@@ -173,21 +179,18 @@ def projective_cycle_amplitude(
         raise NonOrthogonalBasis(
             f"basis is not orthonormal: max |<b_a|b_b> - delta_ab| = {gram_defect:.3e}"
         )
-    links = ((1, 0), (2, 1), (0, 2))
-    for a, b in links:
-        amp = complex(np.vdot(stack[a], H.entries @ stack[b]))
+    chain = stack[[0, 2, 1]]  # links <b0|.|b2>, <b2|.|b1>, <b1|.|b0>
+    h_links = _kernels.chain_link_amplitudes(chain, H.entries)
+    for amp, (a, b) in zip(h_links, ((0, 2), (2, 1), (1, 0))):
         if abs(amp) <= tol.tol_zero:
             raise UndefinedPhase(
                 f"cycle phase undefined: |<b{a}|H|b{b}>| = {abs(amp):.3e} <= tol_zero"
             )
-    u = evolve(H, epsilon).entries
-    amplitude = complex(
-        np.vdot(stack[0], u @ stack[2])
-        * np.vdot(stack[2], u @ stack[1])
-        * np.vdot(stack[1], u @ stack[0])
-    )
+    u_links = _kernels.chain_link_amplitudes(chain, evolve(H, epsilon).entries)
+    amplitude = complex(u_links[0] * u_links[1] * u_links[2])
     extracted = wrap_angle(principal_arg(amplitude) + 1.5 * math.pi)
-    return CycleResult(amplitude, extracted, epsilon)
+    limit = principal_arg(h_links[0] * h_links[1] * h_links[2])
+    return CycleResult(amplitude, extracted, epsilon, limit)
 
 
 def two_level_state(p: TwoLevelParams) -> StateVector:

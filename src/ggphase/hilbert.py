@@ -212,8 +212,8 @@ class DensityMatrix:
         return self._entries.shape[0]
 
 
-def observable_entries(O: Observable | None, dim: int) -> np.ndarray:
-    """The entries of an optional observable; None means the dim x dim identity.
+def observable_entries(O: Observable | None, dim: int) -> np.ndarray | None:
+    """The entries of an optional observable; None, the identity, stays None.
 
     Raises
     ------
@@ -221,7 +221,7 @@ def observable_entries(O: Observable | None, dim: int) -> np.ndarray:
         If the observable's dimension differs from ``dim``.
     """
     if O is None:
-        return np.eye(dim, dtype=np.complex128)
+        return None
     if O.dim != dim:
         raise ValueError(f"observable dim {O.dim} does not match state dim {dim}")
     return O.entries

@@ -20,7 +20,6 @@ from . import _kernels
 from .errors import IdentityNotApplicable, UndefinedPhase
 from .hilbert import (
     DEFAULT_TOLS,
-    DensityMatrix,
     Observable,
     StateVector,
     ToleranceConfig,
@@ -91,8 +90,7 @@ def generalized_phase_chain(
         stack = np.array([s.components for s in states])
     except ValueError:  # ragged rows: numpy refuses the inhomogeneous shape
         raise ValueError("states must share one dimension") from None
-    obs = None if O is None else observable_entries(O, stack.shape[1])
-    amps = _kernels.chain_link_amplitudes(stack, obs)
+    amps = _kernels.chain_link_amplitudes(stack, observable_entries(O, stack.shape[1]))
     moduli = np.abs(amps)
     min_modulus = float(moduli.min())
     if min_modulus <= tol.tol_zero:
@@ -114,16 +112,17 @@ def bargmann_density_phase(
     """Three-state phase as Arg Tr(rho_1 O rho_2 O rho_3 O).
 
     Equals :func:`generalized_phase_chain` on the same inputs; computing it
-    through density matrices makes the gauge invariance manifest.
+    through density matrices makes the gauge invariance manifest. Each factor
+    rho O = |psi><psi|O / <psi|psi> is the outer product of the state with its
+    bra row <psi|O|.
     """
     if len(states) != 3:
         raise ValueError(f"density-matrix form takes exactly 3 states, got {len(states)}")
     obs = observable_entries(O, states[0].dim)
-    prod = np.eye(states[0].dim, dtype=np.complex128)
-    for s in states:
-        rho = DensityMatrix.from_state(s).entries
-        prod = prod @ rho @ obs
-    trace = complex(np.trace(prod))
+    r1, r2, r3 = (
+        np.outer(s.components, _kernels.bra_rows(s.components, obs)) / s.norm_sq for s in states
+    )
+    trace = complex(np.trace(r1 @ r2 @ r3))
     if abs(trace) <= tol.tol_zero:
         raise UndefinedPhase(
             f"density phase undefined: |trace| = {abs(trace):.3e} <= tol_zero"

@@ -572,6 +572,36 @@ class TestNullCurve:
         assert code != 0
         assert "tau must be positive" in out + err
 
+    @pytest.mark.parametrize("tau", ["0", "-1"])
+    def test_non_positive_tau_is_an_invocation_error(self, capsys, tmp_path, tau):
+        a = write_json(tmp_path / "a.json", [1, 0])
+        b = write_json(tmp_path / "b.json", cvec([0.6, 0.8j]))
+        code, out, err = invoke(capsys, "null-curve", "--a", a, "--b", b, "--identity", "--tau", tau)
+        assert (code, out) == (1, "")
+        assert "tau must be positive" in err
+        template = write_json(
+            tmp_path / "job.json", {"command": "null-curve", "a": a, "b": b, "identity": True}
+        )
+        code, out, err = invoke(
+            capsys, "sweep", "--template", template, "--param", "tau", "--values", "0.5", tau
+        )
+        assert (code, out) == (1, "")
+        assert "tau must be positive" in err
+
+    @pytest.mark.parametrize("tau", ["1e200", "1e-200"])
+    def test_connection_integral_is_independent_of_tau(self, capsys, tmp_path, tau):
+        # steps of 2.5e199 or 2.5e-201 must neither overflow nor underflow
+        # the stencil weights
+        a = write_json(tmp_path / "a.json", [1, 0])
+        b = write_json(tmp_path / "b.json", cvec([0.6j, 0.8]))
+        argv = ["null-curve", "--a", a, "--b", b, "--identity", "--samples", "5"]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        want = json.loads(out)["results"]["connection_integral"]
+        code, out, _ = invoke(capsys, *argv, "--tau", tau)
+        assert code == 0
+        assert json.loads(out)["results"]["connection_integral"] == pytest.approx(want, rel=1e-12)
+
     # Only counts refused before anything is allocated: a count of about 1e8
     # to 1e12 would really try to allocate gigabytes.
     @pytest.mark.parametrize(
@@ -880,6 +910,26 @@ class TestSweep:
         values = [row["value"] for row in json.loads(out)["results"]["rows"]]
         assert [(v, type(v)) for v in values] == [(1, int), (1.5, float), (2, int)]
 
+    @pytest.mark.parametrize(("template_extra", "param", "named"), [
+        ({}, "sampels", "sampels"),
+        ({"sampels": 5}, "tau", "sampels"),
+        ({}, "output", "output"),
+        ({"tol": 1e-9}, "samples", "tol"),
+    ])
+    def test_key_the_command_never_reads_is_refused(self, capsys, tmp_path, template_extra,
+                                                     param, named):
+        # a key the command does not read would silently leave its default
+        a = write_json(tmp_path / "a.json", [1, 0])
+        b = write_json(tmp_path / "b.json", cvec([0.6j, 0.8]))
+        template = write_json(tmp_path / "job.json", {
+            "command": "null-curve", "a": a, "b": b, "identity": True, **template_extra,
+        })
+        code, out, err = invoke(
+            capsys, "sweep", "--template", template, "--param", param, "--values", "5", "7"
+        )
+        assert (code, out) == (1, "")
+        assert f"sweep key {named!r} is not a flag of 'null-curve'" in err
+
     def test_nested_sweep_rejected(self, capsys, tmp_path):
         template = write_json(tmp_path / "job.json", {"command": "sweep"})
         code, _, err = invoke(
@@ -1029,6 +1079,29 @@ class TestQuietExit2:
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert "reports must be finite" in json.loads(proc.stdout)["error"]["message"]
+
+    @pytest.mark.parametrize("observable", [None, [[1e200, 1e200], [1e200, 1e200]]])
+    def test_overflowing_curve_prints_nothing_to_stderr(self, tmp_path, observable):
+        # The endpoint link <psi(L)|O|psi(0)> is not zero, so the kernel, the
+        # connection quotient and the endpoint sandwich all overflow.
+        curve = write_json(tmp_path / "c.json", {
+            "params": [0, 1, 2], "states": [[1e200, 0], [1e200, 1e200], [1e200, 1e200]],
+        })
+        obs_args = ["--identity"] if observable is None else [
+            "--observable", write_json(tmp_path / "o.json", observable)]
+        proc = run_module("curve", "--curve", curve, *obs_args)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("observable", [None, [[1e200, 1e200], [1e200, 1e200]]])
+    def test_overflowing_null_curve_prints_nothing_to_stderr(self, tmp_path, observable):
+        a = write_json(tmp_path / "a.json", [1e200, 0])
+        b = write_json(tmp_path / "b.json", [1e200, 1e200])
+        obs_args = ["--identity"] if observable is None else [
+            "--observable", write_json(tmp_path / "o.json", observable)]
+        proc = run_module("null-curve", "--a", a, "--b", b, "--samples", "5", *obs_args)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
 
 
 class TestConsoleScript:

@@ -1,5 +1,6 @@
 """Discretized curves, the generalized connection, and null-curve holonomy."""
 
+import json
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from ggphase import (
     wrapped_distance,
 )
 from ggphase import _kernels
+from ggphase.cli import main
 
 X = Observable([[0.0, 1.0], [1.0, 0.0]])
 
@@ -131,6 +133,24 @@ class TestConnectionSamples:
             errs.append(abs(samples.values[mid] - dense.values[2000]))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, abs=1.2)
+
+    def test_integral_and_min_modulus(self):
+        a, b = StateVector([1.0, 0.0]), StateVector([0.0, 1.0])
+        samples = connection_samples(o_null_curve(a, b, X, M=101), X)
+        s, v = samples.params, samples.values
+        assert samples.integral == math.fsum((0.5 * (v[1:] + v[:-1]) * np.diff(s)).tolist())
+        # <n|X|n> = 2 (x/tau) (1 - x/tau) vanishes at both extrapolated ends,
+        # so the smallest direct modulus is at samples 1 and 99
+        assert samples.extrapolated == (0, 100)
+        assert samples.min_modulus == pytest.approx(2 * 0.01 * 0.99, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_integral_is_invariant_under_huge_and_tiny_parameter_scales(self, scale):
+        s, theta, phi = smooth_two_level_path(rng_for(68), 201, x_safe=True)
+        params, states = bloch_curve_arrays(s, theta, phi)
+        want = connection_samples(ParamCurve(params, states), X).integral
+        got = connection_samples(ParamCurve(params * scale, states), X).integral
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestCurvePhase:
@@ -453,6 +473,31 @@ class TestConnectionEvaluatedOncePerCurve:
 
     def test_curve_phase(self, kernel_curves):
         curve_phase(great_circle_curve(201, 0.5, start=0.4, stop=2.2), X)
+        assert len(kernel_curves) == 1
+
+    def test_curve_phase_with_given_samples(self, kernel_curves):
+        curve = great_circle_curve(201, 0.5, start=0.4, stop=2.2)
+        reused = curve_phase(curve, X, samples=connection_samples(curve, X))
+        assert len(kernel_curves) == 1
+        assert reused == curve_phase(curve, X)
+
+    def test_cli_curve_job(self, kernel_curves, tmp_path):
+        curve = great_circle_curve(201, 0.5, start=0.4, stop=2.2)
+        job = tmp_path / "curve.json"
+        job.write_text(json.dumps({
+            "params": curve.params.tolist(),
+            "states": [[{"re": z.real, "im": z.imag} for z in row] for row in curve.states.tolist()],
+        }))
+        out = tmp_path / "report.json"
+        assert main(["curve", "--curve", str(job), "--identity", "--output", str(out)]) == 0
+        assert len(kernel_curves) == 1
+
+    def test_cli_null_curve_job(self, kernel_curves, tmp_path):
+        (tmp_path / "a.json").write_text("[1, 0]")
+        (tmp_path / "b.json").write_text('[{"re": 0, "im": 0.6}, 0.8]')
+        argv = ["null-curve", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
+                "--identity", "--output", str(tmp_path / "report.json")]
+        assert main(argv) == 0
         assert len(kernel_curves) == 1
 
     def test_loop_holonomy(self, kernel_curves):

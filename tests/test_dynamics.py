@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,26 @@ class TestProjectiveCycle:
         h = Observable(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(UndefinedPhase):
             projective_cycle_amplitude(h, self.axes(3), 1e-2)
+
+    @pytest.mark.parametrize("seed", [96, 97, 98])
+    def test_limit_phase_is_the_chain_phase_of_b0_b2_b1(self, seed):
+        rng = rng_for(seed)
+        dim = int(rng.integers(3, 6))
+        h = random_hermitian(rng, dim)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)))
+        basis = [StateVector(col) for col in q.T]
+        res = projective_cycle_amplitude(h, basis, 1e-3)
+        chain = generalized_phase_chain([basis[0], basis[2], basis[1]], h).value
+        assert wrapped_distance(res.limit_phase, chain) <= 1e-15
+
+    @pytest.mark.parametrize(("zero", "named"), [
+        ((0, 2), "<b0|H|b2>"), ((2, 1), "<b2|H|b1>"), ((1, 0), "<b1|H|b0>"),
+    ])
+    def test_vanishing_h_link_is_named(self, zero, named):
+        m = np.array([[0.5, 1.0, 2.0], [1.0, -0.5, 1.5], [2.0, 1.5, 0.0]])
+        m[zero] = m[zero[::-1]] = 0.0
+        with pytest.raises(UndefinedPhase, match=re.escape(named)):
+            projective_cycle_amplitude(Observable(m), self.axes(3), 1e-2)
 
     def test_result_carries_inputs(self):
         rng = rng_for(95)

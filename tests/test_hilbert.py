@@ -12,15 +12,20 @@ from ggphase import (
     DEFAULT_TOLS,
     DensityMatrix,
     Observable,
+    ParamCurve,
     StateVector,
     ToleranceConfig,
     UndefinedWeakValue,
+    bargmann_density_phase,
+    curve_phase,
     matrix_element,
+    o_null_curve,
     relative_phase,
     weak_value,
     wrap_angle,
     wrapped_distance,
 )
+from ggphase.hilbert import observable_entries
 
 
 class TestWrapAngle:
@@ -123,6 +128,39 @@ class TestDensityMatrix:
             DensityMatrix(off)
         loose = ToleranceConfig(tol_herm=1e-8)
         np.testing.assert_array_equal(DensityMatrix(off, tol=loose).entries, off)
+
+
+class TestNoneIsTheIdentity:
+    """None stands for the identity observable at every layer, and no layer
+    builds an identity matrix in its place."""
+
+    def test_observable_entries_of_none_is_none(self):
+        assert observable_entries(None, 4) is None
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_curve_phase_and_null_curve(self, seed):
+        rng = rng_for(seed)
+        dim = int(rng.integers(2, 6))
+        a, b = random_state(rng, dim), random_state(rng, dim)
+        ident = Observable.identity(dim)
+        by_none = o_null_curve(a, b, None, M=101)
+        by_eye = o_null_curve(a, b, ident, M=101)
+        assert np.max(np.abs(by_none.states - by_eye.states)) <= 1e-15
+        states = rng.normal(size=(101, dim)) + 1j * rng.normal(size=(101, dim))
+        curve = ParamCurve(np.cumsum(rng.uniform(0.5, 1.5, size=101)), states)
+        got, want = curve_phase(curve, None), curve_phase(curve, ident)
+        assert wrapped_distance(got.value, want.value) <= 1e-15
+        assert got.min_link_modulus == pytest.approx(want.min_link_modulus, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", [34, 35, 36])
+    def test_density_phase(self, seed):
+        rng = rng_for(seed)
+        dim = int(rng.integers(2, 6))
+        states = [random_state(rng, dim) for _ in range(3)]
+        got = bargmann_density_phase(states, None)
+        want = bargmann_density_phase(states, Observable.identity(dim))
+        assert wrapped_distance(got.value, want.value) <= 1e-15
+        assert got.min_link_modulus == pytest.approx(want.min_link_modulus, rel=1e-15)
 
 
 class TestMatrixElementAndPhases:

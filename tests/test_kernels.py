@@ -66,6 +66,17 @@ class TestConnectionTerms:
         ) / (hp * hm * (hp + hm))
         assert num[1] == pytest.approx(states[1].conj() @ obs @ d1, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_steps_far_from_one_scale_the_numerators(self, scale):
+        # A product of two steps would overflow (or underflow) here; the
+        # weights divide in sequence, so the numerators scale as 1 / scale.
+        params = np.array([0.0, 0.3, 1.0, 1.2, 2.0])
+        states, obs = random_stack(19, 5, 3)
+        num, den = connection_terms(params, states, obs)
+        scaled_num, scaled_den = connection_terms(params * scale, states, obs)
+        assert np.array_equal(scaled_den, den)
+        np.testing.assert_allclose(scaled_num * scale, num, rtol=1e-14)
+
 
 def random_grid(rng, count: int, uniform: bool) -> np.ndarray:
     """Strictly increasing parameters; uniform ones are multiples of 1/8, so
