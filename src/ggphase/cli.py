@@ -1,8 +1,11 @@
 """Batch command-line front door: one declarative job per invocation, files
 in, a deterministic JSON report (and optional CSV table) out.
 
-``main`` times the subcommand's handler, then writes the report, or the error
-payload of a domain error, by one path: to --output, or to stdout without it.
+argparse is the one flag validator: each subparser names its handler
+(_add_common), and a handler reads typed, checked arguments. A sweep row is
+turned into the command line it stands for and parsed by the same parser.
+``main`` times the handler, then writes the report, or the error payload of a
+domain error, by one path: to --output, or to stdout without it.
 Exit status contract: 0 on success, 2 when a typed domain error (or an
 operation-level ValueError) says the requested quantity does not exist, 1 on
 I/O or parse failures, including bad flags. Reports print every float with
@@ -56,41 +59,6 @@ __all__ = ["main"]
 # Input loading ---------------------------------------------------------------
 
 
-def _need(args: dict, key: str):
-    value = args.get(key)
-    if value is None:
-        raise InputError(f"missing required argument {key!r}")
-    return value
-
-
-def _as_float(args: dict, key: str) -> float:
-    """A finite float argument; a template may hold any JSON value here."""
-    value = _need(args, key)
-    try:
-        number = float(value)
-    except OverflowError:
-        raise InputError(f"argument {key!r} is too large for a double") from None
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"argument {key!r} must be a number, got {value!r}") from exc
-    if not math.isfinite(number):
-        raise InputError(f"argument {key!r} must be a finite number, got {value!r}")
-    return number
-
-
-def _as_int(args: dict, key: str, default: int | None = None) -> int:
-    value = args.get(key)
-    if value is None:
-        if default is None:
-            raise InputError(f"missing required argument {key!r}")
-        return default
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InputError(f"argument {key!r} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"argument {key!r} must be an integer, got {value!r}") from exc
-
-
 def _state_from_file(path: str) -> StateVector:
     data = _io.load_json_file(path)
     try:
@@ -121,13 +89,7 @@ def _observable_from_file(path: str, tol: ToleranceConfig) -> Observable:
 
 
 def _resolve_observable(args: dict, tol: ToleranceConfig) -> Observable | None:
-    identity = bool(args.get("identity"))
-    path = args.get("observable")
-    if identity and path:
-        raise InputError("--identity and --observable are mutually exclusive")
-    if not identity and not path:
-        raise InputError("one of --observable or --identity is required")
-    return None if identity else _observable_from_file(path, tol)
+    return None if args["identity"] else _observable_from_file(args["observable"], tol)
 
 
 def _curve_from_file(path: str, tol: ToleranceConfig) -> ParamCurve:
@@ -171,7 +133,7 @@ def _grid_model_from_file(path: str, tol: ToleranceConfig) -> GridModel:
 
 
 def _run_phase(args: dict, tol: ToleranceConfig):
-    states = _states_from_file(_need(args, "states"))
+    states = _states_from_file(args["states"])
     obs = _resolve_observable(args, tol)
     res = generalized_phase_chain(states, obs, tol=tol)
     results = {
@@ -183,7 +145,7 @@ def _run_phase(args: dict, tol: ToleranceConfig):
 
 
 def _run_curve(args: dict, tol: ToleranceConfig):
-    curve = _curve_from_file(_need(args, "curve"), tol)
+    curve = _curve_from_file(args["curve"], tol)
     obs = _resolve_observable(args, tol)
     samples = connection_samples(curve, obs, tol)
     res = curve_phase(curve, obs, tol, samples=samples)
@@ -200,15 +162,14 @@ def _run_curve(args: dict, tol: ToleranceConfig):
 
 
 def _run_null_curve(args: dict, tol: ToleranceConfig):
-    a = _state_from_file(_need(args, "a"))
-    b = _state_from_file(_need(args, "b"))
+    a = _state_from_file(args["a"])
+    b = _state_from_file(args["b"])
     obs = _resolve_observable(args, tol)
-    samples_count = _as_int(args, "samples", default=1001)
+    samples_count, tau = args["samples"], args["tau"]
     if samples_count < 3:
         raise InputError(f"argument 'samples' must be at least 3, got {samples_count}")
     if samples_count > np.iinfo(np.intp).max // (16 * a.dim):  # no (M, dim) complex array
         raise InputError(f"argument 'samples' is too large for one array, got {samples_count}")
-    tau = 1.0 if args.get("tau") is None else _as_float(args, "tau")
     if tau <= 0.0:
         raise InputError(f"argument 'tau': tau must be positive, got {tau}")
     curve = o_null_curve(a, b, obs, tau=tau, M=samples_count, tol=tol)
@@ -230,8 +191,8 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
 
 
 def _run_cycle(args: dict, tol: ToleranceConfig):
-    h = _observable_from_file(_need(args, "h"), tol)
-    if args.get("basis"):
+    h = _observable_from_file(args["h"], tol)
+    if args["basis"]:
         basis = _states_from_file(args["basis"])
         if len(basis) != 3:
             raise InputError(f"basis file must hold exactly 3 states, got {len(basis)}")
@@ -239,8 +200,7 @@ def _run_cycle(args: dict, tol: ToleranceConfig):
         if h.dim < 3:
             raise InputError("the default basis needs dim >= 3; pass --basis for dim-2 h")
         basis = [StateVector.basis_vector(h.dim, k) for k in range(3)]
-    epsilon = _as_float(args, "epsilon")
-    res = projective_cycle_amplitude(h, basis, epsilon, tol=tol)
+    res = projective_cycle_amplitude(h, basis, args["epsilon"], tol=tol)
     results = {
         "amplitude": res.amplitude,
         "extracted_phase": res.extracted_phase,
@@ -254,21 +214,20 @@ def _run_cycle(args: dict, tol: ToleranceConfig):
 
 
 def _run_two_level(args: dict, tol: ToleranceConfig):
-    kind = str(_need(args, "kind"))
-    params = TwoLevelParams(_as_float(args, "theta"), _as_float(args, "phi"))
+    kind = args["kind"]
+    params = TwoLevelParams(args["theta"], args["phi"])
     value = two_level_phase(kind, params, tol=tol)
     results = {"kind": kind, "theta": params.theta, "phi": params.phi, "phase": value}
     return results, {}, Table(theta=[params.theta], phi=[params.phi], phase=[value])
 
 
 def _run_perturb(args: dict, tol: ToleranceConfig):
-    h0_path = _need(args, "h0")
+    h0_path = args["h0"]
     levels = _io.parse_real_list(_io.load_json_file(h0_path), h0_path)
     system = EigenSystem.standard(levels)
-    potential = _observable_from_file(_need(args, "v"), tol)
-    n = _as_int(args, "level")
-    coupling = _as_float(args, "coupling")
-    shift = energy_shift(system, potential, n, coupling)
+    potential = _observable_from_file(args["v"], tol)
+    n = args["level"]
+    shift = energy_shift(system, potential, n, args["coupling"])
     terms = third_order_phase_terms(system, potential, n, tol=tol)
     table = Table(k=terms.k, l=terms.l, modulus=terms.modulus, gamma_v=terms.gamma_v,
                   denominator=terms.denominator)
@@ -286,17 +245,7 @@ def _run_perturb(args: dict, tol: ToleranceConfig):
     return results, diagnostics, table
 
 
-def _run_scatter(args: dict, tol: ToleranceConfig):
-    mode = _need(args, "mode")
-    if mode == "grid":
-        return _run_scatter_grid(args, tol)
-    if mode == "separable":
-        return _run_scatter_separable(args, tol)
-    raise InputError(f"unknown scatter mode {mode!r}; expected grid or separable")
-
-
-def _incoming_index(model: GridModel, raw) -> int:
-    text = str(raw)
+def _incoming_index(model: GridModel, text: str) -> int:
     if text in model.labels:
         return model.index_of(text)
     try:
@@ -311,8 +260,8 @@ def _incoming_index(model: GridModel, raw) -> int:
 
 
 def _run_scatter_grid(args: dict, tol: ToleranceConfig):
-    model = _grid_model_from_file(_need(args, "model"), tol)
-    index = _incoming_index(model, _need(args, "incoming"))
+    model = _grid_model_from_file(args["model"], tol)
+    index = _incoming_index(model, args["incoming"])
     psi = lippmann_schwinger_solve(model, index, tol=tol)
     green = _green_diagonal(model, index)
     rhs = np.zeros(model.size, dtype=np.complex128)
@@ -344,13 +293,8 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
 
 
 def _run_scatter_separable(args: dict, tol: ToleranceConfig):
-    model = SeparableModel(
-        coupling=_as_float(args, "coupling"),
-        beta=_as_float(args, "beta"),
-        mass=_as_float(args, "mass"),
-    )
-    k = _as_float(args, "k")
-    born_order = _as_int(args, "born_order", default=2)
+    model = SeparableModel(coupling=args["coupling"], beta=args["beta"], mass=args["mass"])
+    k, born_order = args["k"], args["born_order"]
     exact = separable_tmatrix(model, k, tol=tol)
     residual = optical_theorem_residual(model, k, tol=tol)
     born = separable_born_amplitude(model, k, order=born_order)
@@ -379,54 +323,91 @@ def _flatten_row(param: str, value, results: dict) -> dict:
     return row
 
 
+# What main reads from a parsed command line; a handler reads the rest.
+_JOB_KEYS = ("command", "handler", "output", "csv", "tol")
+
+
+def _parse_job(parser: argparse.ArgumentParser, argv) -> tuple[list, dict]:
+    """The values of _JOB_KEYS, in order, and the arguments the handler reads."""
+    args = vars(parser.parse_args(argv))
+    return [args.pop(key) for key in _JOB_KEYS], args
+
+
+def _flag_options(parser: argparse.ArgumentParser) -> dict:
+    """Template key -> option string of every flag a command's handler reads:
+    the dests of its flags and, for a command with modes, every mode's flags,
+    with the mode itself mapped to None (a positional word). The common flags
+    are left out, because a sweep runs each row with its own."""
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            options[action.dest] = None
+            for sub in action.choices.values():
+                options.update(_flag_options(sub))
+        elif not isinstance(action, argparse._HelpAction) and action.dest not in _JOB_KEYS:
+            options[action.dest] = action.option_strings[0]
+    return options
+
+
+def _row_argv(command: str, options: dict, row: dict) -> list[str]:
+    """The command line a sweep row stands for: the command, its mode word,
+    then one item per key. true is the bare flag, false and null leave the
+    flag out, and any other value is "--flag=value", whose "=" keeps a value
+    such as -1e-3 or --x from reading as an option string."""
+    words, flags = [command], []
+    for key, value in row.items():
+        option = options[key]
+        if value is None or value is False:
+            continue
+        if option is None:
+            word = str(value)
+            if word.startswith("-"):  # would parse as an option, such as -h
+                raise InputError(f"sweep key {key!r} must be a mode of {command!r}, got {value!r}")
+            words.append(word)
+        else:
+            flags.append(option if value is True else f"{option}={value}")
+    return words + flags
+
+
 def _run_sweep(args: dict, tol: ToleranceConfig):
-    template_path = _need(args, "template")
+    template_path, param, values = args["template"], args["param"], args["values"]
     template = _io.load_json_file(template_path)
     if not isinstance(template, dict) or "command" not in template:
         raise InputError(f'{template_path}: expected an object with a "command" key')
     command = template["command"]
+    if not isinstance(command, str):
+        raise InputError(f'{template_path}: "command" must be a string, got {command!r}')
     if command == "sweep":
         raise InputError("sweep templates cannot nest another sweep")
-    if command not in _HANDLERS:
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if command not in commands:
         raise InputError(f"{template_path}: unknown command {command!r}")
-    param = str(_need(args, "param"))
-    values = _need(args, "values")
-    if not isinstance(values, (list, tuple)) or not values:
-        raise InputError("--values needs at least one entry")
     base = {key: val for key, val in template.items() if key != "command"}
-    # a key the command never reads would silently leave its default in place
-    parsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    keys = _flag_keys(parsers.choices[command])
-    unknown = [key for key in [*base, param] if key not in keys]
+    # only a flag can stand in a row's command line
+    options = _flag_options(commands[command])
+    unknown = [key for key in [*base, param] if key not in options]
     if unknown:
         raise InputError(
-            f"sweep key {unknown[0]!r} is not a flag of {command!r}; expected one of {sorted(keys)}"
+            f"sweep key {unknown[0]!r} is not a flag of {command!r}; expected one of {sorted(options)}"
         )
     entries = []
     rows = []
     for value in values:
-        sub_results, _, _ = _HANDLERS[command]({**base, param: value}, tol)
+        try:
+            (_, handler, *_), job = _parse_job(parser, _row_argv(command, options, {**base, param: value}))
+        except SystemExit:  # the parser has printed its usage and the offending flag
+            raise InputError(
+                f"{template_path}: the row {param}={value!r} is not a valid {command!r} command line"
+            ) from None
+        sub_results, _, _ = handler(job, tol)
         entries.append({"value": value, "results": sub_results})
         rows.append(_flatten_row(param, value, sub_results))
-    if any(row.keys() != rows[0].keys() for row in rows):
-        raise InputError(f"sweep rows of {command!r} have different result columns")
     # Object columns keep each value's own type: --values 1 1.5 prints 1 and 1.5.
     table = Table(**{name: np.array([row[name] for row in rows], dtype=object) for name in rows[0]})
     results = {"command": command, "param": param, "rows": entries}
     diagnostics = {"row_count": len(entries)}
     return results, diagnostics, table
-
-
-_HANDLERS = {
-    "phase": _run_phase,
-    "curve": _run_curve,
-    "null-curve": _run_null_curve,
-    "cycle": _run_cycle,
-    "two-level": _run_two_level,
-    "perturb": _run_perturb,
-    "scatter": _run_scatter,
-    "sweep": _run_sweep,
-}
 
 
 # Orchestration ---------------------------------------------------------------
@@ -496,22 +477,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _flag_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """The argument keys a command's handler reads: the dests of its flags and,
-    for a command with modes, the mode and every mode's flags. The common
-    flags are left out, because no handler reads them."""
-    keys = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            keys.add(action.dest)
-            for sub in action.choices.values():
-                keys |= _flag_keys(sub)
-        elif not isinstance(action, argparse._HelpAction):
-            keys.add(action.dest)
-    return keys - {"output", "csv", "tol"}
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, handler) -> None:
+    """The flags that main, not the handler, reads; and the handler itself."""
+    p.set_defaults(handler=handler)
     p.add_argument("--output", metavar="FILE", help="write the JSON report (or error payload) here instead of stdout")
     p.add_argument("--csv", metavar="FILE", help="also write the CSV table here")
     p.add_argument("--tol-zero", type=_tolerance, default=DEFAULT_TOLS, dest="tol",
@@ -543,7 +511,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--states", required=True, metavar="FILE",
                    help="JSON array of state vectors (complex as {re, im})")
     _add_observable(p)
-    _add_common(p)
+    _add_common(p, _run_phase)
 
     p = sub.add_parser(
         "curve",
@@ -554,7 +522,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--curve", required=True, metavar="FILE",
                    help='JSON object {"params": [...], "states": [[{re, im}, ...], ...]}')
     _add_observable(p)
-    _add_common(p)
+    _add_common(p, _run_curve)
 
     p = sub.add_parser(
         "null-curve",
@@ -568,7 +536,7 @@ def _build_parser() -> _Parser:
     _add_observable(p)
     p.add_argument("--samples", type=int, default=1001, help="number of curve samples, at least 3 (default 1001)")
     p.add_argument("--tau", type=_finite_float, default=1.0, help="parameter length (default 1)")
-    _add_common(p)
+    _add_common(p, _run_null_curve)
 
     p = sub.add_parser(
         "cycle",
@@ -581,7 +549,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epsilon", required=True, type=_finite_float, help="time step per projection")
     p.add_argument("--basis", metavar="FILE",
                    help="JSON array of 3 orthonormal states (default: first three axes)")
-    _add_common(p)
+    _add_common(p, _run_cycle)
 
     p = sub.add_parser(
         "two-level",
@@ -593,7 +561,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", required=True, choices=["x", "hadamard"])
     p.add_argument("--theta", required=True, type=_finite_float, help="polar angle in [0, 2*pi]")
     p.add_argument("--phi", required=True, type=_finite_float, help="azimuth in (-pi, pi]")
-    _add_common(p)
+    _add_common(p, _run_two_level)
 
     p = sub.add_parser(
         "perturb",
@@ -608,7 +576,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--level", required=True, type=int, help="level index n")
     p.add_argument("--lambda", required=True, type=_finite_float, dest="coupling",
                    help="perturbation coupling strength")
-    _add_common(p)
+    _add_common(p, _run_perturb)
 
     p = sub.add_parser(
         "scatter",
@@ -625,7 +593,7 @@ def _build_parser() -> _Parser:
                     help='JSON {"momenta": [{"label", "energy"}, ...], "mass", "epsilon", "V"}')
     pg.add_argument("--incoming", required=True,
                     help="incoming momentum: a grid label or an integer index")
-    _add_common(pg)
+    _add_common(pg, _run_scatter_grid)
     ps = ssub.add_parser("separable", help="rank-1 separable continuum model")
     ps.add_argument("--beta", required=True, type=_finite_float, help="form-factor range (> 0)")
     ps.add_argument("--coupling", required=True, type=_finite_float, help="potential strength")
@@ -633,7 +601,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--k", required=True, type=_finite_float, help="on-shell momentum (> 0)")
     ps.add_argument("--born-order", type=int, default=2, dest="born_order",
                     help="truncation order of the comparison Born series (default 2)")
-    _add_common(ps)
+    _add_common(ps, _run_scatter_separable)
 
     p = sub.add_parser(
         "sweep",
@@ -647,19 +615,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--param", required=True, help="template key to sweep")
     p.add_argument("--values", required=True, nargs="+", type=_parse_scalar,
                    help="values to substitute (parsed as int, float, or string)")
-    _add_common(p)
+    _add_common(p, _run_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
     """Entry point; returns the process exit status."""
-    args = vars(_build_parser().parse_args(argv))
-    command, output, csv, tol = (args.pop(key) for key in ("command", "output", "csv", "tol"))
+    (command, handler, output, csv, tol), args = _parse_job(_build_parser(), argv)
     try:
         try:
             start = time.perf_counter()
-            results, diagnostics, table = _HANDLERS[command](args, tol)
+            results, diagnostics, table = handler(args, tol)
             report = {
                 "command": command,
                 "args": args,

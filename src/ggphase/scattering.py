@@ -303,7 +303,10 @@ def _radial_principal_value(k: float, beta: float) -> float:
         p = beta * u / (1.0 - u)
         jac = beta / (1.0 - u) ** 2
         with np.errstate(over="ignore", invalid="ignore"):
-            value = float(np.sum(wgt * 0.5 * jac * _subtracted_radial_integrand(p, k, beta)))
+            try:
+                value = float(np.sum(wgt * 0.5 * jac * _subtracted_radial_integrand(p, k, beta)))
+            except OverflowError:  # a float power such as beta**4 raises instead of giving inf
+                value = math.inf
         if not math.isfinite(value):
             raise QuadratureNotConverged(
                 f"principal-value quadrature overflowed at k = {k}, beta = {beta}"

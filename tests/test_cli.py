@@ -7,7 +7,9 @@ subcommand wraps.
 """
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -18,6 +20,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ggphase as gg
 from conftest import located_vector_oracle, random_hermitian, rng_for
@@ -456,7 +460,7 @@ class TestHugeAndNonFiniteInputs:
         code, out, err = invoke(capsys, "sweep", "--template", template, "--param", "phi", "--values", "0.1")
         assert code == 1
         assert out == ""
-        assert "argument 'theta' is too large for a double" in err
+        assert "argument --theta: expected a finite number" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["1e400", "-1e400", '"nan"', '"inf"', "NaN", "Infinity"])
@@ -470,7 +474,7 @@ class TestHugeAndNonFiniteInputs:
         )
         assert code == 1
         assert out == ""
-        assert "argument 'theta' must be a finite number" in err
+        assert "argument --theta: expected a finite number" in err
 
 
 class TestCurve:
@@ -765,8 +769,8 @@ class TestScatter:
         assert_phase_terms_are_the_csv(out, out_csv)
 
     def test_sweep_over_mode_has_no_table(self, capsys, grid_file, tmp_path):
-        # Grid and separable rows have different scalar results, so the
-        # sweep's rows make no rectangular table.
+        # Each row is a command line of one mode, so a template that holds
+        # flags of both modes is refused like that command line.
         template = write_json(tmp_path / "job.json", {
             "command": "scatter", "model": grid_file, "incoming": "k1",
             "beta": 1.0, "coupling": -0.5, "mass": 1.0, "k": 1.0,
@@ -776,7 +780,7 @@ class TestScatter:
             "--values", "grid", "separable",
         )
         assert (code, out) == (1, "")
-        assert "different result columns" in err
+        assert "unrecognized arguments: --beta=1.0" in err
 
     def test_grid_by_index(self, capsys, grid_file):
         code, out, _ = invoke(
@@ -857,6 +861,18 @@ class TestScatter:
         code, out, err = invoke(
             capsys, "scatter", "separable", "--coupling", "0.1",
             "--beta", "1.0", "--mass", "1.0", "--k", "1e300",
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "QuadratureNotConverged"
+        assert "Traceback" not in err
+
+    # beta = 1.2e77 overflows the float power beta**4, k = 1e80 the float
+    # power (k^2 + beta^2)^2; each raises OverflowError rather than giving inf.
+    @pytest.mark.parametrize(("beta", "k"), [("1.2e77", "1.0"), ("1.0", "1e80")])
+    def test_separable_float_power_overflow_exits_2(self, capsys, beta, k):
+        code, out, err = invoke(
+            capsys, "scatter", "separable", "--coupling", "0.1",
+            "--beta", beta, "--mass", "1.0", "--k", k,
         )
         assert code == 2
         assert json.loads(out)["error"]["type"] == "QuadratureNotConverged"
@@ -944,6 +960,170 @@ class TestSweep:
             capsys, "sweep", "--template", template, "--param", "x", "--values", "1"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command", [["phase"], {"name": "phase"}, 3, None])
+    def test_command_that_is_not_a_string(self, capsys, tmp_path, command):
+        template = write_json(tmp_path / "job.json", {"command": command, "epsilon": 0.1})
+        code, out, err = invoke(
+            capsys, "sweep", "--template", template, "--param", "epsilon", "--values", "1"
+        )
+        assert (code, out) == (1, "")
+        assert f'{template}: "command" must be a string, got {command!r}' in err
+
+
+def sweep_jobs(d: pathlib.Path) -> dict:
+    """One valid job per subcommand and scatter mode: its sweep template, the
+    swept key and value, and the command line of that one-value sweep row."""
+    states = write_json(d / "states.json", [[1, 0], cvec([0.6, 0.8j]), cvec([0.5, 0.5 + 0.2j])])
+    x = write_json(d / "x.json", X_MATRIX)
+    curve = write_json(d / "curve.json", {"params": [0, 0.5, 1], "states": [[1, 0], [0.8, 0.6], [0.6, 0.8]]})
+    a, b = write_json(d / "a.json", [1, 0]), write_json(d / "b.json", cvec([0.6, 0.8j]))
+    h = write_json(d / "h.json", cmat(random_hermitian(rng_for(11), 3).entries))
+    h0 = write_json(d / "h0.json", [0.0, 1.1, 2.3])
+    v = write_json(d / "v.json", cmat(random_hermitian(rng_for(12), 3).entries))
+    grid = write_json(d / "grid.json", {
+        "momenta": [{"label": f"k{j}", "energy": e} for j, e in enumerate([0.5, 1.2, 2.0])],
+        "mass": 1.0, "epsilon": 0.8, "V": cmat(random_hermitian(rng_for(13), 3).entries),
+    })
+    return {
+        "phase": ({"command": "phase", "states": states, "identity": True}, "states", states,
+                  ["phase", "--states", states, "--identity"]),
+        "curve": ({"command": "curve", "curve": curve, "observable": x}, "observable", x,
+                  ["curve", "--curve", curve, "--observable", x]),
+        "null-curve": ({"command": "null-curve", "a": a, "b": b, "identity": True, "samples": 5},
+                       "tau", "0.5",
+                       ["null-curve", "--a", a, "--b", b, "--identity", "--samples", "5", "--tau", "0.5"]),
+        "cycle": ({"command": "cycle", "h": h, "epsilon": 0.01}, "epsilon", "0.02",
+                  ["cycle", "--h", h, "--epsilon", "0.02"]),
+        "two-level": ({"command": "two-level", "kind": "hadamard", "theta": 1.0, "phi": 0.25},
+                      "phi", "-0.5", ["two-level", "--kind", "hadamard", "--theta", "1", "--phi", "-0.5"]),
+        "perturb": ({"command": "perturb", "h0": h0, "v": v, "level": 1, "coupling": 0.1},
+                    "coupling", "0.2", ["perturb", "--h0", h0, "--v", v, "--level", "1", "--lambda", "0.2"]),
+        "scatter grid": ({"command": "scatter", "mode": "grid", "model": grid, "incoming": "k0"},
+                         "incoming", "k1", ["scatter", "grid", "--model", grid, "--incoming", "k1"]),
+        "scatter separable": (
+            {"command": "scatter", "mode": "separable", "beta": 1.0, "coupling": -0.5, "mass": 1.0,
+             "k": 1.0, "born_order": 3},
+            "k", "1.5",
+            ["scatter", "separable", "--beta", "1", "--coupling", "-0.5", "--mass", "1", "--k", "1.5",
+             "--born-order", "3"],
+        ),
+    }
+
+
+SWEEP_JOB_NAMES = [
+    "phase", "curve", "null-curve", "cycle", "two-level", "perturb", "scatter grid", "scatter separable",
+]
+
+
+@pytest.fixture(scope="module")
+def job_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep")
+
+
+@pytest.fixture(scope="module")
+def jobs(job_dir):
+    return sweep_jobs(job_dir)
+
+
+# Any JSON value: every template key may hold one.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def allocates(key: str, value) -> bool:
+    """A sample count or Born order of 10**5 or more: that many array rows or series terms."""
+    try:
+        return key in ("samples", "born_order") and int(str(value)) >= 10**5
+    except ValueError:
+        return False
+
+
+class TestSweepRowsAreCommandLines:
+    """A sweep row is parsed by the parser of the command line it stands for,
+    so it runs like that command line and is refused like it."""
+
+    @pytest.mark.parametrize("name", SWEEP_JOB_NAMES)
+    def test_one_row_sweep_is_the_direct_job(self, capsys, job_dir, jobs, name):
+        template, param, value, argv = jobs[name]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        direct = json.loads(out)["results"]
+        path = write_json(job_dir / "job.json", template)
+        code, out, _ = invoke(capsys, "sweep", "--template", path, "--param", param, "--values", value)
+        assert code == 0
+        assert json.loads(out)["results"]["rows"][0]["results"] == direct
+
+    @pytest.mark.parametrize(("template", "param", "value", "argv"), [
+        ({"command": "two-level", "kind": "y", "theta": 1.0}, "phi", "0.5",
+         ["two-level", "--kind=y", "--theta=1.0", "--phi=0.5"]),
+        ({"command": "two-level", "kind": "X", "theta": 1.0}, "phi", "0.5",
+         ["two-level", "--kind=X", "--theta=1.0", "--phi=0.5"]),
+        ({"command": "phase", "states": "s.json", "identity": "no"}, "states", "s.json",
+         ["phase", "--states=s.json", "--identity=no"]),
+        ({"command": "two-level", "kind": "x", "theta": False}, "phi", "0.5",
+         ["two-level", "--kind=x", "--phi=0.5"]),
+        ({"command": "null-curve", "a": "a.json", "b": "b.json", "identity": True, "samples": 5.0},
+         "tau", "0.5", ["null-curve", "--a=a.json", "--b=b.json", "--identity", "--samples=5.0", "--tau=0.5"]),
+        ({"command": "scatter", "mode": "grid", "model": "m.json", "incoming": "k1", "beta": 1.0},
+         "k", "1.0", ["scatter", "grid", "--model=m.json", "--incoming=k1", "--beta=1.0", "--k=1.0"]),
+    ], ids=["kind y", "kind X", "identity no", "theta false", "samples 5.0", "grid with beta and k"])
+    def test_template_value_is_refused_like_its_command_line(self, capsys, tmp_path, template, param,
+                                                             value, argv):
+        code, out, want = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        path = write_json(tmp_path / "job.json", template)
+        code, out, err = invoke(capsys, "sweep", "--template", path, "--param", param, "--values", value)
+        assert (code, out) == (1, "")
+        assert want in err
+
+    def test_mode_that_reads_as_an_option(self, capsys, tmp_path):
+        template = write_json(tmp_path / "job.json", {"command": "scatter", "mode": "-h"})
+        code, out, err = invoke(capsys, "sweep", "--template", template, "--param", "k", "--values", "1")
+        assert (code, out) == (1, "")
+        assert "sweep key 'mode' must be a mode of 'scatter', got '-h'" in err
+
+    @pytest.mark.parametrize(("template", "param", "value", "message"), [
+        ({"command": "phase", "states": 0, "observable": "x.json"}, "observable", "x.json", "cannot read 0"),
+        ({"command": "phase", "states": True, "observable": "x.json"}, "observable", "x.json",
+         "argument --states: expected one argument"),
+        ({"command": "cycle", "h": 1.5, "epsilon": 0.01}, "epsilon", "0.02", "cannot read 1.5"),
+    ])
+    def test_path_value_is_a_file_name(self, tmp_path, template, param, value, message):
+        # A number is a file name, never a file descriptor such as stdin.
+        write_json(tmp_path / "x.json", X_MATRIX)
+        write_json(tmp_path / "job.json", template)
+        proc = run_module("sweep", "--template", "job.json", "--param", param, "--values", value,
+                          cwd=tmp_path, input=json.dumps([[1, 0], [0.6, 0.8], [0.8, 0.6]]))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", SWEEP_JOB_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_template_value_keeps_the_exit_contract(self, job_dir, jobs, name, data):
+        template, param, value, _ = jobs[name]
+        key = data.draw(st.sampled_from(sorted(template)), label="key")
+        replacement = data.draw(JSON_VALUES, label="value")
+        assume(not allocates(key, replacement))
+        path = write_json(job_dir / "fuzz.json", {**template, key: replacement})
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, like a UTF-8 stdout
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")  # like sys.stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--template", path, "--param", param, "--values", value])
+        out.flush()
+        text = out.buffer.getvalue().decode("utf-8")
+        if code == 0:
+            assert "results" in json.loads(text)
+        elif code == 1:
+            assert text == ""
+        else:
+            assert code == 2
+            assert "error" in json.loads(text)
 
 
 class TestDeterminism:
@@ -1046,14 +1226,16 @@ class TestEmission:
             assert quantity in error["message"]
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """python -m ggphase.cli in a fresh process, so numpy's warnings reach its stderr."""
+def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """python -m ggphase.cli in a fresh process, so numpy's warnings reach its
+    stderr; keyword arguments go to subprocess.run."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, "-m", "ggphase.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+        **kwargs,
     )
 
 
