@@ -10,8 +10,8 @@ with exactly the keys "re" and "im", where every value's type is int or float
 (so a bool or a numeric string is refused). Anything else falls back to the
 located parsers, which name the first bad element, e.g. c.json.states[12][3].im.
 
-Parse failures raise InputError, which the CLI maps to exit status 1; typed
-domain errors keep exit status 2 for themselves.
+Parse failures raise InputError, which the CLI maps to exit status 1; a
+report value that is not finite raises Overflow, a domain error (exit 2).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import math
 from itertools import chain
 
 import numpy as np
+
+from .errors import Overflow
 
 __all__ = [
     "InputError",
@@ -56,7 +58,7 @@ def _scalar(value, where: str) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
-            raise ValueError(f"reports must be finite, but {where} is {value}")
+            raise Overflow(f"reports must be finite, but {where} is {value}")
         return _float_text(float(value))
     if isinstance(value, str):
         return value
@@ -171,13 +173,17 @@ def write_csv_text(table: Table) -> str:
 
 
 def load_json_file(path: str):
-    """Parse a JSON file, wrapping every failure mode in InputError."""
+    """Parse a UTF-8 JSON file; a path that cannot be read and a file that is
+    not JSON each raise InputError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate in the path
+        shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in path)
+        raise InputError(f"cannot read {shown}: {exc}") from exc
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an integer past Python's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -17,18 +17,31 @@ stencils (<psi_0|O|psi_1> - <psi_0|O|psi_0>) / h and
 (<psi_L|O|psi_L> - <psi_L|O|psi_{L-1}>) / h at the two ends. The weights divide
 in sequence and never multiply two steps together, so grids with steps far
 above 1 or far below it neither overflow nor underflow. No derivative array of
-the states is ever formed.
+the states is ever formed. :func:`fsum` is the one correctly rounded sum.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
+    "fsum",
     "bra_rows",
     "chain_link_amplitudes",
     "connection_terms",
 ]
+
+
+def fsum(values: np.ndarray) -> float:
+    """math.fsum of an array, correctly rounded; where the sum leaves the
+    doubles and fsum would raise, the inf or nan of a plain sum instead."""
+    values = values.tolist()  # fsum iterates Python floats faster than numpy scalars
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf + -inf
+        return sum(values)
 
 
 def bra_rows(states: np.ndarray, obs: np.ndarray | None) -> np.ndarray:

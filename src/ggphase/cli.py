@@ -6,9 +6,11 @@ argparse is the one flag validator: each subparser names its handler
 turned into the command line it stands for and parsed by the same parser.
 ``main`` times the handler, then writes the report, or the error payload of a
 domain error, by one path: to --output, or to stdout without it.
-Exit status contract: 0 on success, 2 when a typed domain error (or an
-operation-level ValueError) says the requested quantity does not exist, 1 on
-I/O or parse failures, including bad flags. Reports print every float with
+Exit status contract, decided by the exception's type alone: 0 on success,
+2 when a DomainError says the requested quantity does not exist (Overflow
+included), 1 when the job was asked wrongly: a bad flag, an unreadable or
+malformed file (InputError), or an argument the library refuses
+(InvalidArgument). Any other exception is a bug. Reports print every float with
 17 significant digits (integral ones as "1.0"), so identical inputs produce
 byte-identical reports except for the wall_time_s field. All angles are
 radians in (-pi, pi].
@@ -17,6 +19,7 @@ radians in (-pi, pi].
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import re
 import sys
@@ -28,7 +31,7 @@ from . import _io
 from ._io import InputError, Table
 from .curve import ParamCurve, connection_samples, curve_phase, o_null_curve
 from .dynamics import TwoLevelParams, projective_cycle_amplitude, two_level_phase
-from .errors import DomainError
+from .errors import DomainError, InvalidArgument
 from .hilbert import (
     DEFAULT_TOLS,
     Observable,
@@ -59,12 +62,19 @@ __all__ = ["main"]
 # Input loading ---------------------------------------------------------------
 
 
-def _state_from_file(path: str) -> StateVector:
-    data = _io.load_json_file(path)
+@contextlib.contextmanager
+def _naming(path: str):
+    """An argument the library refuses while building from a file is that
+    file's fault: it becomes an InputError that names the file."""
     try:
-        return StateVector(_io.parse_vector(data, path))
-    except ValueError as exc:
+        yield
+    except InvalidArgument as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _state_from_file(path: str) -> StateVector:
+    with _naming(path):
+        return StateVector(_io.parse_vector(_io.load_json_file(path), path))
 
 
 def _states_from_file(path: str) -> list[StateVector]:
@@ -74,18 +84,13 @@ def _states_from_file(path: str) -> list[StateVector]:
     rows = _io.complex_rows(data)
     if rows is None:  # ragged or malformed: row by row, so the bad element is named
         rows = (_io.parse_vector(row, f"{path}[{i}]") for i, row in enumerate(data))
-    try:
+    with _naming(path):
         return [StateVector(row) for row in rows]
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def _observable_from_file(path: str, tol: ToleranceConfig) -> Observable:
-    data = _io.load_json_file(path)
-    try:
-        return Observable(_io.parse_matrix(data, path), tol=tol)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    with _naming(path):
+        return Observable(_io.parse_matrix(_io.load_json_file(path), path), tol=tol)
 
 
 def _resolve_observable(args: dict, tol: ToleranceConfig) -> Observable | None:
@@ -98,10 +103,8 @@ def _curve_from_file(path: str, tol: ToleranceConfig) -> ParamCurve:
         raise InputError(f'{path}: expected an object with keys "params" and "states"')
     params = _io.parse_real_list(data["params"], f"{path}.params")
     states = _io.parse_matrix(data["states"], f"{path}.states")
-    try:
+    with _naming(path):
         return ParamCurve(params, states, tol=tol)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def _grid_model_from_file(path: str, tol: ToleranceConfig) -> GridModel:
@@ -122,11 +125,9 @@ def _grid_model_from_file(path: str, tol: ToleranceConfig) -> GridModel:
         energies.append(_io.parse_real(entry["energy"], f"{path}.momenta[{i}].energy"))
     mass = _io.parse_real(data["mass"], f"{path}.mass")
     epsilon = _io.parse_real(data["epsilon"], f"{path}.epsilon")
-    try:
+    with _naming(path):
         potential = Observable(_io.parse_matrix(data["V"], f"{path}.V"), tol=tol)
         return GridModel(labels, energies, mass, potential, epsilon)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 # Command handlers ------------------------------------------------------------
@@ -170,8 +171,6 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
         raise InputError(f"argument 'samples' must be at least 3, got {samples_count}")
     if samples_count > np.iinfo(np.intp).max // (16 * a.dim):  # no (M, dim) complex array
         raise InputError(f"argument 'samples' is too large for one array, got {samples_count}")
-    if tau <= 0.0:
-        raise InputError(f"argument 'tau': tau must be positive, got {tau}")
     curve = o_null_curve(a, b, obs, tau=tau, M=samples_count, tol=tol)
     samples = connection_samples(curve, obs, tol)
     res = curve_phase(curve, obs, tol, samples=samples)
@@ -194,8 +193,6 @@ def _run_cycle(args: dict, tol: ToleranceConfig):
     h = _observable_from_file(args["h"], tol)
     if args["basis"]:
         basis = _states_from_file(args["basis"])
-        if len(basis) != 3:
-            raise InputError(f"basis file must hold exactly 3 states, got {len(basis)}")
     else:
         if h.dim < 3:
             raise InputError("the default basis needs dim >= 3; pass --basis for dim-2 h")
@@ -223,8 +220,8 @@ def _run_two_level(args: dict, tol: ToleranceConfig):
 
 def _run_perturb(args: dict, tol: ToleranceConfig):
     h0_path = args["h0"]
-    levels = _io.parse_real_list(_io.load_json_file(h0_path), h0_path)
-    system = EigenSystem.standard(levels)
+    with _naming(h0_path):
+        system = EigenSystem.standard(_io.parse_real_list(_io.load_json_file(h0_path), h0_path))
     potential = _observable_from_file(args["v"], tol)
     n = args["level"]
     shift = energy_shift(system, potential, n, args["coupling"])
@@ -254,9 +251,7 @@ def _incoming_index(model: GridModel, text: str) -> int:
         raise InputError(
             f"--incoming {text!r} is neither a grid label nor an integer index"
         ) from None
-    if not 0 <= index < model.size:
-        raise InputError(f"--incoming index {index} out of range for grid size {model.size}")
-    return index
+    return index  # the solver refuses an index off the grid
 
 
 def _run_scatter_grid(args: dict, tol: ToleranceConfig):
@@ -437,10 +432,10 @@ def _finite_float(text: str) -> float:
 
 
 def _tolerance(text: str) -> ToleranceConfig:
-    """--tol-zero; a bad tolerance is a flag problem (exit 1), not a domain error."""
+    """--tol-zero; a tolerance ToleranceConfig refuses is a flag problem (exit 1)."""
     try:
         return ToleranceConfig(tol_zero=_finite_float(text))
-    except ValueError as exc:
+    except InvalidArgument as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -637,7 +632,7 @@ def main(argv=None) -> int:
             _write_text(output, _io.emit_json(report))
             if csv:
                 _write_text(csv, _io.write_csv_text(table))
-        except (DomainError, ValueError) as exc:
+        except DomainError as exc:
             error = {"type": type(exc).__name__, "message": str(exc)}
             for attr in ("link_index", "sample_index"):
                 value = getattr(exc, attr, None)
@@ -645,7 +640,7 @@ def main(argv=None) -> int:
                     error[attr] = value
             _write_text(output, _io.emit_json({"command": command, "args": args, "error": error}))
             return 2
-    except InputError as exc:
+    except (InputError, InvalidArgument) as exc:
         sys.stderr.write(f"ggphase: error: {exc}\n")
         return 1
     return 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import OrthogonalEndpoints, SingularConnection, UndefinedPhase
+from .errors import InvalidArgument, OrthogonalEndpoints, Overflow, SingularConnection, UndefinedPhase
 from .hilbert import (
     DEFAULT_TOLS,
     Observable,
@@ -70,22 +70,22 @@ class ParamCurve:
         p = np.asarray(params, dtype=np.float64)
         s = np.ascontiguousarray(states, dtype=np.complex128)
         if p.ndim != 1 or s.ndim != 2 or p.shape[0] != s.shape[0]:
-            raise ValueError(
+            raise InvalidArgument(
                 f"params shape {p.shape} and states shape {s.shape} are inconsistent"
             )
         if p.shape[0] < 3:
-            raise ValueError(f"curve needs at least 3 samples, got {p.shape[0]}")
+            raise InvalidArgument(f"curve needs at least 3 samples, got {p.shape[0]}")
         if not np.all(np.isfinite(p)):
-            raise ValueError("params contain non-finite entries")
-        if not np.all(np.diff(p) > 0.0):
-            raise ValueError("params must be strictly increasing")
+            raise InvalidArgument("params contain non-finite entries")
+        if not np.all(p[1:] > p[:-1]):
+            raise InvalidArgument("params must be strictly increasing")
         parts = s.view(np.float64)  # (M, 2 dim): real and imaginary parts
         if not np.all(np.isfinite(parts)):
-            raise ValueError("states contain non-finite entries")
+            raise InvalidArgument("states contain non-finite entries")
         norms = np.einsum("ld,ld->l", parts, parts)
         if np.any(norms <= tol.tol_zero):
             bad = int(np.argmax(norms <= tol.tol_zero))
-            raise ValueError(f"curve state at sample {bad} has vanishing norm")
+            raise InvalidArgument(f"curve state at sample {bad} has vanishing norm")
         p.setflags(write=False)
         s.setflags(write=False)
         self._params = p
@@ -150,6 +150,8 @@ def connection_samples(
     ------
     SingularConnection
         Naming the first interior sample where |<psi|O|psi>| <= tol_zero.
+    Overflow
+        If the integral is not finite.
     """
     num, den = _kernels.connection_terms(
         curve.params, curve.states, observable_entries(O, curve.dim)
@@ -167,23 +169,25 @@ def connection_samples(
         )
     values = np.empty(m, dtype=np.float64)
     good = ~singular
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports inf or nan
-        values[good] = np.imag(num[good] / den[good])
     extrapolated = []
-    for end, first, second in ((0, 1, 2), (m - 1, m - 2, m - 3)):
-        if not singular[end]:
-            continue
-        extrapolated.append(end)
-        p = curve.params
-        if singular[first]:
-            # both ends singular on an M=3 curve: only the middle sample remains
-            values[end] = values[second]
-        else:
-            slope = (values[second] - values[first]) / (p[second] - p[first])
-            values[end] = values[first] + slope * (p[end] - p[first])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral is refused below
+        values[good] = np.imag(num[good] / den[good])
+        for end, first, second in ((0, 1, 2), (m - 1, m - 2, m - 3)):
+            if not singular[end]:
+                continue
+            extrapolated.append(end)
+            p = curve.params
+            if singular[first]:
+                # both ends singular on an M=3 curve: only the middle sample remains
+                values[end] = values[second]
+            else:
+                slope = (values[second] - values[first]) / (p[second] - p[first])
+                values[end] = values[first] + slope * (p[end] - p[first])
+        # trapezoid rule with a deterministic, correctly rounded accumulation
+        integral = _kernels.fsum(0.5 * (values[1:] + values[:-1]) * np.diff(curve.params))
     values.setflags(write=False)
-    # trapezoid rule with a deterministic, correctly rounded accumulation
-    integral = math.fsum((0.5 * (values[1:] + values[:-1]) * np.diff(curve.params)).tolist())
+    if not math.isfinite(integral):
+        raise Overflow(f"the connection integral is {integral}: the connection overflows a double")
     return ConnectionSamples(
         curve.params, values, integral, float(moduli[good].min()), tuple(sorted(extrapolated))
     )
@@ -215,15 +219,19 @@ def curve_phase(
         endpoint_amp = complex(
             _kernels.bra_rows(last, observable_entries(O, curve.dim)) @ curve.states[0]
         )
-    if abs(endpoint_amp) <= tol.tol_zero:
+    try:
+        modulus = abs(endpoint_amp)
+    except OverflowError:  # finite parts whose modulus exceeds a double
+        modulus = math.inf
+    if modulus <= tol.tol_zero:
         raise UndefinedPhase(
             f"curve phase undefined: endpoint link |<psi(L)|O|psi(0)>| = "
-            f"{abs(endpoint_amp):.3e} <= tol_zero"
+            f"{modulus:.3e} <= tol_zero"
         )
     endpoint_arg = principal_arg(endpoint_amp / np.vdot(last, last).real)
     if samples is None:
         samples = connection_samples(curve, O, tol)
-    min_mod = min(abs(endpoint_amp), samples.min_modulus)
+    min_mod = min(modulus, samples.min_modulus)
     return PhaseResult(wrap_angle(endpoint_arg + samples.integral), min_mod, curve.sample_count)
 
 
@@ -257,12 +265,12 @@ def geodesic_null_curve(
         If |<B|A>| <= tol_zero: no geodesic phase reference exists.
     """
     if not 0.0 < tau < math.pi:
-        raise ValueError(f"tau must lie in (0, pi), got {tau}")
+        raise InvalidArgument(f"tau must lie in (0, pi), got {tau}")
     if M < 3:
-        raise ValueError(f"M must be >= 3, got {M}")
+        raise InvalidArgument(f"M must be >= 3, got {M}")
     for name, s in (("A", A), ("B", B)):
         if abs(s.norm_sq - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be unit-normalized (norm^2 = {s.norm_sq:.12f})")
+            raise InvalidArgument(f"{name} must be unit-normalized (norm^2 = {s.norm_sq:.12f})")
     overlap = complex(np.vdot(A.components, B.components))
     if abs(overlap) <= tol.tol_zero:
         raise OrthogonalEndpoints("geodesic undefined between orthogonal states")
@@ -303,6 +311,8 @@ def o_null_curve(
 
     Raises
     ------
+    Overflow
+        If <n|O|n> or a state n(x) at a sample exceeds a double.
     UndefinedPhase
         If |<A|O|B>| <= tol_zero.
     SingularConnection
@@ -311,11 +321,11 @@ def o_null_curve(
         naming the nearest sample.
     """
     if M < 3:
-        raise ValueError(f"M must be >= 3, got {M}")
+        raise InvalidArgument(f"M must be >= 3, got {M}")
     if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise InvalidArgument(f"tau must be positive, got {tau}")
     if A.dim != B.dim:
-        raise ValueError(f"state dims differ: {A.dim} vs {B.dim}")
+        raise InvalidArgument(f"state dims differ: {A.dim} vs {B.dim}")
     # n(x) = c_A(x) A + c_B(x) B: one (M, 2) @ (2, dim) product, and
     # <n|O|n> = c^* G c from the 2x2 Gram matrix G = [A;B]^* O [A;B]^T
     obs = observable_entries(O, A.dim)
@@ -323,17 +333,20 @@ def o_null_curve(
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan ones are reported below
         link = complex(_kernels.bra_rows(B.components, obs) @ A.components)
         gram = _kernels.bra_rows(span, obs) @ span.T
-    if abs(link) <= tol.tol_zero:
+        modulus = float(np.abs(link))  # abs(link) would raise OverflowError past the doubles
+        theta = principal_arg(link / B.norm_sq)
+        x = np.linspace(0.0, tau, M)
+        frac = x / tau
+        gauge = np.exp(-1j * theta * frac)
+        coeffs = np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
+        den = ((coeffs.conj() @ gram) * coeffs).sum(axis=1).real
+        states = coeffs @ span
+    if not (np.isfinite(den).all() and np.isfinite(states.view(np.float64)).all()):
+        raise Overflow("null curve undefined: <n|O|n> or a curve state n overflows a double")
+    if modulus <= tol.tol_zero:
         raise UndefinedPhase(
-            f"null curve undefined: |<A|O|B>| = {abs(link):.3e} <= tol_zero"
+            f"null curve undefined: |<A|O|B>| = {modulus:.3e} <= tol_zero"
         )
-    theta = principal_arg(link / B.norm_sq)
-    x = np.linspace(0.0, tau, M)
-    frac = x / tau
-    gauge = np.exp(-1j * theta * frac)
-    coeffs = np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
-    curve = ParamCurve(x, coeffs @ span, tol=tol)
-    den = ((coeffs.conj() @ gram) * coeffs).sum(axis=1).real
     interior_bad = np.flatnonzero(np.abs(den[1 : M - 1]) <= tol.tol_zero)
     if interior_bad.size:
         l = int(interior_bad[0]) + 1
@@ -344,7 +357,7 @@ def o_null_curve(
     # a sign change between samples means the interpolation crossed a zero
     # that the grid did not land on; integrating through it would be silent
     # garbage, so report the sample nearest the crossing instead
-    crossings = np.flatnonzero(den[:-1] * den[1:] < 0.0)
+    crossings = np.flatnonzero(np.sign(den[:-1]) * np.sign(den[1:]) < 0.0)
     if crossings.size:
         i = int(crossings[0])
         l = i if abs(den[i]) < abs(den[i + 1]) else i + 1
@@ -352,7 +365,7 @@ def o_null_curve(
             f"<n|O|n> changes sign between samples {i} and {i + 1} of the null interpolation",
             sample_index=l,
         )
-    return curve
+    return ParamCurve(x, states, tol=tol)
 
 
 def loop_holonomy(
@@ -414,11 +427,11 @@ def gauge_transform(curve: ParamCurve, offsets) -> ParamCurve:
     """Re-phase each sample: states[l] -> e^{i lambda_l} states[l]."""
     lam = np.asarray(offsets, dtype=np.float64)
     if lam.shape != (curve.sample_count,):
-        raise ValueError(
+        raise InvalidArgument(
             f"offsets length {lam.shape} does not match sample count {curve.sample_count}"
         )
     if not np.all(np.isfinite(lam)):
-        raise ValueError("offsets contain non-finite entries")
+        raise InvalidArgument("offsets contain non-finite entries")
     return ParamCurve(curve.params, np.exp(1j * lam)[:, None] * curve.states)
 
 
@@ -426,7 +439,7 @@ def reparametrize(curve: ParamCurve, new_params) -> ParamCurve:
     """Replace the parameter grid, keeping the states; phases are invariant in the continuum."""
     p = np.asarray(new_params, dtype=np.float64)
     if p.shape != (curve.sample_count,):
-        raise ValueError(
+        raise InvalidArgument(
             f"new_params length {p.shape} does not match sample count {curve.sample_count}"
         )
     return ParamCurve(p, curve.states)

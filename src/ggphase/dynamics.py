@@ -8,6 +8,7 @@ exp(-i t H) is the propagator of a time-independent Hermitian H.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import NonOrthogonalBasis, UndefinedPhase
+from .errors import InvalidArgument, NonOrthogonalBasis, Overflow, UndefinedPhase
 from .hilbert import (
     DEFAULT_TOLS,
     Observable,
@@ -58,12 +59,12 @@ class UnitaryMatrix:
     def __init__(self, entries):
         mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"unitary must be square, got shape {mat.shape}")
+            raise InvalidArgument(f"unitary must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValueError("unitary entries contain non-finite values")
+            raise InvalidArgument("unitary entries contain non-finite values")
         defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
         if defect > _UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary: max |U^H U - 1| = {defect:.3e}")
+            raise InvalidArgument(f"matrix is not unitary: max |U^H U - 1| = {defect:.3e}")
         mat.setflags(write=False)
         self._entries = mat
 
@@ -95,11 +96,11 @@ class TwoLevelParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
+            raise InvalidArgument("angles must be finite")
         if not 0.0 <= self.theta <= 2.0 * math.pi:
-            raise ValueError(f"theta must lie in [0, 2*pi], got {self.theta}")
+            raise InvalidArgument(f"theta must lie in [0, 2*pi], got {self.theta}")
         if not -math.pi < self.phi <= math.pi:
-            raise ValueError(f"phi must lie in (-pi, pi], got {self.phi}")
+            raise InvalidArgument(f"phi must lie in (-pi, pi], got {self.phi}")
 
 
 class TwoLevelKind(enum.Enum):
@@ -140,7 +141,12 @@ def evolve(H: Observable, t: float) -> UnitaryMatrix:
     a truncated series.
     """
     if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+        raise InvalidArgument(f"time must be finite, got {t}")
+    # a bound on the spectral radius, and on |t| times it: both finite, so
+    # eigh converges and every phase t w is a double
+    bound = H.dim * (float(np.abs(H.entries.real).max()) + float(np.abs(H.entries.imag).max()))
+    if not math.isfinite(bound * max(1.0, abs(t))):
+        raise Overflow(f"the spectrum of t H overflows a double at t = {t}")
     w, q = np.linalg.eigh(H.entries)
     return UnitaryMatrix((q * np.exp(-1j * t * w)) @ q.conj().T)
 
@@ -166,14 +172,17 @@ def projective_cycle_amplitude(
     UndefinedPhase
         If any of the three H links vanishes; the limit phase then does not
         exist.
+    Overflow
+        If the spectrum of epsilon H, or the product of the H links,
+        exceeds a double.
     """
     if len(basis) != 3:
-        raise ValueError(f"cycle needs exactly 3 basis states, got {len(basis)}")
+        raise InvalidArgument(f"cycle needs exactly 3 basis states, got {len(basis)}")
     if epsilon <= 0.0 or not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        raise InvalidArgument(f"epsilon must be positive and finite, got {epsilon}")
+    if any(b.dim != H.dim for b in basis):
+        raise InvalidArgument(f"basis dims {[b.dim for b in basis]} do not match H dim {H.dim}")
     stack = np.stack([b.components for b in basis])
-    if stack.shape[1] != H.dim:
-        raise ValueError(f"basis dim {stack.shape[1]} does not match H dim {H.dim}")
     gram_defect = np.abs(stack.conj() @ stack.T - np.eye(3)).max()
     if gram_defect > tol.tol_herm:
         raise NonOrthogonalBasis(
@@ -189,7 +198,11 @@ def projective_cycle_amplitude(
     u_links = _kernels.chain_link_amplitudes(chain, evolve(H, epsilon).entries)
     amplitude = complex(u_links[0] * u_links[1] * u_links[2])
     extracted = wrap_angle(principal_arg(amplitude) + 1.5 * math.pi)
-    limit = principal_arg(h_links[0] * h_links[1] * h_links[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_product = complex(h_links[0] * h_links[1] * h_links[2])
+    if not cmath.isfinite(h_product):
+        raise Overflow("the product of the three H links overflows a double")
+    limit = principal_arg(h_product)
     return CycleResult(amplitude, extracted, epsilon, limit)
 
 
@@ -328,13 +341,13 @@ def f_mn(w1: float, w2: float, w3: float, t: float) -> complex:
     """
     for name, v in (("w1", w1), ("w2", w2), ("w3", w3), ("t", t)):
         if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+            raise InvalidArgument(f"{name} must be finite, got {v}")
     return complex(_ordered_exponential_integral([[w1, w2, w3]], t)[0])
 
 
 def _fsum_complex(terms: np.ndarray) -> complex:
     """Correctly rounded sum of complex terms, real and imaginary parts apart."""
-    return complex(math.fsum(terms.real.ravel().tolist()), math.fsum(terms.imag.ravel().tolist()))
+    return complex(_kernels.fsum(terms.real.ravel()), _kernels.fsum(terms.imag.ravel()))
 
 
 def survival_amplitude(
@@ -359,22 +372,22 @@ def survival_amplitude(
 
     Raises
     ------
-    ValueError
+    InvalidArgument
         If H0 is not diagonal (its basis defines the levels) or order is
         outside 0..3.
     """
     if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
+        raise InvalidArgument(f"order must be in 0..3, got {order}")
     if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+        raise InvalidArgument(f"time must be finite, got {t}")
     h0 = H0.entries
     off = np.abs(h0 - np.diag(np.diagonal(h0))).max()
     if off > tol.tol_zero:
-        raise ValueError(f"H0 must be diagonal; max off-diagonal entry is {off:.3e}")
+        raise InvalidArgument(f"H0 must be diagonal; max off-diagonal entry is {off:.3e}")
     if not 0 <= i < H0.dim:
-        raise ValueError(f"level index {i} out of range for dim {H0.dim}")
+        raise InvalidArgument(f"level index {i} out of range for dim {H0.dim}")
     if V.dim != H0.dim:
-        raise ValueError(f"V dim {V.dim} does not match H0 dim {H0.dim}")
+        raise InvalidArgument(f"V dim {V.dim} does not match H0 dim {H0.dim}")
     energies = np.real(np.diagonal(h0))
     v = V.entries
     amp = 1.0 + 0.0j

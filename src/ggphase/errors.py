@@ -1,11 +1,17 @@
-"""Typed domain errors raised when a phase, weak value, or kernel is undefined.
+"""The error taxonomy: a job asked wrongly, or a job with no defined answer.
 
-Every error below signals a mathematical precondition failure (a vanishing
-amplitude, a degenerate spectrum, a singular kernel), never an I/O problem.
-The CLI maps this hierarchy to exit status 2.
+InvalidArgument (a ValueError) says an argument or input is malformed or out
+of range: a chain of two states, a non-Hermitian observable, a negative time
+step. The CLI maps it to exit status 1, like a bad flag or an unreadable file.
+
+DomainError and its subclasses say that a well-posed question has no answer:
+a vanishing amplitude, a degenerate spectrum, a singular kernel, or a result
+beyond the range of a double (Overflow). The CLI maps them to exit status 2.
+Any other exception is a bug.
 """
 
 __all__ = [
+    "InvalidArgument",
     "DomainError",
     "UndefinedPhase",
     "UndefinedWeakValue",
@@ -17,7 +23,12 @@ __all__ = [
     "SingularKernel",
     "PoleAtEnergy",
     "QuadratureNotConverged",
+    "Overflow",
 ]
+
+
+class InvalidArgument(ValueError):
+    """An argument or input is malformed or out of range: the job was asked wrongly."""
 
 
 class DomainError(Exception):
@@ -74,3 +85,7 @@ class PoleAtEnergy(DomainError):
 
 class QuadratureNotConverged(DomainError):
     """The principal-value quadrature overflowed or its refinements never agreed."""
+
+
+class Overflow(DomainError):
+    """A result, or a quantity it is built from, exceeds the range of a double."""

@@ -8,13 +8,12 @@ All phases live in the half-open interval (-pi, pi].
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedPhase, UndefinedWeakValue
+from .errors import InvalidArgument, UndefinedPhase, UndefinedWeakValue
 
 __all__ = [
     "ToleranceConfig",
@@ -54,7 +53,7 @@ class ToleranceConfig:
         for name in ("tol_zero", "tol_herm", "tol_phase"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+                raise InvalidArgument(f"{name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_TOLS = ToleranceConfig()
@@ -78,15 +77,16 @@ def wrapped_distance(a: float, b: float) -> float:
 
 def principal_arg(z: complex) -> float:
     """Arg of a complex number in (-pi, pi] (the -pi branch cut maps to +pi)."""
-    return wrap_angle(cmath.phase(complex(z)))
+    z = complex(z)
+    return wrap_angle(math.atan2(z.imag, z.real))  # cmath.phase raises when the Arg underflows
 
 
 def _as_complex_array(data, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.complex128)
     if arr.ndim != ndim:
-        raise ValueError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+        raise InvalidArgument(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise InvalidArgument(f"{what} contains non-finite entries")
     return arr
 
 
@@ -109,7 +109,7 @@ class StateVector:
     def __init__(self, components, tol: ToleranceConfig = DEFAULT_TOLS):
         arr = _as_complex_array(components, 1, "state vector")
         if float(np.vdot(arr, arr).real) <= tol.tol_zero:
-            raise ValueError("state vector has vanishing norm")
+            raise InvalidArgument("state vector has vanishing norm")
         arr.setflags(write=False)
         self._components = arr
 
@@ -117,7 +117,7 @@ class StateVector:
     def basis_vector(cls, dim: int, index: int) -> "StateVector":
         """The computational basis vector e_index in dimension dim."""
         if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range for dim {dim}")
+            raise InvalidArgument(f"basis index {index} out of range for dim {dim}")
         vec = np.zeros(dim, dtype=np.complex128)
         vec[index] = 1.0
         return cls(vec)
@@ -153,10 +153,11 @@ class Observable:
     def __init__(self, entries, tol: ToleranceConfig = DEFAULT_TOLS):
         arr = _as_complex_array(entries, 2, "observable")
         if arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"observable must be square, got shape {arr.shape}")
-        deviation = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+            raise InvalidArgument(f"observable must be square, got shape {arr.shape}")
+        with np.errstate(over="ignore"):  # a difference past the doubles is inf: not Hermitian
+            deviation = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
         if deviation > tol.tol_herm:
-            raise ValueError(f"observable is not Hermitian (deviation {deviation:.3e})")
+            raise InvalidArgument(f"observable is not Hermitian (deviation {deviation:.3e})")
         arr.setflags(write=False)
         self._entries = arr
 
@@ -188,13 +189,13 @@ class DensityMatrix:
     def __init__(self, entries, tol: ToleranceConfig = DEFAULT_TOLS):
         arr = _as_complex_array(entries, 2, "density matrix")
         if arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {arr.shape}")
+            raise InvalidArgument(f"density matrix must be square, got shape {arr.shape}")
         if float(np.max(np.abs(arr - arr.conj().T))) > tol.tol_herm:
-            raise ValueError("density matrix is not Hermitian")
+            raise InvalidArgument("density matrix is not Hermitian")
         if abs(complex(np.trace(arr)) - 1.0) > tol.tol_herm:
-            raise ValueError("density matrix trace differs from 1")
+            raise InvalidArgument("density matrix trace differs from 1")
         if float(np.max(np.abs(arr @ arr - arr))) > tol.tol_herm:
-            raise ValueError("density matrix is not idempotent (mixed states rejected)")
+            raise InvalidArgument("density matrix is not idempotent (mixed states rejected)")
         arr.setflags(write=False)
         self._entries = arr
 
@@ -217,13 +218,13 @@ def observable_entries(O: Observable | None, dim: int) -> np.ndarray | None:
 
     Raises
     ------
-    ValueError
+    InvalidArgument
         If the observable's dimension differs from ``dim``.
     """
     if O is None:
         return None
     if O.dim != dim:
-        raise ValueError(f"observable dim {O.dim} does not match state dim {dim}")
+        raise InvalidArgument(f"observable dim {O.dim} does not match state dim {dim}")
     return O.entries
 
 
@@ -242,7 +243,7 @@ def matrix_element(A: StateVector, O: Observable | None, B: StateVector) -> comp
     complex
     """
     if A.dim != B.dim:
-        raise ValueError(f"state dims differ: {A.dim} vs {B.dim}")
+        raise InvalidArgument(f"state dims differ: {A.dim} vs {B.dim}")
     if O is None:
         return complex(np.vdot(A.components, B.components))
     entries = observable_entries(O, A.dim)

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSpectrum
+from . import _kernels
+from .errors import DegenerateSpectrum, DomainError, InvalidArgument
 from .hilbert import (
     DEFAULT_TOLS,
     Observable,
@@ -61,16 +62,17 @@ class EigenSystem:
     ):
         e = np.asarray(energies, dtype=np.float64)
         if e.ndim != 1 or e.shape[0] < 2:
-            raise ValueError(f"need at least 2 levels, got shape {e.shape}")
+            raise InvalidArgument(f"need at least 2 levels, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
-            raise ValueError("energies contain non-finite entries")
+            raise InvalidArgument("energies contain non-finite entries")
         if len(basis) != e.shape[0]:
-            raise ValueError(
+            raise InvalidArgument(
                 f"{len(basis)} basis states for {e.shape[0]} energies"
             )
-        gaps = np.diff(e)
+        with np.errstate(over="ignore"):  # a gap past the doubles is inf, and large enough
+            gaps = np.diff(e)
         if np.any(gaps <= 0.0):
-            raise ValueError("energies must be strictly ascending")
+            raise InvalidArgument("energies must be strictly ascending")
         if gaps.min() <= gap_tol:
             k = int(np.argmin(gaps))
             raise DegenerateSpectrum(
@@ -79,7 +81,7 @@ class EigenSystem:
         stack = np.stack([b.components for b in basis])
         gram_defect = np.abs(stack.conj() @ stack.T - np.eye(stack.shape[0])).max()
         if gram_defect > tol.tol_herm:
-            raise ValueError(
+            raise InvalidArgument(
                 f"basis is not orthonormal: max |<b_a|b_b> - delta_ab| = {gram_defect:.3e}"
             )
         e.setflags(write=False)
@@ -156,7 +158,7 @@ class PhaseTermTable:
     def reconstruct(self) -> complex:
         """Sum of modulus * exp(i gamma_v) / denominator over all rows."""
         terms = self.modulus * np.exp(1j * self.gamma_v) / self.denominator
-        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+        return complex(_kernels.fsum(terms.real), _kernels.fsum(terms.imag))
 
 
 def _wrap_angles(a: np.ndarray) -> np.ndarray:
@@ -196,13 +198,14 @@ def _level_projection(
     within the hermiticity tolerance of the input.
     """
     if not 0 <= n < sys.level_count:
-        raise ValueError(f"level {n} out of range for {sys.level_count} levels")
+        raise InvalidArgument(f"level {n} out of range for {sys.level_count} levels")
     if V.dim != sys.dim:
-        raise ValueError(f"V dim {V.dim} does not match system dim {sys.dim}")
+        raise InvalidArgument(f"V dim {V.dim} does not match system dim {sys.dim}")
     b = sys.basis_matrix
-    m = b.conj() @ V.entries @ b.T
     others = np.delete(np.arange(sys.level_count), n)
-    return 0.5 * (m + m.conj().T), others, sys.energies[n] - sys.energies[others]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan reaches the report emitter
+        m = b.conj() @ V.entries @ b.T
+        return 0.5 * (m + m.conj().T), others, sys.energies[n] - sys.energies[others]
 
 
 def energy_shift(
@@ -220,22 +223,21 @@ def energy_shift(
     """
     w, others, gaps = _level_projection(sys, V, n)
     if not math.isfinite(coupling):
-        raise ValueError(f"coupling must be finite, got {coupling}")
-    order1 = w[n, n].real
+        raise InvalidArgument(f"coupling must be finite, got {coupling}")
+    order1 = float(w[n, n].real)
     # An overflowing order stays non-finite; the report emitter names it (exit 2).
     with np.errstate(over="ignore", invalid="ignore"):
         strength = np.abs(w[n, others]) ** 2
-        order2 = math.fsum(strength / gaps)
+        order2 = _kernels.fsum(strength / gaps)
         double = (
             w[n, others][:, None] * w[np.ix_(others, others)] * w[others, n][None, :]
             / np.multiply.outer(gaps, gaps)
         ).ravel()
-        # fsum iterates a list of Python floats faster than numpy scalars
-        residue = math.fsum(double.imag.tolist())
+        residue = _kernels.fsum(double.imag)
         if abs(residue) > _REALITY_TOL:
-            raise ValueError(f"third-order imaginary residue {residue:.3e} exceeds 1e-12")
-        correction = order1 * math.fsum(strength / gaps**2)
-        order3 = math.fsum(double.real.tolist()) - correction
+            raise DomainError(f"third-order imaginary residue {residue:.3e} exceeds 1e-12")
+        correction = order1 * _kernels.fsum(strength / gaps**2)
+        order3 = _kernels.fsum(double.real) - correction
     return ShiftSeries(order1, order2, order3, coupling)
 
 
@@ -254,7 +256,7 @@ def perturbed_state(
     """
     w, others, gaps = _level_projection(sys, V, n)
     if not math.isfinite(coupling):
-        raise ValueError(f"coupling must be finite, got {coupling}")
+        raise InvalidArgument(f"coupling must be finite, got {coupling}")
     col = w[others, n]
     first = col / gaps
     second = (

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import IdentityNotApplicable, UndefinedPhase
+from .errors import IdentityNotApplicable, InvalidArgument, UndefinedPhase
 from .hilbert import (
     DEFAULT_TOLS,
     Observable,
@@ -85,11 +85,11 @@ def generalized_phase_chain(
         Naming the first link whose amplitude modulus is <= tol_zero.
     """
     if len(states) < 3:
-        raise ValueError(f"chain needs at least 3 states, got {len(states)}")
+        raise InvalidArgument(f"chain needs at least 3 states, got {len(states)}")
     try:
         stack = np.array([s.components for s in states])
     except ValueError:  # ragged rows: numpy refuses the inhomogeneous shape
-        raise ValueError("states must share one dimension") from None
+        raise InvalidArgument("states must share one dimension") from None
     amps = _kernels.chain_link_amplitudes(stack, observable_entries(O, stack.shape[1]))
     moduli = np.abs(amps)
     min_modulus = float(moduli.min())
@@ -117,7 +117,7 @@ def bargmann_density_phase(
     bra row <psi|O|.
     """
     if len(states) != 3:
-        raise ValueError(f"density-matrix form takes exactly 3 states, got {len(states)}")
+        raise InvalidArgument(f"density-matrix form takes exactly 3 states, got {len(states)}")
     obs = observable_entries(O, states[0].dim)
     r1, r2, r3 = (
         np.outer(s.components, _kernels.bra_rows(s.components, obs)) / s.norm_sq for s in states
@@ -149,7 +149,7 @@ def phase_via_weak_values(
         Propagated when an O-link vanishes.
     """
     if len(states) != 3:
-        raise ValueError(f"weak-value decomposition takes exactly 3 states, got {len(states)}")
+        raise InvalidArgument(f"weak-value decomposition takes exactly 3 states, got {len(states)}")
     pairs = [(0, 1), (1, 2), (2, 0)]
     ws = []
     for a, b in pairs:

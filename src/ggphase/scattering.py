@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleAtEnergy, QuadratureNotConverged, SingularKernel
+from .errors import InvalidArgument, Overflow, PoleAtEnergy, QuadratureNotConverged, SingularKernel
 from .hilbert import DEFAULT_TOLS, Observable, StateVector, ToleranceConfig
 from .perturbation import PhaseTermTable, _closed_triples
 
@@ -61,20 +61,20 @@ class GridModel:
     def __init__(self, labels, energies, mass: float, V: Observable, greens_epsilon: float = 1e-6):
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
-            raise ValueError("momentum labels must be distinct")
+            raise InvalidArgument("momentum labels must be distinct")
         e = np.asarray(energies, dtype=np.float64)
         if e.ndim != 1 or e.shape[0] != len(labels):
-            raise ValueError(
+            raise InvalidArgument(
                 f"{len(labels)} labels but energies shape {e.shape}"
             )
         if not np.all(np.isfinite(e)):
-            raise ValueError("energies contain non-finite entries")
+            raise InvalidArgument("energies contain non-finite entries")
         if not (math.isfinite(mass) and mass > 0.0):
-            raise ValueError(f"mass must be positive, got {mass}")
+            raise InvalidArgument(f"mass must be positive, got {mass}")
         if V.dim != len(labels):
-            raise ValueError(f"V dim {V.dim} does not match grid size {len(labels)}")
+            raise InvalidArgument(f"V dim {V.dim} does not match grid size {len(labels)}")
         if not (math.isfinite(greens_epsilon) and greens_epsilon > 0.0):
-            raise ValueError(f"greens_epsilon must be positive, got {greens_epsilon}")
+            raise InvalidArgument(f"greens_epsilon must be positive, got {greens_epsilon}")
         e.setflags(write=False)
         self._labels = labels
         self._energies = e
@@ -127,11 +127,11 @@ class SeparableModel:
     def __post_init__(self):
         for name, v in (("coupling", self.coupling), ("beta", self.beta), ("mass", self.mass)):
             if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+                raise InvalidArgument(f"{name} must be finite, got {v}")
         if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise InvalidArgument(f"beta must be positive, got {self.beta}")
         if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+            raise InvalidArgument(f"mass must be positive, got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -154,18 +154,21 @@ class BornReport:
 
 
 def _green_diagonal(model: GridModel, i: int) -> np.ndarray:
-    """Propagator diagonal 1 / (E_i - E_p + i epsilon)."""
-    return 1.0 / (model.energies[i] - model.energies + 1j * model.greens_epsilon)
+    """Propagator diagonal 1 / (E_i - E_p + i epsilon); an entry past the
+    doubles is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1.0 / (model.energies[i] - model.energies + 1j * model.greens_epsilon)
 
 
 def _scattering_kernel(model: GridModel, i: int) -> np.ndarray:
     """The Lippmann-Schwinger matrix 1 - G0 V at the energy of grid point i."""
-    return np.eye(model.size) - _green_diagonal(model, i)[:, None] * model.V.entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.eye(model.size) - _green_diagonal(model, i)[:, None] * model.V.entries
 
 
 def _check_index(model: GridModel, i: int) -> None:
     if not 0 <= i < model.size:
-        raise ValueError(f"momentum index {i} out of range for grid size {model.size}")
+        raise InvalidArgument(f"momentum index {i} out of range for grid size {model.size}")
 
 
 def born_spectral_radius(model: GridModel, i: int) -> float:
@@ -192,12 +195,16 @@ def lippmann_schwinger_solve(
 
     Raises
     ------
+    Overflow
+        If an entry of (1 - G0 V) exceeds a double.
     SingularKernel
         If (1 - G0 V) is singular or numerically unusable (condition number
         above 1e14).
     """
     _check_index(model, i)
     kernel = _scattering_kernel(model, i)
+    if not np.isfinite(kernel).all():
+        raise Overflow(f"scattering kernel at grid point {i} overflows a double")
     cond = np.linalg.cond(kernel)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularKernel(
@@ -230,8 +237,9 @@ def born_forward_amplitude(model: GridModel, i: int) -> BornReport:
     row = v[i, :]
     col = v[:, i]
     t0 = complex(v[i, i])
-    t1 = complex((row * g) @ col)
-    t2 = complex((row * g) @ v @ (g * col))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan terms reach the report emitter
+        t1 = complex((row * g) @ col)
+        t2 = complex((row * g) @ v @ (g * col))
     return BornReport(
         scale * t0, scale * t1, scale * t2, born_spectral_radius(model, i)
     )
@@ -250,7 +258,8 @@ def triple_product_phases(
     """
     _check_index(model, i)
     v = model.V.entries
-    den = model.energies[i] - model.energies + 1j * model.greens_epsilon
+    with np.errstate(over="ignore"):  # an inf denominator reaches the report emitter
+        den = model.energies[i] - model.energies + 1j * model.greens_epsilon
     return _closed_triples(v[i, :], v, v[:, i], den, np.arange(model.size), tol)
 
 
@@ -300,9 +309,9 @@ def _radial_principal_value(k: float, beta: float) -> float:
     while nodes <= _PV_MAX_NODES:
         x, wgt = _gauss_legendre(nodes)
         u = 0.5 * (x + 1.0)
-        p = beta * u / (1.0 - u)
-        jac = beta / (1.0 - u) ** 2
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # a non-finite sum is refused below
+            p = beta * u / (1.0 - u)
+            jac = beta / (1.0 - u) ** 2
             try:
                 value = float(np.sum(wgt * 0.5 * jac * _subtracted_radial_integrand(p, k, beta)))
             except OverflowError:  # a float power such as beta**4 raises instead of giving inf
@@ -329,7 +338,7 @@ def loop_integral(model: SeparableModel, k: float) -> complex:
     pole.
     """
     if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"on-shell momentum must be positive, got {k}")
+        raise InvalidArgument(f"on-shell momentum must be positive, got {k}")
     m, beta = model.mass, model.beta
     real = 8.0 * math.pi * m * _radial_principal_value(k, beta)
     imag = -4.0 * math.pi**2 * m * k / (k * k + beta**2) ** 2
@@ -363,11 +372,11 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
     """Born series of the separable amplitude truncated at the given power.
 
     Sums -4 pi^2 m chi(k)^2 * (c + c^2 I + ... + c^order I^(order-1)); the
-    deviation from the exact amplitude is O(c^(order+1)). Raises ValueError
-    if order < 1 or if the truncated series overflows a double.
+    deviation from the exact amplitude is O(c^(order+1)). Raises
+    InvalidArgument if order < 1, Overflow if the series overflows a double.
     """
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise InvalidArgument(f"order must be >= 1, got {order}")
     loop = loop_integral(model, k)
     chi_sq = 1.0 / (k * k + model.beta**2) ** 2
     c = model.coupling
@@ -377,7 +386,7 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
         series = complex(math.inf)
     amplitude = -4.0 * math.pi**2 * model.mass * chi_sq * series
     if not cmath.isfinite(amplitude):
-        raise ValueError(f"the order-{order} Born amplitude overflows a double at coupling {c}")
+        raise Overflow(f"the order-{order} Born amplitude overflows a double at coupling {c}")
     return amplitude
 
 
@@ -392,7 +401,7 @@ def optical_theorem_residual(
     The rank-1 amplitude is isotropic, so the total cross section is
     4 pi |f|^2 and unitarity demands Im f = k |f|^2. The exact T-matrix
     satisfies this to quadrature accuracy; a Born truncation at order n
-    violates it at O(coupling^(n+1)). Raises ValueError if the residual
+    violates it at O(coupling^(n+1)). Raises Overflow if the residual
     overflows a double.
     """
     if born_order is None:
@@ -405,6 +414,6 @@ def optical_theorem_residual(
         residual = math.inf
     if not math.isfinite(residual):
         source = "exact" if born_order is None else f"order-{born_order} Born"
-        raise ValueError(f"the optical residual of the {source} amplitude overflows "
-                         f"a double at coupling {model.coupling}")
+        raise Overflow(f"the optical residual of the {source} amplitude overflows "
+                       f"a double at coupling {model.coupling}")
     return residual

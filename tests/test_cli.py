@@ -249,11 +249,11 @@ class TestStateFiles:
         assert code == 1
         assert err == f"ggphase: error: {states}: state vector has vanishing norm\n"
 
-    def test_ragged_states_are_a_domain_error(self, capsys, tmp_path):
+    def test_ragged_states_are_an_invocation_error(self, capsys, tmp_path):
         states = write_json(tmp_path / "F.json", [[1, 0], [1, 0, 0], [0, 1]])
-        code, out, _ = invoke(capsys, "phase", "--states", states, "--identity")
-        assert code == 2
-        assert json.loads(out)["error"]["message"] == "states must share one dimension"
+        code, out, err = invoke(capsys, "phase", "--states", states, "--identity")
+        assert (code, out) == (1, "")
+        assert err == "ggphase: error: states must share one dimension\n"
 
     def test_one_pass_states_match_the_row_parser(self, capsys, tmp_path):
         rng = rng_for(12)
@@ -701,14 +701,14 @@ class TestPerturb:
         assert code == 0
         assert_phase_terms_are_the_csv(out, out_csv)
 
-    def test_bad_level_is_domain_error(self, capsys, tmp_path):
+    def test_bad_level_is_an_invocation_error(self, capsys, tmp_path):
         h0 = write_json(tmp_path / "h0.json", [0.0, 1.0])
         v = write_json(tmp_path / "v.json", [[0.1, 0.0], [0.0, 0.2]])
-        code, out, _ = invoke(
+        code, out, err = invoke(
             capsys, "perturb", "--h0", h0, "--v", v, "--level", "5", "--lambda", "0.1"
         )
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "ValueError"
+        assert (code, out) == (1, "")
+        assert err == "ggphase: error: level 5 out of range for 2 levels\n"
 
 
 class TestScatter:
@@ -835,12 +835,12 @@ class TestScatter:
         )
 
     def test_separable_bad_momentum(self, capsys):
-        code, out, _ = invoke(
+        code, out, err = invoke(
             capsys, "scatter", "separable", "--coupling", "-0.1",
             "--beta", "1.0", "--mass", "1.0", "--k", "-2.0",
         )
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "ValueError"
+        assert (code, out) == (1, "")
+        assert err == "ggphase: error: on-shell momentum must be positive, got -2.0\n"
 
     @pytest.mark.parametrize("order", [100, 150, 300])
     def test_separable_born_overflow_exits_2(self, capsys, order):
@@ -852,7 +852,7 @@ class TestScatter:
         )
         assert code == 2
         error = json.loads(out)["error"]
-        assert error["type"] == "ValueError"
+        assert error["type"] == "Overflow"
         assert f"order-{order}" in error["message"]
         assert "coupling 10.0" in error["message"]
         assert "Traceback" not in err
@@ -1034,6 +1034,32 @@ JSON_VALUES = st.recursive(
 )
 
 
+def run_contained(argv) -> tuple[int, str]:
+    """main(argv) with stdout strict UTF-8, as in a real process, and stderr
+    backslash-escaped like sys.stderr: the exit status and the stdout text.
+    An exception that escapes main fails the calling test."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8")
+
+
+def assert_exit_contract(code: int, text: str) -> None:
+    """One of the three outcomes of the README: exit 0 with a report, exit 1
+    with nothing on stdout, or exit 2 with the payload of a DomainError
+    subclass named in ggphase.errors (never a ValueError reported as physics)."""
+    if code == 0:
+        assert "results" in json.loads(text)
+    elif code == 1:
+        assert text == ""
+    else:
+        assert code == 2
+        error_type = getattr(gg.errors, json.loads(text)["error"]["type"], None)
+        assert isinstance(error_type, type) and issubclass(error_type, gg.DomainError)
+
+
 def allocates(key: str, value) -> bool:
     """A sample count or Born order of 10**5 or more: that many array rows or series terms."""
     try:
@@ -1111,19 +1137,141 @@ class TestSweepRowsAreCommandLines:
         replacement = data.draw(JSON_VALUES, label="value")
         assume(not allocates(key, replacement))
         path = write_json(job_dir / "fuzz.json", {**template, key: replacement})
-        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, like a UTF-8 stdout
-        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")  # like sys.stderr
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["sweep", "--template", path, "--param", param, "--values", value])
-        out.flush()
-        text = out.buffer.getvalue().decode("utf-8")
-        if code == 0:
-            assert "results" in json.loads(text)
-        elif code == 1:
-            assert text == ""
-        else:
-            assert code == 2
-            assert "error" in json.loads(text)
+        assert_exit_contract(*run_contained(["sweep", "--template", path, "--param", param, "--values", value]))
+
+
+# Numbers a file may hold: ordinary ones, any float (nan and inf are written
+# as NaN and Infinity, which the JSON reader accepts), and magnitudes at the
+# edge of the doubles or past them.
+FUZZ_NUMBERS = (
+    st.floats(-2, 2) | st.integers(-3, 3) | st.floats()
+    | st.sampled_from([1e308, -1e308, 1.7e308, 1e200, 1e160, -1e160, 5e-324, 10**400])
+)
+FUZZ_COMPLEX = FUZZ_NUMBERS | st.fixed_dictionaries({"re": FUZZ_NUMBERS, "im": FUZZ_NUMBERS})
+# Any JSON value, including {re, im} objects that lack a part.
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | FUZZ_NUMBERS | st.text(max_size=4)
+    | st.dictionaries(st.sampled_from(["re", "im"]), FUZZ_NUMBERS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+FUZZ_DIMS = st.sampled_from([3, 3, 3, 1, 2, 4])  # mostly the dimension of the other inputs
+FUZZ_POSITIVE = st.floats(0.1, 2) | FUZZ_NUMBERS  # mostly a usable mass or regulator
+
+
+@st.composite
+def fuzz_vector(draw, dim=None):
+    dim = draw(FUZZ_DIMS) if dim is None else dim
+    return draw(st.lists(FUZZ_COMPLEX, min_size=dim, max_size=dim))
+
+
+@st.composite
+def fuzz_matrix(draw, rows=None):
+    dim = draw(FUZZ_DIMS)
+    rows = draw(st.sampled_from([3, 3, 4, 0, 1, 2, 5])) if rows is None else rows
+    return [draw(fuzz_vector(dim)) for _ in range(rows)]
+
+
+@st.composite
+def fuzz_hermitian(draw):
+    """A square matrix that is Hermitian to the bit, so the job reaches the
+    library with it."""
+    dim = draw(FUZZ_DIMS)
+    m = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        m[i][i] = draw(FUZZ_NUMBERS)
+        for j in range(i + 1, dim):
+            re, im = draw(FUZZ_NUMBERS), draw(FUZZ_NUMBERS)
+            m[i][j], m[j][i] = {"re": re, "im": im}, {"re": re, "im": -im}
+    return m
+
+
+@st.composite
+def fuzz_reals(draw):
+    values = [draw(FUZZ_NUMBERS) for _ in range(draw(FUZZ_DIMS | st.integers(0, 5)))]
+    return sorted(values) if draw(st.booleans()) else values
+
+
+@st.composite
+def fuzz_curve(draw):
+    params = draw(fuzz_reals())
+    return {"params": params, "states": draw(fuzz_matrix(rows=len(params)))}
+
+
+@st.composite
+def fuzz_grid_model(draw):
+    energies = draw(fuzz_reals())
+    momenta = [{"label": f"k{j}", "energy": energy} for j, energy in enumerate(energies)]
+    return {"momenta": momenta, "mass": draw(FUZZ_POSITIVE), "epsilon": draw(FUZZ_POSITIVE),
+            "V": draw(fuzz_hermitian())}
+
+
+@st.composite
+def one_key_replaced(draw, objects):
+    """An object of the expected shape with one key's value replaced by any JSON."""
+    obj = draw(objects)
+    key = draw(st.sampled_from(sorted(obj)))
+    return {**obj, key: draw(FUZZ_JSON)}
+
+
+# Each file input of the CLI: the command line around it, and the contents
+# that reach past its parser (a replaced key, or any JSON, may stop short).
+FRONT_DOOR_INPUTS = {
+    "phase --states": (["phase", "--states", "{file}", "--observable", "{obs}"], fuzz_matrix()),
+    "curve --curve": (["curve", "--curve", "{file}", "--observable", "{obs}"],
+                      fuzz_curve() | one_key_replaced(fuzz_curve())),
+    "curve --observable": (["curve", "--curve", "{curve}", "--observable", "{file}"],
+                           fuzz_hermitian() | fuzz_matrix()),
+    "null-curve --a": (["null-curve", "--a", "{file}", "--b", "{b}", "--identity", "--samples", "5"],
+                       fuzz_vector()),
+    "cycle --h": (["cycle", "--h", "{file}", "--epsilon", "0.01"], fuzz_hermitian() | fuzz_matrix()),
+    "perturb --h0": (["perturb", "--h0", "{file}", "--v", "{v}", "--level", "1", "--lambda", "0.1"],
+                     fuzz_reals()),
+    "perturb --v": (["perturb", "--h0", "{h0}", "--v", "{file}", "--level", "1", "--lambda", "0.1"],
+                    fuzz_hermitian() | fuzz_matrix()),
+    "scatter grid --model": (["scatter", "grid", "--model", "{file}", "--incoming", "k0"],
+                             fuzz_grid_model() | one_key_replaced(fuzz_grid_model())),
+}
+
+
+@pytest.fixture(scope="module")
+def front_door_files(tmp_path_factory):
+    """Valid three-dimensional inputs for every file the fuzzed one runs with."""
+    d = tmp_path_factory.mktemp("front_door")
+    return {
+        "obs": write_json(d / "obs.json", cmat(random_hermitian(rng_for(21), 3).entries)),
+        "curve": write_json(d / "curve.json", {
+            "params": [0, 0.5, 1], "states": [[1, 0, 0], [0.8, 0.6, 0], [0.6, 0.6, 0.53]]}),
+        "b": write_json(d / "b.json", cvec([0.6, 0.8j, 0.0])),
+        "h0": write_json(d / "h0.json", [0.0, 1.1, 2.3]),
+        "v": write_json(d / "v.json", cmat(random_hermitian(rng_for(22), 3).entries)),
+        "file": str(d / "fuzz.json"),
+    }
+
+
+class TestFrontDoor:
+    """Whatever a file holds, a job ends in exit 0, exit 1 with nothing on
+    stdout, or exit 2 with a typed domain error."""
+
+    @pytest.mark.parametrize("name", sorted(FRONT_DOOR_INPUTS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_file_contents_keep_the_exit_contract(self, front_door_files, name, data):
+        argv, contents = FRONT_DOOR_INPUTS[name]
+        write_json(pathlib.Path(front_door_files["file"]), data.draw(contents | FUZZ_JSON, label="contents"))
+        assert_exit_contract(*run_contained([word.format(**front_door_files) for word in argv]))
+
+    @pytest.mark.parametrize("argv", [
+        ["perturb", "--h0", "{h0}", "--v", "{v}", "--level", "500", "--lambda", "0.1"],
+        ["scatter", "separable", "--beta", "1", "--coupling", "0.1", "--mass", "1", "--k", "1",
+         "--born-order", "0"],
+        ["cycle", "--h", "{v}", "--epsilon", "-0.1"],
+        ["two-level", "--kind", "x", "--theta", "9", "--phi", "0"],
+    ], ids=["level 500", "born order 0", "negative epsilon", "theta 9"])
+    def test_refused_argument_is_an_invocation_error(self, capsys, front_door_files, argv):
+        code, out, err = invoke(capsys, *[word.format(**front_door_files) for word in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("ggphase: error: ")
 
 
 class TestDeterminism:
@@ -1221,7 +1369,7 @@ class TestEmission:
             written = path.read_text(encoding="utf-8")
             assert written == out
             error = json.loads(written)["error"]
-            assert error["type"] == "ValueError"
+            assert error["type"] == "Overflow"
             assert "finite" in error["message"]
             assert quantity in error["message"]
 
@@ -1274,6 +1422,17 @@ class TestQuietExit2:
         proc = run_module("curve", "--curve", curve, *obs_args)
         assert proc.returncode == 2
         assert proc.stderr == ""
+
+    # Finite entries whose <B|B>, or whose <A|A> and |<B|A>|, exceed a double.
+    @pytest.mark.parametrize(("a", "b"), [
+        ([1e160, 0], [1e160, 1e160]),
+        ([0.5, {"re": 1e308, "im": 1e308}], [1.2, 1.4]),
+    ])
+    def test_null_curve_overflow_from_finite_endpoints(self, tmp_path, a, b):
+        a, b = write_json(tmp_path / "a.json", a), write_json(tmp_path / "b.json", b)
+        proc = run_module("null-curve", "--a", a, "--b", b, "--identity", "--samples", "5")
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout)["error"]["type"] == "Overflow"
 
     @pytest.mark.parametrize("observable", [None, [[1e200, 1e200], [1e200, 1e200]]])
     def test_overflowing_null_curve_prints_nothing_to_stderr(self, tmp_path, observable):

@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_text_oracle
+from ggphase import Overflow
 from ggphase._io import (
     InputError,
     Table,
     emit_json,
+    load_json_file,
     parse_complex,
     parse_matrix,
     parse_real,
@@ -126,16 +128,16 @@ def test_non_finite_cell_is_named_by_column_and_row(bad):
             denominator=np.array([1.0, complex(0.0, bad), 2.0]),
         )
 
-    with pytest.raises(ValueError, match=r"finite, but results\.phase_terms\.modulus\[2\] is"):
+    with pytest.raises(Overflow, match=r"finite, but results\.phase_terms\.modulus\[2\] is"):
         emit_json({"results": {"phase_terms": table()}})
-    with pytest.raises(ValueError, match=r"finite, but csv\.modulus\[2\] is"):
+    with pytest.raises(Overflow, match=r"finite, but csv\.modulus\[2\] is"):
         write_csv_text(table())
-    with pytest.raises(ValueError, match=r"finite, but t\.denominator\.im\[1\] is"):
+    with pytest.raises(Overflow, match=r"finite, but t\.denominator\.im\[1\] is"):
         emit_json({"t": Table(denominator=table().columns["denominator"])})
 
 
 def test_non_finite_scalar_is_named_by_key_path():
-    with pytest.raises(ValueError, match=r"finite, but results\.rows\[1\]\.value is inf"):
+    with pytest.raises(Overflow, match=r"finite, but results\.rows\[1\]\.value is inf"):
         emit_json({"results": {"rows": [{"value": 1.0}, {"value": math.inf}]}})
 
 
@@ -168,3 +170,22 @@ def test_integer_too_large_for_a_double_is_named(parse, obj, where):
 def test_largest_exact_integers_still_parse():
     assert parse_real(2**1023, "x") == 2.0**1023
     assert parse_complex({"re": -(2**53), "im": 3}, "x") == complex(-(2.0**53), 3.0)
+
+
+@pytest.mark.parametrize(("path", "shown"), [("a\x00b", "a\\x00b"), ("a\ud800b", "a\\ud800b")])
+def test_path_that_open_refuses_cannot_be_read(path, shown):
+    # open() raises ValueError for a NUL byte and UnicodeEncodeError for a lone
+    # surrogate: the path is unreadable, not bad JSON, and is printed escaped.
+    with pytest.raises(InputError) as exc:
+        load_json_file(path)
+    assert str(exc.value).startswith(f"cannot read {shown}: ")
+    assert "not valid JSON" not in str(exc.value)
+
+
+def test_unreadable_and_malformed_files_keep_their_wording(tmp_path):
+    missing, bad = tmp_path / "missing.json", tmp_path / "bad.json"
+    bad.write_bytes(b"[1, 2")
+    for path, prefix in ((missing, f"cannot read {missing}: "), (bad, f"{bad} is not valid JSON: ")):
+        with pytest.raises(InputError) as exc:
+            load_json_file(str(path))
+        assert str(exc.value).startswith(prefix)

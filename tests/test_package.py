@@ -1,0 +1,45 @@
+"""The package namespace and the error taxonomy.
+
+ggphase.__all__ is built from the __all__ of its seven public modules, so
+every public name is listed once, in its own module. CI also runs this file
+against the installed package, where no PYTHONPATH points at src/.
+"""
+
+import importlib
+
+import pytest
+
+import ggphase
+
+MODULES = ("errors", "hilbert", "phase", "curve", "dynamics", "perturbation", "scattering")
+
+
+def test_all_is_the_union_of_the_module_lists():
+    names = ["__version__"]
+    for module in MODULES:
+        names += importlib.import_module(f"ggphase.{module}").__all__
+    assert len(ggphase.__all__) == len(set(ggphase.__all__))
+    # equal as lists once sorted, so a name listed by two modules fails too
+    assert sorted(ggphase.__all__) == sorted(names)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_resolves_to_its_module_object(module):
+    mod = importlib.import_module(f"ggphase.{module}")
+    for name in mod.__all__:
+        assert getattr(ggphase, name) is getattr(mod, name)
+
+
+def test_star_import_gives_every_name():
+    namespace: dict = {}
+    exec("from ggphase import *", namespace)
+    assert set(ggphase.__all__) <= set(namespace)
+
+
+def test_exit_status_follows_the_error_class():
+    # InvalidArgument (exit 1) stays a ValueError for library callers;
+    # Overflow (exit 2) is a domain error and no ValueError.
+    assert issubclass(ggphase.InvalidArgument, ValueError)
+    assert not issubclass(ggphase.InvalidArgument, ggphase.DomainError)
+    assert issubclass(ggphase.Overflow, ggphase.DomainError)
+    assert not issubclass(ggphase.Overflow, ValueError)

@@ -451,7 +451,7 @@ class TestSeparableModel:
         # At coupling 10, |c I| > 1: the truncated series overflows a double
         # (order 150 to inf, order 300 inside the complex power).
         model = gg.SeparableModel(coupling=10.0, beta=1.0, mass=1.0)
-        with pytest.raises(ValueError, match=f"order-{order} .*coupling 10.0"):
+        with pytest.raises(gg.Overflow, match=f"order-{order} .*coupling 10.0"):
             gg.separable_born_amplitude(model, 0.5, order)
 
     def test_pole_guard(self):
@@ -490,7 +490,7 @@ class TestOpticalTheorem:
         # The order-100 amplitude is finite, but |f|^2 exceeds a double.
         model = gg.SeparableModel(coupling=10.0, beta=1.0, mass=1.0)
         assert math.isfinite(abs(gg.separable_born_amplitude(model, 0.5, 100)))
-        with pytest.raises(ValueError, match="order-100 .*coupling 10.0"):
+        with pytest.raises(gg.Overflow, match="order-100 .*coupling 10.0"):
             gg.optical_theorem_residual(model, 0.5, born_order=100)
 
     def test_second_born_residual_is_cubic_in_coupling(self):
