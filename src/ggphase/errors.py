@@ -22,7 +22,6 @@ __all__ = [
     "DegenerateSpectrum",
     "SingularKernel",
     "PoleAtEnergy",
-    "QuadratureNotConverged",
     "Overflow",
 ]
 
@@ -81,10 +80,6 @@ class SingularKernel(DomainError):
 
 class PoleAtEnergy(DomainError):
     """The separable T-matrix denominator vanished (bound-state pole at this energy)."""
-
-
-class QuadratureNotConverged(DomainError):
-    """The principal-value quadrature overflowed or its refinements never agreed."""
 
 
 class Overflow(DomainError):

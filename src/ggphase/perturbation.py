@@ -219,7 +219,8 @@ def energy_shift(
              - V_nn sum_{k != n} |V_nk|^2 / (E_n - E_k)^2
 
     Every order is real; the third-order double sum cancels its imaginary
-    parts in (k,l) <-> (l,k) pairs and is verified to below 1e-12.
+    parts in (k,l) <-> (l,k) pairs and is verified to below 1e-12 of the
+    summed moduli of its terms.
     """
     w, others, gaps = _level_projection(sys, V, n)
     if not math.isfinite(coupling):
@@ -234,8 +235,10 @@ def energy_shift(
             / np.multiply.outer(gaps, gaps)
         ).ravel()
         residue = _kernels.fsum(double.imag)
-        if abs(residue) > _REALITY_TOL:
-            raise DomainError(f"third-order imaginary residue {residue:.3e} exceeds 1e-12")
+        size = _kernels.fsum(np.abs(double))
+        if abs(residue) > _REALITY_TOL * size:
+            raise DomainError(f"third-order imaginary residue {residue:.3e} exceeds 1e-12 "
+                              f"of the terms' size {size:.3e}")
         correction = order1 * _kernels.fsum(strength / gaps**2)
         order3 = _kernels.fsum(double.real) - correction
     return ShiftSeries(order1, order2, order3, coupling)

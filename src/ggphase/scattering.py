@@ -5,19 +5,18 @@ T-matrix is exact and therefore supports an honest optical-theorem check.
 Amplitude convention: f = -4 pi^2 m <out|V|psi+>, so each Born term is the
 corresponding matrix-element chain scaled by -4 pi^2 m. The grid propagator
 keeps a finite +i epsilon regulator; the separable model takes the
-epsilon -> 0+ limit analytically (principal value plus on-shell pole term).
+epsilon -> 0+ limit in closed form (principal value plus on-shell pole term).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, Overflow, PoleAtEnergy, QuadratureNotConverged, SingularKernel
+from .errors import InvalidArgument, Overflow, PoleAtEnergy, SingularKernel
 from .hilbert import DEFAULT_TOLS, Observable, StateVector, ToleranceConfig
 from .perturbation import PhaseTermTable, _closed_triples
 
@@ -265,84 +264,30 @@ def triple_product_phases(
 
 # Separable continuum model ------------------------------------------------
 
-_PV_TOL = 1e-9
-_PV_START_NODES = 64
-_PV_MAX_NODES = 8192
-
-
-def _subtracted_radial_integrand(p: np.ndarray, k: float, beta: float) -> np.ndarray:
-    """(g(p) - g(k)) / (k^2 - p^2) for g(p) = p^2 / (p^2 + beta^2)^2, in closed form.
-
-    The difference factors exactly, so the principal-value singularity is
-    removed algebraically rather than numerically:
-    (p^2 k^2 - beta^4) / ((p^2 + beta^2)^2 (k^2 + beta^2)^2).
-    """
-    return (p * p * k * k - beta**4) / ((p * p + beta**2) ** 2 * (k * k + beta**2) ** 2)
-
-
-@functools.cache
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per
-    count; the doubling ladder below asks for at most eight counts."""
-    x, wgt = np.polynomial.legendre.leggauss(nodes)
-    x.setflags(write=False)
-    wgt.setflags(write=False)
-    return x, wgt
-
-
-def _radial_principal_value(k: float, beta: float) -> float:
-    """PV integral of g(p) / (k^2 - p^2) over p in (0, inf).
-
-    The subtracted constant g(k) integrates to zero in principal value, so
-    the integrand above is integrated with Gauss-Legendre under the map
-    p = beta u / (1 - u), doubling the node count until two successive
-    refinements agree to 1e-9.
-
-    Raises
-    ------
-    QuadratureNotConverged
-        If the integrand overflows (a non-finite sum can never settle) or
-        the refinements still disagree at the node limit.
-    """
-    previous = None
-    nodes = _PV_START_NODES
-    while nodes <= _PV_MAX_NODES:
-        x, wgt = _gauss_legendre(nodes)
-        u = 0.5 * (x + 1.0)
-        with np.errstate(all="ignore"):  # a non-finite sum is refused below
-            p = beta * u / (1.0 - u)
-            jac = beta / (1.0 - u) ** 2
-            try:
-                value = float(np.sum(wgt * 0.5 * jac * _subtracted_radial_integrand(p, k, beta)))
-            except OverflowError:  # a float power such as beta**4 raises instead of giving inf
-                value = math.inf
-        if not math.isfinite(value):
-            raise QuadratureNotConverged(
-                f"principal-value quadrature overflowed at k = {k}, beta = {beta}"
-            )
-        if previous is not None and abs(value - previous) < _PV_TOL:
-            return value
-        previous = value
-        nodes *= 2
-    raise QuadratureNotConverged(
-        f"principal-value quadrature did not stabilize to {_PV_TOL} "
-        f"within {_PV_MAX_NODES} nodes"
-    )
+def _form_factor(k: float, beta: float) -> float:
+    """chi(k) = 1 / (k^2 + beta^2), through hypot so that k^2 alone never overflows."""
+    r = math.hypot(k, beta)
+    return 1.0 / r / r
 
 
 def loop_integral(model: SeparableModel, k: float) -> complex:
-    """The bubble integral I(E_k) = int d^3p |chi(p)|^2 / (E_k - p^2/2m + i0).
+    """The bubble integral I(E_k) = int d^3p |chi(p)|^2 / (E_k - p^2/2m + i0), in closed form.
 
-    Real part from the principal-value quadrature, imaginary part
-    -4 pi^2 m k / (k^2 + beta^2)^2 attached analytically from the on-shell
-    pole.
+    The two on-shell poles cancel in the principal value,
+
+        PV int_0^inf p^2 dp / ((p^2 + beta^2)^2 (k^2 - p^2))
+            = pi (k^2 - beta^2) / (4 beta (k^2 + beta^2)^2),
+
+    and the on-shell pole term gives the imaginary part, so
+    I(E_k) = 2 pi^2 m chi(k)^2 ((k^2 - beta^2) / beta - 2 i k) with
+    chi(k) = 1 / (k^2 + beta^2) (Y. Yamaguchi, Phys. Rev. 95, 1628 (1954)).
     """
     if not (math.isfinite(k) and k > 0.0):
         raise InvalidArgument(f"on-shell momentum must be positive, got {k}")
-    m, beta = model.mass, model.beta
-    real = 8.0 * math.pi * m * _radial_principal_value(k, beta)
-    imag = -4.0 * math.pi**2 * m * k / (k * k + beta**2) ** 2
-    return complex(real, imag)
+    beta = model.beta
+    chi = _form_factor(k, beta)
+    scale = 2.0 * math.pi**2 * model.mass * chi
+    return complex(scale * ((k - beta) * (k * chi + beta * chi)) / beta, -2.0 * scale * k * chi)
 
 
 def separable_tmatrix(
@@ -364,27 +309,31 @@ def separable_tmatrix(
     den = 1.0 - model.coupling * loop
     if abs(den) <= tol.tol_zero:
         raise PoleAtEnergy(f"T-matrix pole at k = {k}: |1 - coupling*I| = {abs(den):.3e}")
-    chi_sq = 1.0 / (k * k + model.beta**2) ** 2
-    return -4.0 * math.pi**2 * model.mass * model.coupling * chi_sq / den
+    chi = _form_factor(k, model.beta)
+    return -4.0 * math.pi**2 * model.mass * model.coupling * chi * chi / den
 
 
 def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) -> complex:
     """Born series of the separable amplitude truncated at the given power.
 
     Sums -4 pi^2 m chi(k)^2 * (c + c^2 I + ... + c^order I^(order-1)); the
-    deviation from the exact amplitude is O(c^(order+1)). Raises
+    deviation from the exact amplitude is O(c^(order+1)). The geometric sum
+    doubles over the bits of order, so it costs O(log order) products. Raises
     InvalidArgument if order < 1, Overflow if the series overflows a double.
     """
     if order < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
-    loop = loop_integral(model, k)
-    chi_sq = 1.0 / (k * k + model.beta**2) ** 2
     c = model.coupling
-    try:
-        series = sum(c ** (j + 1) * loop**j for j in range(order))
-    except OverflowError:
-        series = complex(math.inf)
-    amplitude = -4.0 * math.pi**2 * model.mass * chi_sq * series
+    x = c * loop_integral(model, k)
+    # series = 1 + x + ... + x^(m-1) and power = x^m, from m = 1 up to m = order:
+    # doubling m adds x^m times the series, a set bit then adds x^(2m)
+    series, power = complex(1.0), x
+    for bit in bin(order)[3:]:
+        series, power = series + power * series, power * power
+        if bit == "1":
+            series, power = series + power, power * x
+    chi = _form_factor(k, model.beta)
+    amplitude = -4.0 * math.pi**2 * model.mass * chi * chi * c * series
     if not cmath.isfinite(amplitude):
         raise Overflow(f"the order-{order} Born amplitude overflows a double at coupling {c}")
     return amplitude
@@ -400,7 +349,7 @@ def optical_theorem_residual(
 
     The rank-1 amplitude is isotropic, so the total cross section is
     4 pi |f|^2 and unitarity demands Im f = k |f|^2. The exact T-matrix
-    satisfies this to quadrature accuracy; a Born truncation at order n
+    satisfies this to roundoff; a Born truncation at order n
     violates it at O(coupling^(n+1)). Raises Overflow if the residual
     overflows a double.
     """

@@ -17,6 +17,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ggphase as gg
-from conftest import located_vector_oracle, random_hermitian, rng_for
+from conftest import (
+    assert_separable_report_near_reference,
+    located_vector_oracle,
+    random_hermitian,
+    rng_for,
+    separable_reference,
+)
 from ggphase._io import InputError
 from ggphase.cli import _build_parser, _finite_float, _tolerance, main
 
@@ -857,26 +864,36 @@ class TestScatter:
         assert "coupling 10.0" in error["message"]
         assert "Traceback" not in err
 
-    def test_separable_unconverged_quadrature_exits_2(self, capsys):
+    # A tiny beta makes c I huge; a huge beta or k puts chi(k)^2 near or
+    # below the smallest double, where the reference is matched to a few ulp.
+    @pytest.mark.parametrize(("beta", "k"), [
+        ("1e-60", "1"), ("1e-100", "1"), ("1.2e77", "1.0"), ("1.0", "1e80"), ("1.0", "1e300"),
+    ])
+    def test_separable_extreme_scale_matches_exact_reference(self, capsys, beta, k):
+        start = time.perf_counter()
         code, out, err = invoke(
             capsys, "scatter", "separable", "--coupling", "0.1",
-            "--beta", "1.0", "--mass", "1.0", "--k", "1e300",
+            "--beta", beta, "--mass", "1", "--k", k,
         )
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "QuadratureNotConverged"
-        assert "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert_separable_report_near_reference(
+            json.loads(out)["results"], separable_reference(0.1, float(beta), 1.0, float(k))
+        )
 
-    # beta = 1.2e77 overflows the float power beta**4, k = 1e80 the float
-    # power (k^2 + beta^2)^2; each raises OverflowError rather than giving inf.
-    @pytest.mark.parametrize(("beta", "k"), [("1.2e77", "1.0"), ("1.0", "1e80")])
-    def test_separable_float_power_overflow_exits_2(self, capsys, beta, k):
-        code, out, err = invoke(
-            capsys, "scatter", "separable", "--coupling", "0.1",
-            "--beta", beta, "--mass", "1.0", "--k", k,
+    def test_separable_high_born_order_is_the_exact_amplitude(self, capsys):
+        # |coupling * I| is about 0.32, so 10**9 terms are the geometric limit.
+        start = time.perf_counter()
+        code, out, _ = invoke(
+            capsys, "scatter", "separable", "--coupling", "-0.02",
+            "--beta", "1", "--mass", "1", "--k", "0.5", "--born-order", "1000000000",
         )
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "QuadratureNotConverged"
-        assert "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        results = json.loads(out)["results"]
+        exact, born = (complex(results[name]["re"], results[name]["im"])
+                       for name in ("amplitude", "born_amplitude"))
+        assert abs(born - exact) <= 1e-12 * abs(exact)
 
 
 class TestSweep:
@@ -1061,9 +1078,9 @@ def assert_exit_contract(code: int, text: str) -> None:
 
 
 def allocates(key: str, value) -> bool:
-    """A sample count or Born order of 10**5 or more: that many array rows or series terms."""
+    """A sample count of 10**5 or more: that many array rows."""
     try:
-        return key in ("samples", "born_order") and int(str(value)) >= 10**5
+        return key == "samples" and int(str(value)) >= 10**5
     except ValueError:
         return False
 
@@ -1272,6 +1289,24 @@ class TestFrontDoor:
         code, out, err = invoke(capsys, *[word.format(**front_door_files) for word in argv])
         assert (code, out) == (1, "")
         assert err.startswith("ggphase: error: ")
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCommandLineNumbers:
+    """Whatever finite numbers the flags hold, `scatter separable` ends in
+    the exit contract within seconds."""
+
+    @given(beta=FINITE_FLOATS, coupling=FINITE_FLOATS, mass=FINITE_FLOATS, k=FINITE_FLOATS,
+           order=st.integers())
+    @settings(max_examples=200, deadline=None)
+    def test_any_separable_flags_keep_the_exit_contract(self, beta, coupling, mass, k, order):
+        argv = ["scatter", "separable", "--beta", repr(beta), "--coupling", repr(coupling),
+                "--mass", repr(mass), "--k", repr(k), "--born-order", str(order)]
+        start = time.perf_counter()
+        assert_exit_contract(*run_contained(argv))
+        assert time.perf_counter() - start < 5.0
 
 
 class TestDeterminism:

@@ -167,6 +167,15 @@ class TestEnergyShift:
         assert b.order2 == pytest.approx(a.order2, abs=1e-12)
         assert b.order3 == pytest.approx(a.order3, abs=1e-12)
 
+    @pytest.mark.parametrize("s", [1e3, 1e4, 1e6])
+    def test_third_order_scales_as_the_cube(self, s):
+        # The reality check on the third-order double sum is relative to
+        # the size of its terms, which grows as |V|^3 like its roundoff.
+        sys = EigenSystem.standard([0.0, 1.0, 2.5, 4.0])
+        v = random_hermitian(rng_for(118), 4)
+        scaled = energy_shift(sys, Observable(s * v.entries), 1, 0.1).order3
+        assert scaled == pytest.approx(s**3 * energy_shift(sys, v, 1, 0.1).order3, rel=1e-12)
+
     def test_level_index_checked(self):
         sys, v = seeded_problem(117, 3)
         with pytest.raises(ValueError):

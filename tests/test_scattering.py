@@ -2,9 +2,9 @@
 
 Grid quantities are checked against brute-force loop sums written
 independently of the vectorized implementation.  The separable continuum
-model has a closed-form bubble integral, so the principal-value quadrature
-is checked against that analytic value and the exact amplitude against a
-frozen regression number.
+model's closed-form bubble integral is checked against scipy's
+Cauchy-weighted quadrature and against exact rational arithmetic, and the
+exact amplitude against a frozen regression number.
 """
 
 import cmath
@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 import ggphase as gg
-from ggphase import PoleAtEnergy, SingularKernel, scattering
+from ggphase import PoleAtEnergy, SingularKernel
 
 from conftest import (
+    assert_near_reference,
     assert_table_matches_rows,
     random_hermitian,
     rng_for,
+    separable_reference,
     table_pairs,
     triple_product_rows_oracle,
 )
@@ -350,33 +352,30 @@ class TestLoopIntegral:
         with pytest.raises(ValueError):
             gg.loop_integral(model, k)
 
-    def test_unconverged_quadrature_is_a_domain_error(self):
-        # at k = 1e300 the integrand overflows, so the refinements never agree
-        model = gg.SeparableModel(coupling=0.1, beta=1.0, mass=1.0)
-        with pytest.raises(gg.QuadratureNotConverged) as info:
-            gg.loop_integral(model, 1e300)
-        assert isinstance(info.value, gg.DomainError)
+    @pytest.mark.parametrize(("k", "beta"), [(1e300, 1.0), (1e80, 1.0), (1.0, 1.2e77), (1.0, 1e-100)])
+    def test_extreme_scales_match_exact_reference(self, k, beta):
+        model = gg.SeparableModel(coupling=0.1, beta=beta, mass=1.0)
+        value = gg.loop_integral(model, k)
+        re, im = separable_reference(0.1, beta, 1.0, k)["loop"]
+        assert_near_reference(value.real, re)
+        assert_near_reference(value.imag, im)
 
-    def test_gauss_legendre_nodes_built_once_per_count(self, monkeypatch):
-        built = []
-        leggauss = np.polynomial.legendre.leggauss
+    @pytest.mark.parametrize("k", [0.05, 0.3, 1.0, 1.7, 6.0])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 1.7])
+    def test_principal_value_matches_cauchy_quadrature(self, k, beta):
+        # PV int_0^inf p^2 / ((p^2 + beta^2)^2 (k^2 - p^2)) dp by QUADPACK:
+        # the Cauchy weight 1/(p - k) on [0, 2k], the regular tail beyond,
+        # each to 1e-13 of the size pi / (4 beta (k^2 + beta^2)) of the terms.
+        from scipy.integrate import quad
 
-        def counting(nodes):
-            built.append(nodes)
-            return leggauss(nodes)
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        scattering._gauss_legendre.cache_clear()
-        try:
-            model = gg.SeparableModel(coupling=0.1, beta=0.7, mass=1.3)
-            first = gg.loop_integral(model, 2.0)
-            assert gg.loop_integral(model, 2.0) == first
-            gg.loop_integral(model, 0.5)
-            x, wgt = scattering._gauss_legendre(built[0])
-        finally:
-            scattering._gauss_legendre.cache_clear()
-        assert built and len(built) == len(set(built))
-        assert not x.flags.writeable and not wgt.flags.writeable
+        size = math.pi / (4.0 * beta * (k * k + beta**2))
+        near, _ = quad(lambda p: -p * p / ((p * p + beta**2) ** 2 * (p + k)), 0.0, 2.0 * k,
+                       weight="cauchy", wvar=k, epsabs=1e-13 * size, epsrel=0.0, limit=200)
+        tail, _ = quad(lambda p: p * p / ((p * p + beta**2) ** 2 * (k * k - p * p)), 2.0 * k, math.inf,
+                       epsabs=1e-13 * size, epsrel=0.0, limit=200)
+        model = gg.SeparableModel(coupling=0.1, beta=beta, mass=1.3)
+        value = gg.loop_integral(model, k).real / (8.0 * math.pi * model.mass)
+        assert value == pytest.approx(near + tail, abs=1e-12 * size)
 
 
 class TestSeparableModel:
@@ -420,6 +419,15 @@ class TestSeparableModel:
         assert errs[0] > errs[1] > errs[2] > errs[3]
         # |coupling * I| is about 0.32 here, so 24 powers reach ~1e-12.
         assert errs[3] < 1e-11
+
+    def test_born_series_matches_term_by_term_sum(self):
+        # Orders 1..17 walk every bit pattern of the doubling up to 10001.
+        model = gg.SeparableModel(coupling=-0.1, beta=0.9, mass=1.2)
+        for order in range(1, 18):
+            value = gg.separable_born_amplitude(model, 0.6, order)
+            re, im = separable_reference(-0.1, 0.9, 1.2, 0.6, order)["born_amplitude"]
+            assert_near_reference(value.real, re, abs(re) + abs(im))
+            assert_near_reference(value.imag, im, abs(re) + abs(im))
 
     def test_first_born_term_is_real(self):
         model = gg.SeparableModel(coupling=-0.3, beta=1.0, mass=2.0)
@@ -474,7 +482,7 @@ class TestOpticalTheorem:
     def test_exact_amplitude_is_unitary(self, coupling, k):
         # Im f = k |f|^2 for the exact rank-1 amplitude reduces to
         # Im I = -4 pi^2 m k chi(k)^2, which holds independently of the
-        # principal-value quadrature, so the residual is pure roundoff.
+        # principal value, so the residual is pure roundoff.
         model = gg.SeparableModel(coupling=coupling, beta=1.0, mass=1.0)
         assert gg.optical_theorem_residual(model, k) < 1e-14
 
