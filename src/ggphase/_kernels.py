@@ -68,15 +68,9 @@ def connection_terms(
     params: np.ndarray, states: np.ndarray, obs: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Connection numerators <psi|obs|D psi> and denominators <psi|obs|psi>
-    along a discretized curve; obs None is the identity.
-
-    The numerator at an interior sample l is a_l <psi_l|O|psi_{l-1}> +
-    b_l <psi_l|O|psi_l> + c_l <psi_l|O|psi_{l+1}>, with the weights
-    a = -(h2/(h1+h2))/h1, b = (h2-h1)/h1/h2, c = (h1/(h1+h2))/h2 of the
-    second-order central difference on the (possibly non-uniform) grid,
-    h1 = s_l - s_{l-1} and h2 = s_{l+1} - s_l. The two ends use the
-    first-order one-sided stencils. Only the three link sandwiches are
-    computed; the derivative of the states is never formed.
+    along a discretized curve, by the stencils of the module docstring from
+    the three link sandwiches; obs None is the identity. The rows may be
+    coefficients over a basis, with obs the Gram matrix <b_k|O|b_m> of its rows.
     """
     params = np.asarray(params, dtype=np.float64)
     states = np.asarray(states, dtype=np.complex128)

@@ -171,9 +171,12 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
         raise InputError(f"argument 'samples' must be at least 3, got {samples_count}")
     if samples_count > np.iinfo(np.intp).max // (16 * a.dim):  # no (M, dim) complex array
         raise InputError(f"argument 'samples' is too large for one array, got {samples_count}")
-    curve = o_null_curve(a, b, obs, tau=tau, M=samples_count, tol=tol)
-    samples = connection_samples(curve, obs, tol)
-    res = curve_phase(curve, obs, tol, samples=samples)
+    try:
+        curve = o_null_curve(a, b, obs, tau=tau, M=samples_count, tol=tol)
+        samples = connection_samples(curve, obs, tol)
+        res = curve_phase(curve, obs, tol, samples=samples)
+    except MemoryError:
+        raise InputError(f"argument 'samples' is too large for the memory available, got {samples_count}") from None
     expected = principal_arg(matrix_element(a, obs, b) / b.norm_sq)
     results = {
         "curve_phase": res.value,

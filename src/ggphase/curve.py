@@ -2,7 +2,10 @@
 phases, null-curve construction, and holonomy loop integrals.
 
 A curve is stored as parameter samples plus one state per sample, never as a
-closure, so it can be serialized and replayed. The connection along a curve is
+closure, so it can be serialized and replayed. Null curves lie in span{A, B}:
+they are stored as (M, 2) coefficients over [A; B], the kernel runs on those
+with the 2x2 Gram matrix <b_k|O|b_m> in place of O, and their (M, dim)
+``states`` are formed only when read. The connection along a curve is
 A_O(s) = Im(<psi|O|d_s psi> / <psi|O|psi>), sampled with second-order central
 differences (first-order one-sided at the two ends) and integrated with the
 trapezoid rule. The continuous phase adds the endpoint term
@@ -60,44 +63,62 @@ class ParamCurve:
     ----------
     params : array_like of float
         Strictly increasing parameter samples s_0 < ... < s_{M-1}, M >= 3.
-    states : array_like of complex, shape (M, dim)
-        One nonzero state per sample.
+    states : array_like of complex, shape (M, dim), or (M, r) with a basis
+        One nonzero state per sample, or its coefficients over ``basis``.
+    basis : array_like of complex, shape (r, dim), optional
+        State l is ``states[l] @ basis``; None is the identity.
     """
 
-    __slots__ = ("_params", "_states")
+    __slots__ = ("_params", "_coeffs", "_basis")
 
-    def __init__(self, params, states, tol: ToleranceConfig = DEFAULT_TOLS):
+    def __init__(self, params, states, tol: ToleranceConfig = DEFAULT_TOLS, basis=None):
         p = np.asarray(params, dtype=np.float64)
         s = np.ascontiguousarray(states, dtype=np.complex128)
+        b = None if basis is None else np.ascontiguousarray(basis, dtype=np.complex128)
         if p.ndim != 1 or s.ndim != 2 or p.shape[0] != s.shape[0]:
             raise InvalidArgument(
                 f"params shape {p.shape} and states shape {s.shape} are inconsistent"
             )
+        if b is not None and (b.ndim != 2 or b.shape[0] != s.shape[1]):
+            raise InvalidArgument(f"basis shape {b.shape} does not match coefficients shape {s.shape}")
         if p.shape[0] < 3:
             raise InvalidArgument(f"curve needs at least 3 samples, got {p.shape[0]}")
         if not np.all(np.isfinite(p)):
             raise InvalidArgument("params contain non-finite entries")
         if not np.all(p[1:] > p[:-1]):
             raise InvalidArgument("params must be strictly increasing")
-        parts = s.view(np.float64)  # (M, 2 dim): real and imaginary parts
-        if not np.all(np.isfinite(parts)):
+        parts = s.view(np.float64)  # (M, 2 r): real and imaginary parts
+        if not (np.all(np.isfinite(parts)) and (b is None or np.all(np.isfinite(b.view(np.float64))))):
             raise InvalidArgument("states contain non-finite entries")
-        norms = np.einsum("ld,ld->l", parts, parts)
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
+            norms = (np.einsum("ld,ld->l", parts, parts) if b is None  # else c^* (b^* b^T) c
+                     else np.einsum("lk,lk->l", s.conj() @ (b.conj() @ b.T), s).real)
         if np.any(norms <= tol.tol_zero):
             bad = int(np.argmax(norms <= tol.tol_zero))
             raise InvalidArgument(f"curve state at sample {bad} has vanishing norm")
-        p.setflags(write=False)
-        s.setflags(write=False)
+        for a in (p, s) if b is None else (p, s, b):
+            a.setflags(write=False)
         self._params = p
-        self._states = s
+        self._coeffs = s
+        self._basis = b
 
     @property
     def params(self) -> np.ndarray:
         return self._params
 
     @property
+    def coeffs(self) -> np.ndarray:
+        """The stored rows: the states themselves, or their coefficients over :attr:`basis`."""
+        return self._coeffs
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        return self._basis
+
+    @property
     def states(self) -> np.ndarray:
-        return self._states
+        """The (M, dim) states; formed on each read when the curve has a basis."""
+        return self._coeffs if self._basis is None else self._coeffs @ self._basis
 
     @property
     def sample_count(self) -> int:
@@ -105,10 +126,15 @@ class ParamCurve:
 
     @property
     def dim(self) -> int:
-        return self._states.shape[1]
+        return (self._coeffs if self._basis is None else self._basis).shape[1]
+
+    def row(self, index: int) -> np.ndarray:
+        """The state at one sample, without forming the others."""
+        c = self._coeffs[index]
+        return c if self._basis is None else c @ self._basis
 
     def state(self, index: int) -> StateVector:
-        return StateVector(self._states[index])
+        return StateVector(self.row(index))
 
     def __repr__(self) -> str:
         return f"ParamCurve(samples={self.sample_count}, dim={self.dim})"
@@ -153,9 +179,12 @@ def connection_samples(
     Overflow
         If the integral is not finite.
     """
-    num, den = _kernels.connection_terms(
-        curve.params, curve.states, observable_entries(O, curve.dim)
-    )
+    # over a basis, <n_l|O|n_m> = c_l^* G c_m with the Gram matrix G = <b_k|O|b_m>
+    obs, basis = observable_entries(O, curve.dim), curve.basis
+    if basis is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan reaches the checks below
+            obs = _kernels.bra_rows(basis, obs) @ basis.T
+    num, den = _kernels.connection_terms(curve.params, curve.coeffs, obs)
     moduli = np.abs(den)
     singular = moduli <= tol.tol_zero
     m = curve.sample_count
@@ -214,11 +243,9 @@ def curve_phase(
     SingularConnection
         Propagated from the connection sampling.
     """
-    last = curve.states[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports inf or nan
-        endpoint_amp = complex(
-            _kernels.bra_rows(last, observable_entries(O, curve.dim)) @ curve.states[0]
-        )
+        last = curve.row(-1)
+        endpoint_amp = complex(_kernels.bra_rows(last, observable_entries(O, curve.dim)) @ curve.row(0))
     try:
         modulus = abs(endpoint_amp)
     except OverflowError:  # finite parts whose modulus exceeds a double
@@ -248,7 +275,7 @@ def geodesic_null_curve(
     eps(x) = (e^{i theta x/tau} / sin tau) (sin(tau - x) A + e^{-i theta} sin(x) B),
     which starts at A, ends at B, and carries zero total phase: the identity
     connection integral along it equals Arg<A|B> and cancels the endpoint
-    term exactly.
+    term exactly. The curve is returned over the basis [A; B].
 
     Parameters
     ----------
@@ -276,16 +303,9 @@ def geodesic_null_curve(
         raise OrthogonalEndpoints("geodesic undefined between orthogonal states")
     theta = principal_arg(overlap)
     x = np.linspace(0.0, tau, M)
-    gauge = np.exp(1j * theta * x / tau)[:, None]
-    states = (
-        gauge
-        * (
-            np.sin(tau - x)[:, None] * A.components[None, :]
-            + np.exp(-1j * theta) * np.sin(x)[:, None] * B.components[None, :]
-        )
-        / math.sin(tau)
-    )
-    return ParamCurve(x, states, tol=tol)
+    gauge = np.exp(1j * theta * x / tau) / math.sin(tau)
+    coeffs = np.stack((gauge * np.sin(tau - x), gauge * np.exp(-1j * theta) * np.sin(x)), axis=1)
+    return ParamCurve(x, coeffs, tol=tol, basis=np.stack((A.components, B.components)))
 
 
 def o_null_curve(
@@ -302,7 +322,7 @@ def o_null_curve(
     n(x) = e^{-i theta x/tau} ((1 - x/tau) A + (x/tau) e^{i theta} B).
     Along it the generalized connection is constant, its integral equals
     Arg(<A|O|B> / <B|B>), and curve_phase(result, O) vanishes up to
-    discretization error.
+    discretization error. The curve is returned over the basis [A; B].
 
     The denominator <n|O|n> may vanish exactly at the endpoints when A and B
     are orthogonal (it stays bounded away from zero in the interior for
@@ -326,22 +346,25 @@ def o_null_curve(
         raise InvalidArgument(f"tau must be positive, got {tau}")
     if A.dim != B.dim:
         raise InvalidArgument(f"state dims differ: {A.dim} vs {B.dim}")
-    # n(x) = c_A(x) A + c_B(x) B: one (M, 2) @ (2, dim) product, and
-    # <n|O|n> = c^* G c from the 2x2 Gram matrix G = [A;B]^* O [A;B]^T
+    # n(x) = c_A(x) A + c_B(x) B is stored as its (M, 2) coefficients over
+    # [A; B], and <n|O|n> = c^* G c from the 2x2 Gram matrix G = [A;B]^* O [A;B]^T
     obs = observable_entries(O, A.dim)
     span = np.stack((A.components, B.components))
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan ones are reported below
-        link = complex(_kernels.bra_rows(B.components, obs) @ A.components)
         gram = _kernels.bra_rows(span, obs) @ span.T
+        link = complex(gram[1, 0])  # <B|O|A>
         modulus = float(np.abs(link))  # abs(link) would raise OverflowError past the doubles
         theta = principal_arg(link / B.norm_sq)
         x = np.linspace(0.0, tau, M)
         frac = x / tau
         gauge = np.exp(-1j * theta * frac)
         coeffs = np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
-        den = ((coeffs.conj() @ gram) * coeffs).sum(axis=1).real
-        states = coeffs @ span
-    if not (np.isfinite(den).all() and np.isfinite(states.view(np.float64)).all()):
+        den = np.einsum("lk,lk->l", coeffs.conj() @ gram, coeffs).real
+        # |c_A|, |c_B| <= 1 bound each part of a state by 2 sqrt(2) max|parts of
+        # A, B|; only past DBL_MAX / 4 are the states formed and checked
+        finite = (np.abs(span.view(np.float64)).max() < np.finfo(np.float64).max / 4
+                  or np.isfinite((coeffs @ span).view(np.float64)).all())
+    if not (np.isfinite(den).all() and finite):
         raise Overflow("null curve undefined: <n|O|n> or a curve state n overflows a double")
     if modulus <= tol.tol_zero:
         raise UndefinedPhase(
@@ -365,7 +388,7 @@ def o_null_curve(
             f"<n|O|n> changes sign between samples {i} and {i + 1} of the null interpolation",
             sample_index=l,
         )
-    return ParamCurve(x, states, tol=tol)
+    return ParamCurve(x, coeffs, tol=tol, basis=span)
 
 
 def loop_holonomy(
@@ -384,14 +407,8 @@ def loop_holonomy(
     UndefinedPhase, SingularConnection
         Propagated from the closing-curve construction or the sampling.
     """
-    closing = o_null_curve(
-        StateVector(open_curve.states[-1]),
-        StateVector(open_curve.states[0]),
-        O,
-        tau=1.0,
-        M=open_curve.sample_count,
-        tol=tol,
-    )
+    closing = o_null_curve(open_curve.state(-1), open_curve.state(0), O, tau=1.0,
+                           M=open_curve.sample_count, tol=tol)
     open_part = connection_samples(open_curve, O, tol)
     closing_part = connection_samples(closing, O, tol)
     value = wrap_angle(open_part.integral + closing_part.integral)
@@ -432,7 +449,7 @@ def gauge_transform(curve: ParamCurve, offsets) -> ParamCurve:
         )
     if not np.all(np.isfinite(lam)):
         raise InvalidArgument("offsets contain non-finite entries")
-    return ParamCurve(curve.params, np.exp(1j * lam)[:, None] * curve.states)
+    return ParamCurve(curve.params, np.exp(1j * lam)[:, None] * curve.coeffs, basis=curve.basis)
 
 
 def reparametrize(curve: ParamCurve, new_params) -> ParamCurve:
@@ -442,4 +459,4 @@ def reparametrize(curve: ParamCurve, new_params) -> ParamCurve:
         raise InvalidArgument(
             f"new_params length {p.shape} does not match sample count {curve.sample_count}"
         )
-    return ParamCurve(p, curve.states)
+    return ParamCurve(p, curve.coeffs, basis=curve.basis)

@@ -44,8 +44,9 @@ class EigenSystem:
     ----------
     energies : sequence of float
         Strictly ascending level energies.
-    basis : sequence of StateVector
-        One orthonormal eigenvector per energy, in the same order.
+    basis : sequence of StateVector, or None
+        One orthonormal eigenvector per energy, in the same order. None is
+        the standard basis: level k lives on the k-th coordinate axis.
     gap_tol : float
         Smallest admissible level spacing; anything at or below raises
         DegenerateSpectrum, since every formula here divides by gaps.
@@ -56,7 +57,7 @@ class EigenSystem:
     def __init__(
         self,
         energies,
-        basis: Sequence[StateVector],
+        basis: Sequence[StateVector] | None,
         gap_tol: float = 1e-8,
         tol: ToleranceConfig = DEFAULT_TOLS,
     ):
@@ -65,10 +66,8 @@ class EigenSystem:
             raise InvalidArgument(f"need at least 2 levels, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise InvalidArgument("energies contain non-finite entries")
-        if len(basis) != e.shape[0]:
-            raise InvalidArgument(
-                f"{len(basis)} basis states for {e.shape[0]} energies"
-            )
+        if basis is not None and len(basis) != e.shape[0]:
+            raise InvalidArgument(f"{len(basis)} basis states for {e.shape[0]} energies")
         with np.errstate(over="ignore"):  # a gap past the doubles is inf, and large enough
             gaps = np.diff(e)
         if np.any(gaps <= 0.0):
@@ -78,23 +77,22 @@ class EigenSystem:
             raise DegenerateSpectrum(
                 f"levels {k} and {k + 1} are separated by {gaps.min():.3e} <= gap_tol"
             )
-        stack = np.stack([b.components for b in basis])
-        gram_defect = np.abs(stack.conj() @ stack.T - np.eye(stack.shape[0])).max()
-        if gram_defect > tol.tol_herm:
-            raise InvalidArgument(
-                f"basis is not orthonormal: max |<b_a|b_b> - delta_ab| = {gram_defect:.3e}"
-            )
+        if basis is not None:
+            basis = np.stack([b.components for b in basis])
+            gram_defect = np.abs(basis.conj() @ basis.T - np.eye(basis.shape[0])).max()
+            if gram_defect > tol.tol_herm:
+                raise InvalidArgument(
+                    f"basis is not orthonormal: max |<b_a|b_b> - delta_ab| = {gram_defect:.3e}"
+                )
+            basis.setflags(write=False)
         e.setflags(write=False)
-        stack.setflags(write=False)
         self._energies = e
-        self._basis = stack
+        self._basis = basis
 
     @classmethod
     def standard(cls, energies, gap_tol: float = 1e-8) -> "EigenSystem":
         """Diagonal reference: level k lives on the k-th coordinate axis."""
-        e = np.asarray(energies, dtype=np.float64)
-        basis = [StateVector.basis_vector(e.shape[0], k) for k in range(e.shape[0])]
-        return cls(e, basis, gap_tol=gap_tol)
+        return cls(energies, None, gap_tol=gap_tol)
 
     @property
     def energies(self) -> np.ndarray:
@@ -103,7 +101,7 @@ class EigenSystem:
     @property
     def basis_matrix(self) -> np.ndarray:
         """Basis states stacked as rows, shape (levels, dim)."""
-        return self._basis
+        return np.eye(self.level_count, dtype=np.complex128) if self._basis is None else self._basis
 
     @property
     def level_count(self) -> int:
@@ -111,7 +109,7 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return self._basis.shape[1]
+        return self.level_count if self._basis is None else self._basis.shape[1]
 
     def __repr__(self) -> str:
         return f"EigenSystem(levels={self.level_count}, dim={self.dim})"
@@ -201,10 +199,12 @@ def _level_projection(
         raise InvalidArgument(f"level {n} out of range for {sys.level_count} levels")
     if V.dim != sys.dim:
         raise InvalidArgument(f"V dim {V.dim} does not match system dim {sys.dim}")
-    b = sys.basis_matrix
+    b = sys._basis
     others = np.delete(np.arange(sys.level_count), n)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan reaches the report emitter
-        m = b.conj() @ V.entries @ b.T
+        # the standard basis (None) takes V as it is, each -0.0 part read as
+        # +0.0, where the basis change's sums of zero products gave either sign
+        m = V.entries + 0.0 if b is None else b.conj() @ V.entries @ b.T
         return 0.5 * (m + m.conj().T), others, sys.energies[n] - sys.energies[others]
 
 

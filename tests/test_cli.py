@@ -14,6 +14,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -641,6 +642,22 @@ class TestNullCurve:
         )
         assert code == 1
         assert err == f"ggphase: error: argument 'samples' {message}\n"
+
+    def test_count_beyond_the_memory_is_an_invocation_error(self, tmp_path):
+        # 10**12 samples pass the one-array guard, but their parameter grid
+        # alone needs 8 TB. The process's address space is capped at 1 GiB,
+        # so the test never asks for real memory.
+        a = write_json(tmp_path / "a.json", [1, 0])
+        b = write_json(tmp_path / "b.json", cvec([0.6, 0.8j]))
+        template = write_json(
+            tmp_path / "job.json", {"command": "null-curve", "a": a, "b": b, "identity": True}
+        )
+        count = str(10**12)
+        message = f"ggphase: error: argument 'samples' is too large for the memory available, got {count}\n"
+        for argv in (["null-curve", "--a", a, "--b", b, "--identity", "--samples", count],
+                     ["sweep", "--template", template, "--param", "samples", "--values", "5", count]):
+            proc = run_module(*argv, memory_cap=2**30)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
     def test_orthogonal_pair_is_domain_error(self, capsys, tmp_path):
         # The identity-observable null curve needs a nonvanishing endpoint
@@ -1294,9 +1311,32 @@ class TestFrontDoor:
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
+# Entries on both sides of o_null_curve's overflow screen, DBL_MAX / 4: below
+# it the states are proved finite, above it they are formed and checked.
+QUARTER_MAX = sys.float_info.max / 4
+SCREEN_EDGE = st.sampled_from([math.nextafter(QUARTER_MAX, 0.0), QUARTER_MAX,
+                               math.nextafter(QUARTER_MAX, math.inf)])
+SMALL_PARTS = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def endpoint_pair(draw):
+    """Two endpoint files of one dim; half the pairs hold only small parts."""
+    dim = draw(st.integers(1, 3))
+    parts = draw(st.sampled_from([SMALL_PARTS, SMALL_PARTS | SCREEN_EDGE | SCREEN_EDGE.map(float.__neg__)]))
+    entry = st.builds(lambda re, im: {"re": re, "im": im}, parts, parts)
+    return [draw(st.lists(entry, min_size=dim, max_size=dim)) for _ in range(2)]
+
+
+@pytest.fixture(scope="module")
+def null_curve_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("null_curve_numbers")
+    return {name: str(d / f"{name}.json") for name in ("a", "b", "obs")}
+
+
 class TestCommandLineNumbers:
-    """Whatever finite numbers the flags hold, `scatter separable` ends in
-    the exit contract within seconds."""
+    """Whatever finite numbers the flags hold, `scatter separable` and
+    `null-curve` end in the exit contract within seconds."""
 
     @given(beta=FINITE_FLOATS, coupling=FINITE_FLOATS, mass=FINITE_FLOATS, k=FINITE_FLOATS,
            order=st.integers())
@@ -1304,6 +1344,22 @@ class TestCommandLineNumbers:
     def test_any_separable_flags_keep_the_exit_contract(self, beta, coupling, mass, k, order):
         argv = ["scatter", "separable", "--beta", repr(beta), "--coupling", repr(coupling),
                 "--mass", repr(mass), "--k", repr(k), "--born-order", str(order)]
+        start = time.perf_counter()
+        assert_exit_contract(*run_contained(argv))
+        assert time.perf_counter() - start < 5.0
+
+    @given(tau=st.floats(0.1, 3.0) | FINITE_FLOATS, samples=st.integers(3, 10**5), ends=endpoint_pair(),
+           identity=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_any_null_curve_flags_keep_the_exit_contract(self, null_curve_files, tau, samples, ends,
+                                                         identity):
+        for name, entries in zip("ab", ends):
+            write_json(pathlib.Path(null_curve_files[name]), entries)
+        positive = (np.eye(len(ends[0])) + 0.5).tolist()
+        obs = ["--identity"] if identity else [
+            "--observable", write_json(pathlib.Path(null_curve_files["obs"]), positive)]
+        argv = ["null-curve", "--a", null_curve_files["a"], "--b", null_curve_files["b"], *obs,
+                "--tau", repr(tau), "--samples", str(samples)]
         start = time.perf_counter()
         assert_exit_contract(*run_contained(argv))
         assert time.perf_counter() - start < 5.0
@@ -1409,16 +1465,18 @@ class TestEmission:
             assert quantity in error["message"]
 
 
-def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
+def run_module(*argv, memory_cap=None, **kwargs) -> subprocess.CompletedProcess:
     """python -m ggphase.cli in a fresh process, so numpy's warnings reach its
-    stderr; keyword arguments go to subprocess.run."""
+    stderr. With ``memory_cap``, the process's address space is capped at that
+    many bytes and BLAS runs one thread; other keyword arguments go to
+    subprocess.run."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    if memory_cap is not None:
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        kwargs["preexec_fn"] = lambda: resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
     return subprocess.run(
-        [sys.executable, "-m", "ggphase.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
-        **kwargs,
+        [sys.executable, "-m", "ggphase.cli", *argv], capture_output=True, text=True, env=env, **kwargs
     )
 
 

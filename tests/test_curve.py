@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,47 @@ class TestParamCurve:
         curve = great_circle_curve(11, 0.3)
         st = curve.state(4)
         np.testing.assert_allclose(st.components, curve.states[4])
+
+
+class TestCurveOverABasis:
+    """A curve stored as (M, r) coefficients over an (r, dim) basis."""
+
+    @staticmethod
+    def spanned(rng, count=21, dim=4):
+        basis = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        coeffs = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+        return ParamCurve(np.linspace(0.0, 1.0, count), coeffs, basis=basis), coeffs, basis
+
+    def test_states_are_formed_from_the_coefficients(self):
+        curve, coeffs, basis = self.spanned(rng_for(1800))
+        assert (curve.dim, curve.sample_count) == (4, 21)
+        np.testing.assert_array_equal(curve.coeffs, coeffs)
+        np.testing.assert_array_equal(curve.states, coeffs @ basis)
+        np.testing.assert_array_equal(curve.row(-1), coeffs[-1] @ basis)
+        np.testing.assert_array_equal(curve.state(3).components, coeffs[3] @ basis)
+
+    def test_gauge_and_reparametrization_keep_the_basis(self):
+        curve, coeffs, basis = self.spanned(rng_for(1801))
+        lam = np.linspace(0.0, 2.0, 21)
+        gauged = gauge_transform(curve, lam)
+        np.testing.assert_array_equal(gauged.basis, basis)
+        np.testing.assert_array_equal(gauged.coeffs, np.exp(1j * lam)[:, None] * coeffs)
+        moved = reparametrize(curve, np.linspace(0.0, 1.0, 21) ** 2 + np.arange(21))
+        assert moved.basis is curve.basis and moved.coeffs is curve.coeffs
+
+    def test_basis_and_coefficients_must_agree(self):
+        with pytest.raises(ValueError, match="basis shape"):
+            ParamCurve([0.0, 0.5, 1.0], np.ones((3, 2)), basis=np.ones((3, 4)))
+
+    def test_non_finite_basis_is_refused(self):
+        with pytest.raises(ValueError, match="states contain non-finite entries"):
+            ParamCurve([0.0, 0.5, 1.0], np.ones((3, 2)), basis=[[1.0, 0.0], [np.inf, 0.0]])
+
+    def test_vanishing_state_is_named(self):
+        # the middle coefficients cancel the two basis rows
+        coeffs = [[1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="sample 1 has vanishing norm"):
+            ParamCurve([0.0, 0.5, 1.0], coeffs, basis=[[0.6, 0.8j], [0.6, 0.8j]])
 
 
 class TestConnectionSamples:
@@ -404,6 +446,67 @@ class TestONullCurve:
         with pytest.raises(SingularConnection, match="vanishes at interior sample 50 ") as err:
             o_null_curve(StateVector([1.0, 0.0]), StateVector([1.0, 2.0]), z, M=101)
         assert err.value.sample_index == 50
+
+
+class TestNullCurvesStayInTheirSpan:
+    """The null curves are stored as (M, 2) coefficients over [A; B], and their
+    connection is the one the same states give as a dense curve."""
+
+    @staticmethod
+    def pairs():
+        for seed in range(12):
+            rng = rng_for(1900 + seed)
+            dim = int(rng.integers(2, 6))
+            a, b = random_state(rng, dim, normalize=True), random_state(rng, dim, normalize=True)
+            for obs in (None, random_positive_definite(rng, dim)):
+                yield a, b, obs, float(rng.uniform(0.5, 2.0))
+
+    @staticmethod
+    def assert_dense_agrees(curve, obs):
+        dense = ParamCurve(curve.params, curve.states)
+        got, want = connection_samples(curve, obs), connection_samples(dense, obs)
+        assert got.integral == pytest.approx(want.integral, rel=1e-12, abs=0.0)
+        assert got.min_modulus == pytest.approx(want.min_modulus, rel=1e-12, abs=0.0)
+        assert got.extrapolated == want.extrapolated
+        # each sample's stencil weights ~1/h amplify last-bit differences of
+        # its three sandwiches; the trapezoid integral averages them out
+        h = float(np.diff(curve.params).min())
+        np.testing.assert_allclose(got.values, want.values, rtol=0.0, atol=16 * np.finfo(float).eps / h)
+        got_phase, want_phase = curve_phase(curve, obs), curve_phase(dense, obs)
+        assert wrapped_distance(got_phase.value, want_phase.value) <= 1e-12
+
+    @pytest.mark.parametrize("count", [3, 401, 20001])
+    def test_o_null_curve_matches_its_dense_states(self, count):
+        for a, b, obs, tau in self.pairs():
+            curve = o_null_curve(a, b, obs, tau=tau, M=count)
+            assert curve.coeffs.shape == (count, 2)
+            np.testing.assert_array_equal(curve.basis, [a.components, b.components])
+            self.assert_dense_agrees(curve, obs)
+
+    @pytest.mark.parametrize("count", [3, 401, 20001])
+    def test_geodesic_null_curve_matches_its_dense_states(self, count):
+        for a, b, obs, tau in self.pairs():
+            curve = geodesic_null_curve(a, b, tau=min(tau, 3.0), M=count)
+            assert curve.coeffs.shape == (count, 2)
+            self.assert_dense_agrees(curve, obs)
+
+    def test_orthogonal_endpoints_extrapolate_alike(self):
+        curve = o_null_curve(StateVector([1.0, 0.0]), StateVector([0.0, 1.0]), X, M=401)
+        self.assert_dense_agrees(curve, X)
+        assert connection_samples(curve, X).extrapolated == (0, 400)
+
+    def test_triangle_never_holds_an_m_by_dim_array(self):
+        rng = rng_for(1950)
+        states = [random_state(rng, 16) for _ in range(3)]
+        obs = random_positive_definite(rng, 16)
+        count = 20001
+        tracemalloc.start()
+        try:
+            triangle_holonomy(*states, obs, M=count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < count * 16 * np.dtype(complex).itemsize
 
 
 class TestHolonomy:

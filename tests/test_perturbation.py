@@ -103,6 +103,26 @@ class TestEigenSystem:
         sys = EigenSystem([0.0, 1.0, 2.0], basis)
         assert sys.dim == 3
 
+    @pytest.mark.parametrize("seed", [120, 121, 122])
+    def test_standard_basis_skips_the_basis_change_bit_for_bit(self, seed):
+        # the standard basis takes V's entries directly; the same axes given
+        # as an explicit basis run the dense basis change, to the same bits
+        standard, v = seeded_problem(seed, 24)
+        explicit = EigenSystem(standard.energies, [StateVector(row) for row in np.eye(24)])
+        for n in (0, 11, 23):
+            assert energy_shift(standard, v, n, 0.1) == energy_shift(explicit, v, n, 0.1)
+            got, want = (third_order_phase_terms(s, v, n) for s in (standard, explicit))
+            for column in ("k", "l", "modulus", "gamma_v", "denominator"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+    def test_zero_diagonal_element_is_positive_zero(self):
+        # V's -0.0 parts are read as +0.0, so order1 of a level whose V_nn is
+        # zero prints as 0.0 whatever the sign of zero in the input
+        v = Observable([[-0.0, complex(-0.5, -0.0)], [complex(-0.5, 0.0), complex(-0.0, -0.0)]])
+        system = EigenSystem.standard([0.0, 1.0])
+        for n in (0, 1):
+            assert math.copysign(1.0, energy_shift(system, v, n, 0.1).order1) == 1.0
+
 
 class TestEnergyShift:
     def test_two_level_closed_form(self):
