@@ -46,9 +46,7 @@ from .phase import generalized_phase_chain
 from .scattering import (
     GridModel,
     SeparableModel,
-    _green_diagonal,
     born_forward_amplitude,
-    kernel_condition_number,
     lippmann_schwinger_solve,
     optical_theorem_residual,
     separable_born_amplitude,
@@ -260,13 +258,7 @@ def _incoming_index(model: GridModel, text: str) -> int:
 def _run_scatter_grid(args: dict, tol: ToleranceConfig):
     model = _grid_model_from_file(args["model"], tol)
     index = _incoming_index(model, args["incoming"])
-    psi = lippmann_schwinger_solve(model, index, tol=tol)
-    green = _green_diagonal(model, index)
-    rhs = np.zeros(model.size, dtype=np.complex128)
-    rhs[index] = 1.0
-    defect = float(
-        np.linalg.norm(psi.components - rhs - green * (model.V.entries @ psi.components))
-    )
+    state = lippmann_schwinger_solve(model, index)
     report = born_forward_amplitude(model, index)
     terms = triple_product_phases(model, index, tol=tol)
     table = Table(p=terms.k, q=terms.l, modulus=terms.modulus, gamma_v=terms.gamma_v,
@@ -282,10 +274,10 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
         "incoming": model.labels[index],
     }
     diagnostics = {
-        "condition_number": kernel_condition_number(model, index),
+        "condition_number": state.condition_number,
         "spectral_radius": report.spectral_radius,
         "born_series_converges": report.spectral_radius < 1.0,
-        "solve_defect": defect,
+        "solve_defect": state.defect,
     }
     return results, diagnostics, table
 

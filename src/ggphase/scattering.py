@@ -24,6 +24,7 @@ __all__ = [
     "GridModel",
     "SeparableModel",
     "BornReport",
+    "ScatteringState",
     "lippmann_schwinger_solve",
     "kernel_condition_number",
     "born_spectral_radius",
@@ -152,70 +153,75 @@ class BornReport:
         return self.term0 + self.term1 + self.term2
 
 
-def _green_diagonal(model: GridModel, i: int) -> np.ndarray:
-    """Propagator diagonal 1 / (E_i - E_p + i epsilon); an entry past the
-    doubles is inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 1.0 / (model.energies[i] - model.energies + 1j * model.greens_epsilon)
+@dataclass(frozen=True)
+class ScatteringState:
+    """|psi+> with the condition number of (1 - G0 V) and the norm of the
+    defect |psi+> - |i> - G0 V |psi+> of the solve that gave it."""
+
+    psi: StateVector
+    condition_number: float
+    defect: float
 
 
-def _scattering_kernel(model: GridModel, i: int) -> np.ndarray:
-    """The Lippmann-Schwinger matrix 1 - G0 V at the energy of grid point i."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.eye(model.size) - _green_diagonal(model, i)[:, None] * model.V.entries
-
-
-def _check_index(model: GridModel, i: int) -> None:
+def _propagator(model: GridModel, i: int) -> np.ndarray:
+    """E_i - E_p + i epsilon over the grid points p; inf past the doubles."""
     if not 0 <= i < model.size:
         raise InvalidArgument(f"momentum index {i} out of range for grid size {model.size}")
+    with np.errstate(over="ignore"):
+        return model.energies[i] - model.energies + 1j * model.greens_epsilon
+
+
+def _born_kernel(model: GridModel, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """G0 and G0 V at the energy of grid point i; Overflow if an entry of G0 V
+    exceeds a double (an inf in G0 makes its row of G0 V inf or nan)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        green = 1.0 / _propagator(model, i)
+        kernel = green[:, None] * model.V.entries
+    if not np.isfinite(kernel).all():
+        raise Overflow(f"scattering kernel at grid point {i} overflows a double")
+    return green, kernel
 
 
 def born_spectral_radius(model: GridModel, i: int) -> float:
     """Largest eigenvalue modulus of G0 V at the energy of grid point i."""
-    _check_index(model, i)
-    kernel = _green_diagonal(model, i)[:, None] * model.V.entries
-    return float(np.abs(np.linalg.eigvals(kernel)).max())
+    return float(np.abs(np.linalg.eigvals(_born_kernel(model, i)[1])).max())
 
 
 def kernel_condition_number(model: GridModel, i: int) -> float:
     """Condition number of the linear system (1 - G0 V) solved for |psi+>."""
-    _check_index(model, i)
-    return float(np.linalg.cond(_scattering_kernel(model, i)))
+    return float(np.linalg.cond(np.eye(model.size) - _born_kernel(model, i)[1]))
 
 
-def lippmann_schwinger_solve(
-    model: GridModel, i: int, tol: ToleranceConfig = DEFAULT_TOLS
-) -> StateVector:
+def lippmann_schwinger_solve(model: GridModel, i: int) -> ScatteringState:
     """Exact scattering state |psi+> = |i> + G0 V |psi+> on the grid.
 
     Solves the finite linear system (1 - G0 V)|psi+> = |i> directly; Born
     iteration converges to this answer exactly when the spectral radius of
-    G0 V is below one, but the solve does not require that.
+    G0 V is below one, but the solve does not require that. The result
+    carries the condition number of (1 - G0 V) and the solve's defect.
 
     Raises
     ------
     Overflow
-        If an entry of (1 - G0 V) exceeds a double.
+        If an entry of G0 V exceeds a double.
     SingularKernel
         If (1 - G0 V) is singular or numerically unusable (condition number
         above 1e14).
     """
-    _check_index(model, i)
-    kernel = _scattering_kernel(model, i)
-    if not np.isfinite(kernel).all():
-        raise Overflow(f"scattering kernel at grid point {i} overflows a double")
-    cond = np.linalg.cond(kernel)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularKernel(
-            f"scattering kernel at grid point {i} has condition number {cond:.3e}"
-        )
+    green, born = _born_kernel(model, i)
+    kernel = np.eye(model.size) - born
+    cond = float(np.linalg.cond(kernel))
+    if not math.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularKernel(f"scattering kernel at grid point {i} has condition number "
+                             f"{cond:.3e}")
     rhs = np.zeros(model.size, dtype=np.complex128)
     rhs[i] = 1.0
     try:
         psi = np.linalg.solve(kernel, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularKernel(f"scattering kernel at grid point {i} is singular") from exc
-    return StateVector(psi)
+    defect = float(np.linalg.norm(psi - rhs - green * (model.V.entries @ psi)))
+    return ScatteringState(StateVector(psi), cond, defect)
 
 
 def born_forward_amplitude(model: GridModel, i: int) -> BornReport:
@@ -229,19 +235,15 @@ def born_forward_amplitude(model: GridModel, i: int) -> BornReport:
     sum_{p,q} V_ip V_pq V_qi / ((E_i - E_p + ie)(E_i - E_q + ie)) carries
     the closed-triple phases tabulated by triple_product_phases.
     """
-    _check_index(model, i)
+    g = _born_kernel(model, i)[0]
     v = model.V.entries
-    g = _green_diagonal(model, i)
     scale = -4.0 * math.pi**2 * model.mass
-    row = v[i, :]
-    col = v[:, i]
-    t0 = complex(v[i, i])
+    row, col = v[i, :], v[:, i]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan terms reach the report emitter
         t1 = complex((row * g) @ col)
         t2 = complex((row * g) @ v @ (g * col))
-    return BornReport(
-        scale * t0, scale * t1, scale * t2, born_spectral_radius(model, i)
-    )
+    return BornReport(scale * complex(v[i, i]), scale * t1, scale * t2,
+                      born_spectral_radius(model, i))
 
 
 def triple_product_phases(
@@ -255,11 +257,8 @@ def triple_product_phases(
     (E_i - E_p + ie)(E_i - E_q + ie). Rows are p-major. Summing
     modulus * exp(i gamma_v) / denominator reproduces <i|V G0 V G0 V|i>.
     """
-    _check_index(model, i)
     v = model.V.entries
-    with np.errstate(over="ignore"):  # an inf denominator reaches the report emitter
-        den = model.energies[i] - model.energies + 1j * model.greens_epsilon
-    return _closed_triples(v[i, :], v, v[:, i], den, np.arange(model.size), tol)
+    return _closed_triples(v[i, :], v, v[:, i], _propagator(model, i), np.arange(model.size), tol)
 
 
 # Separable continuum model ------------------------------------------------
@@ -304,13 +303,18 @@ def separable_tmatrix(
     PoleAtEnergy
         If 1 - c I(E_k) vanishes (a bound or virtual state sits at this
         energy).
+    Overflow
+        If the amplitude, formed as written, is not a finite double.
     """
     loop = loop_integral(model, k)
     den = 1.0 - model.coupling * loop
     if abs(den) <= tol.tol_zero:
         raise PoleAtEnergy(f"T-matrix pole at k = {k}: |1 - coupling*I| = {abs(den):.3e}")
     chi = _form_factor(k, model.beta)
-    return -4.0 * math.pi**2 * model.mass * model.coupling * chi * chi / den
+    amplitude = -4.0 * math.pi**2 * model.mass * model.coupling * chi * chi / den
+    if not cmath.isfinite(amplitude):
+        raise Overflow(f"the exact amplitude overflows a double at coupling {model.coupling}")
+    return amplitude
 
 
 def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) -> complex:

@@ -783,6 +783,26 @@ class TestScatter:
         assert lines[0] == "p,q,modulus,gamma_v,denominator_re,denominator_im"
         assert len(lines) == 1 + len(gg.triple_product_phases(self.grid_model(), 1))
 
+    def test_grid_job_runs_one_svd_and_one_solve(self, capsys, grid_file, monkeypatch):
+        # The solve carries its condition number and defect, so a grid job
+        # takes one SVD and one LU factorisation of (1 - G0 V), and reports
+        # the condition number that kernel_condition_number gives.
+        calls = {"cond": 0, "solve": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, out, _ = invoke(capsys, "scatter", "grid", "--model", grid_file, "--incoming", "k2")
+        assert code == 0
+        assert calls == {"cond": 1, "solve": 1}
+        monkeypatch.undo()
+        condition = json.loads(out)["diagnostics"]["condition_number"]
+        assert condition == gg.kernel_condition_number(self.grid_model(), 2)
+
     def test_phase_terms_cells_are_the_csv_cells(self, capsys, grid_file, tmp_path):
         out_csv = tmp_path / "table.csv"
         code, out, _ = invoke(
@@ -1094,6 +1114,12 @@ def assert_exit_contract(code: int, text: str) -> None:
         assert isinstance(error_type, type) and issubclass(error_type, gg.DomainError)
 
 
+def assert_exit_contract_within_seconds(argv) -> None:
+    start = time.perf_counter()
+    assert_exit_contract(*run_contained(argv))
+    assert time.perf_counter() - start < 5.0
+
+
 def allocates(key: str, value) -> bool:
     """A sample count of 10**5 or more: that many array rows."""
     try:
@@ -1334,9 +1360,39 @@ def null_curve_files(tmp_path_factory):
     return {name: str(d / f"{name}.json") for name in ("a", "b", "obs")}
 
 
+@pytest.fixture(scope="module")
+def number_files(tmp_path_factory):
+    """A cycle Hamiltonian, and perturbation levels with a Hermitian V."""
+    d = tmp_path_factory.mktemp("command_line_numbers")
+    return {
+        "h": write_json(d / "h.json", cmat(random_hermitian(rng_for(71), 3).entries)),
+        "h0": write_json(d / "h0.json", [-1.0, 0.0, 0.5, 2.0]),
+        "v": write_json(d / "v.json", cmat(random_hermitian(rng_for(72), 4).entries)),
+    }
+
+
 class TestCommandLineNumbers:
-    """Whatever finite numbers the flags hold, `scatter separable` and
-    `null-curve` end in the exit contract within seconds."""
+    """Whatever finite numbers the flags hold, every command that takes them
+    ends in the exit contract within seconds."""
+
+    @given(epsilon=FINITE_FLOATS)
+    @settings(max_examples=100, deadline=None)
+    def test_any_cycle_epsilon_keeps_the_exit_contract(self, number_files, epsilon):
+        argv = ["cycle", "--h", number_files["h"], "--epsilon", repr(epsilon)]
+        assert_exit_contract_within_seconds(argv)
+
+    @given(kind=st.sampled_from(["x", "hadamard"]), theta=FINITE_FLOATS, phi=FINITE_FLOATS)
+    @settings(max_examples=100, deadline=None)
+    def test_any_two_level_angles_keep_the_exit_contract(self, kind, theta, phi):
+        argv = ["two-level", "--kind", kind, "--theta", repr(theta), "--phi", repr(phi)]
+        assert_exit_contract_within_seconds(argv)
+
+    @given(level=st.integers(-5, 8) | st.integers(), coupling=FINITE_FLOATS)
+    @settings(max_examples=100, deadline=None)
+    def test_any_perturb_numbers_keep_the_exit_contract(self, number_files, level, coupling):
+        argv = ["perturb", "--h0", number_files["h0"], "--v", number_files["v"],
+                "--level", str(level), "--lambda", repr(coupling)]
+        assert_exit_contract_within_seconds(argv)
 
     @given(beta=FINITE_FLOATS, coupling=FINITE_FLOATS, mass=FINITE_FLOATS, k=FINITE_FLOATS,
            order=st.integers())
@@ -1344,9 +1400,7 @@ class TestCommandLineNumbers:
     def test_any_separable_flags_keep_the_exit_contract(self, beta, coupling, mass, k, order):
         argv = ["scatter", "separable", "--beta", repr(beta), "--coupling", repr(coupling),
                 "--mass", repr(mass), "--k", repr(k), "--born-order", str(order)]
-        start = time.perf_counter()
-        assert_exit_contract(*run_contained(argv))
-        assert time.perf_counter() - start < 5.0
+        assert_exit_contract_within_seconds(argv)
 
     @given(tau=st.floats(0.1, 3.0) | FINITE_FLOATS, samples=st.integers(3, 10**5), ends=endpoint_pair(),
            identity=st.booleans())
@@ -1360,9 +1414,7 @@ class TestCommandLineNumbers:
             "--observable", write_json(pathlib.Path(null_curve_files["obs"]), positive)]
         argv = ["null-curve", "--a", null_curve_files["a"], "--b", null_curve_files["b"], *obs,
                 "--tau", repr(tau), "--samples", str(samples)]
-        start = time.perf_counter()
-        assert_exit_contract(*run_contained(argv))
-        assert time.perf_counter() - start < 5.0
+        assert_exit_contract_within_seconds(argv)
 
 
 class TestDeterminism:

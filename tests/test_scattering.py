@@ -184,18 +184,23 @@ class TestLippmannSchwinger:
     def test_zero_potential_returns_basis_state(self):
         obs = gg.Observable(np.zeros((3, 3)))
         model = gg.GridModel(["a", "b", "c"], [0.0, 1.0, 2.0], 1.0, obs)
-        psi = gg.lippmann_schwinger_solve(model, 2)
+        psi = gg.lippmann_schwinger_solve(model, 2).psi
         np.testing.assert_allclose(psi.components, [0.0, 0.0, 1.0], atol=0)
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_defect_below_tolerance(self, seed):
         model = seeded_grid(seed, 8, scale=0.4)
         i = 3
-        psi = gg.lippmann_schwinger_solve(model, i).components
+        state = gg.lippmann_schwinger_solve(model, i)
+        psi = state.psi.components
         rhs = np.zeros(8, dtype=complex)
         rhs[i] = 1.0
         defect = psi - rhs - green_diag(model, i) * (model.V.entries @ psi)
         assert np.linalg.norm(defect) < 1e-12
+        # The solve reports that same defect, and the condition number of
+        # the matrix it solved.
+        assert state.defect == np.linalg.norm(defect)
+        assert state.condition_number == gg.kernel_condition_number(model, i)
 
     def test_weak_potential_matches_born_iterate(self):
         # psi+ = sum_n (G0 V)^n |i>; truncating after the quadratic term
@@ -203,7 +208,7 @@ class TestLippmannSchwinger:
         def truncation_error(scale):
             model = seeded_grid(55, 5, scale=scale)
             i = 1
-            psi = gg.lippmann_schwinger_solve(model, i).components
+            psi = gg.lippmann_schwinger_solve(model, i).psi.components
             e = np.zeros(5, dtype=complex)
             e[i] = 1.0
             gv = green_diag(model, i)[:, None] * model.V.entries
@@ -220,6 +225,19 @@ class TestLippmannSchwinger:
         model = gg.GridModel(["a", "b"], [0.0, 1.0], 1.0, obs, 1e-16)
         with pytest.raises(SingularKernel):
             gg.lippmann_schwinger_solve(model, 0)
+
+    @pytest.mark.parametrize(
+        "routine",
+        [gg.born_spectral_radius, gg.born_forward_amplitude, gg.kernel_condition_number,
+         gg.lippmann_schwinger_solve],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_kernel_is_typed(self, routine):
+        # V of 1e300 over a regulator of 1e-300 puts 1e600 in G0 V.
+        obs = gg.Observable(np.full((3, 3), 1e300))
+        model = gg.GridModel(list("abc"), [0.0, 1.0, 2.0], 1.0, obs, 1e-300)
+        with pytest.raises(gg.Overflow, match="grid point 0 overflows a double"):
+            routine(model, 0)
 
     def test_condition_number_identity_for_zero_potential(self):
         obs = gg.Observable(np.zeros((4, 4)))
@@ -461,6 +479,15 @@ class TestSeparableModel:
         model = gg.SeparableModel(coupling=10.0, beta=1.0, mass=1.0)
         with pytest.raises(gg.Overflow, match=f"order-{order} .*coupling 10.0"):
             gg.separable_born_amplitude(model, 0.5, order)
+
+    @pytest.mark.parametrize(("beta", "k"), [(1e-300, 1e-290), (1e160, 1e160)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_amplitude_past_the_doubles_rejected(self, beta, k):
+        # Formed as written, these amplitudes are nan+nanj (chi overflows,
+        # so 1 - cI is nan) and -inf+infj (m c overflows).
+        model = gg.SeparableModel(coupling=1e300, beta=beta, mass=1e300)
+        with pytest.raises(gg.Overflow, match="exact amplitude .*coupling 1e\\+300"):
+            gg.separable_tmatrix(model, k)
 
     def test_pole_guard(self):
         # No real coupling puts a pole exactly on the real axis, so the
