@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, Overflow, PoleAtEnergy, SingularKernel
-from .hilbert import DEFAULT_TOLS, Observable, StateVector, ToleranceConfig
+from .hilbert import DEFAULT_TOLS, Observable, ToleranceConfig
 from .perturbation import PhaseTermTable, _closed_triples
 
 __all__ = [
@@ -155,10 +155,11 @@ class BornReport:
 
 @dataclass(frozen=True)
 class ScatteringState:
-    """|psi+> with the condition number of (1 - G0 V) and the norm of the
-    defect |psi+> - |i> - G0 V |psi+> of the solve that gave it."""
+    """|psi+>, a read-only complex array, with the condition number of
+    (1 - G0 V) and the norm of the defect |psi+> - |i> - G0 V |psi+> of the
+    solve that gave it. psi+ is not normalised; its norm may be small."""
 
-    psi: StateVector
+    psi: np.ndarray
     condition_number: float
     defect: float
 
@@ -221,7 +222,8 @@ def lippmann_schwinger_solve(model: GridModel, i: int) -> ScatteringState:
     except np.linalg.LinAlgError as exc:
         raise SingularKernel(f"scattering kernel at grid point {i} is singular") from exc
     defect = float(np.linalg.norm(psi - rhs - green * (model.V.entries @ psi)))
-    return ScatteringState(StateVector(psi), cond, defect)
+    psi.setflags(write=False)
+    return ScatteringState(psi, cond, defect)
 
 
 def born_forward_amplitude(model: GridModel, i: int) -> BornReport:
@@ -349,7 +351,8 @@ def optical_theorem_residual(
     born_order: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOLS,
 ) -> float:
-    """|Im f(k) - k |f(k)|^2| for the exact or Born-truncated amplitude.
+    """|Im f(k) - k |f(k)|^2| for the exact or Born-truncated amplitude,
+    formed as |f| |Im f / |f| - k |f|| so that |f|^2 never overflows alone.
 
     The rank-1 amplitude is isotropic, so the total cross section is
     4 pi |f|^2 and unitarity demands Im f = k |f|^2. The exact T-matrix
@@ -361,10 +364,8 @@ def optical_theorem_residual(
         f = separable_tmatrix(model, k, tol=tol)
     else:
         f = separable_born_amplitude(model, k, order=born_order)
-    try:
-        residual = abs(f.imag - k * abs(f) ** 2)
-    except OverflowError:
-        residual = math.inf
+    modulus = math.hypot(f.real, f.imag)  # inf where abs(f) would raise
+    residual = modulus * abs(f.imag / modulus - k * modulus) if modulus else 0.0
     if not math.isfinite(residual):
         source = "exact" if born_order is None else f"order-{born_order} Born"
         raise Overflow(f"the optical residual of the {source} amplitude overflows "

@@ -43,6 +43,10 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.line(line)
 
 
+# numpy 2.0 renamed trapz to trapezoid; the declared floor is numpy 1.24
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 

@@ -23,6 +23,7 @@ from conftest import (
     random_state,
     rng_for,
     smooth_two_level_path,
+    trapezoid,
 )
 from test_dynamics import exact_survival, ordered_triple_quad
 from test_perturbation import exact_shift, seeded_problem
@@ -405,7 +406,7 @@ def test_criterion_11_identity_reduction():
         got = gg.curve_phase(curve, None).value
         # endpoint reference is the closing link, end state back to start
         endpoint = cmath.phase(np.vdot(states[-1], states[0]))
-        classical_phase = gg.wrap_angle(endpoint + np.trapezoid(classical, params))
+        classical_phase = gg.wrap_angle(endpoint + trapezoid(classical, params))
         worst = max(worst, abs(gg.wrapped_distance(got, classical_phase)))
 
     # null constructions against their explicit closed forms

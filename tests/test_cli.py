@@ -862,6 +862,29 @@ class TestScatter:
         assert code == 1
         assert "incoming" in err
 
+    def test_grid_with_small_scattering_state_exits_0(self, capsys, tmp_path):
+        # With V the identity and epsilon 1e-7, (1 - G0 V) has a diagonal of
+        # about 1e7 at the incoming point, so |psi+| is about 1e-7: a well-posed
+        # solve, not a state vector the report needs normalised.
+        model = write_json(tmp_path / "grid.json", {
+            "momenta": [{"label": "a", "energy": 0.0}, {"label": "b", "energy": 1.0}],
+            "mass": 1.0, "epsilon": 1e-7, "V": [[1.0, 0.0], [0.0, 1.0]],
+        })
+        code, out, err = invoke(capsys, "scatter", "grid", "--model", model, "--incoming", "a")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["diagnostics"]["solve_defect"] < 1e-12
+
+    def test_separable_residual_finite_where_its_square_overflows(self, capsys):
+        # |f1|^2 is about 1.6e313, but k |f1|^2 is about 1.6e113.
+        code, out, err = invoke(
+            capsys, "scatter", "separable", "--coupling", "-1e155",
+            "--beta", "1", "--mass", "1", "--k", "1e-200", "--born-order", "1",
+        )
+        assert (code, err) == (0, "")
+        assert_separable_report_near_reference(
+            json.loads(out)["results"], separable_reference(-1e155, 1.0, 1.0, 1e-200, born_order=1)
+        )
+
     def test_separable_matches_library(self, capsys):
         code, out, _ = invoke(
             capsys, "scatter", "separable", "--coupling", "-0.1",

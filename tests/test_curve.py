@@ -18,6 +18,7 @@ from conftest import (
     random_state,
     rng_for,
     smooth_two_level_path,
+    trapezoid,
 )
 from ggphase import (
     Observable,
@@ -312,7 +313,7 @@ class TestGeodesicNullCurve:
         b = StateVector(np.exp(1j * theta) * np.array([1.0, 1.0]) / math.sqrt(2))
         curve = geodesic_null_curve(a, b, tau=1.0, M=2001)
         samples = connection_samples(curve, None)
-        integral = np.trapezoid(samples.values, samples.params)
+        integral = trapezoid(samples.values, samples.params)
         assert integral == pytest.approx(theta, abs=1e-6)
         assert abs(curve_phase(curve, None).value) < 1e-6
 
@@ -400,7 +401,7 @@ class TestONullCurve:
         obs = random_positive_definite(rng, 3)
         curve = o_null_curve(a, b, obs, M=4001)
         samples = connection_samples(curve, obs)
-        integral = np.trapezoid(samples.values, samples.params)
+        integral = trapezoid(samples.values, samples.params)
         amp = np.vdot(a.components, obs.entries @ b.components)
         want = np.angle(amp / np.vdot(b.components, b.components).real)
         assert integral == pytest.approx(want, abs=1e-6)

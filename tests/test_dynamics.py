@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ggphase import (
     wrap_angle,
     wrapped_distance,
 )
+from ggphase import dynamics
 from ggphase.dynamics import _CLUSTER_DIAMETER, _ordered_exponential_integral
 
 
@@ -365,6 +367,32 @@ class TestBatchedExponentialIntegral:
         for row, value in zip(freqs, batch):
             assert abs(value - ordered_triple_quad(*row, t)) < 1e-9
 
+    def test_series_length_is_the_smallest_under_its_bound(self):
+        # term m of a tight row's series is at most D^m / m! of the first
+        terms = dynamics._SERIES_TERMS
+        bound = [_CLUSTER_DIAMETER**m / math.factorial(m) for m in (terms, terms - 1)]
+        assert bound[0] < 2.0**-64 <= bound[1]
+
+    def test_thirty_series_terms_give_the_same_bits(self, monkeypatch):
+        # near-coincident frequencies put node intervals on both sides of the
+        # cluster diameter, some after a wide first gap; the terms the bound
+        # drops are too small to move a single bit of any row
+        rng = rng_for(108)
+        blocks = []
+        for t in (0.7, -1.3, 40.0, -250.0):
+            for width in (0.98, 1.0, 1.02):
+                a = width * _CLUSTER_DIAMETER / abs(t)
+                blocks.append((np.array(self.PATTERNS) * a, t))
+                for k in (1, 2, 3):
+                    freqs = rng.uniform(-1.0, 1.0, size=(300, k)) * a
+                    freqs[100:200, 0] += rng.choice([-2.0, 1.0, 3.5], size=100)
+                    blocks.append((freqs, t))
+        assert sum(len(freqs) for freqs, _ in blocks) >= 10_000
+        short = [_ordered_exponential_integral(freqs, t) for freqs, t in blocks]
+        monkeypatch.setattr(dynamics, "_SERIES_TERMS", 30)
+        for (freqs, t), want in zip(blocks, short):
+            assert _ordered_exponential_integral(freqs, t).tobytes() == want.tobytes()
+
     def test_zero_time_is_zero(self):
         freqs = np.array(self.PATTERNS) * _CLUSTER_DIAMETER
         batch = _ordered_exponential_integral(freqs, 0.0)
@@ -415,6 +443,18 @@ class TestSurvivalAmplitude:
         exact = exact_survival(h0, v, 7, t)
         assert abs(survival_amplitude(h0, v, 7, t) - exact) <= bound
         assert abs(survival_amplitude(h0, v, 7, t, order=2) - exact) > bound
+
+    def test_dim_64_allocation_peak(self):
+        # the series keeps one (_SERIES_TERMS, P) table over the P tight
+        # node intervals and one scratch row, not a temporary per term
+        h0, v = self.seeded_system(104, 64)
+        tracemalloc.start()
+        try:
+            survival_amplitude(h0, v, 7, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_zero_time_is_one(self):
         h0, v = self.seeded_system(100, 3)

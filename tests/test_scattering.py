@@ -185,14 +185,15 @@ class TestLippmannSchwinger:
         obs = gg.Observable(np.zeros((3, 3)))
         model = gg.GridModel(["a", "b", "c"], [0.0, 1.0, 2.0], 1.0, obs)
         psi = gg.lippmann_schwinger_solve(model, 2).psi
-        np.testing.assert_allclose(psi.components, [0.0, 0.0, 1.0], atol=0)
+        np.testing.assert_allclose(psi, [0.0, 0.0, 1.0], atol=0)
+        assert psi.dtype == np.complex128 and not psi.flags.writeable
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_defect_below_tolerance(self, seed):
         model = seeded_grid(seed, 8, scale=0.4)
         i = 3
         state = gg.lippmann_schwinger_solve(model, i)
-        psi = state.psi.components
+        psi = state.psi
         rhs = np.zeros(8, dtype=complex)
         rhs[i] = 1.0
         defect = psi - rhs - green_diag(model, i) * (model.V.entries @ psi)
@@ -208,7 +209,7 @@ class TestLippmannSchwinger:
         def truncation_error(scale):
             model = seeded_grid(55, 5, scale=scale)
             i = 1
-            psi = gg.lippmann_schwinger_solve(model, i).psi.components
+            psi = gg.lippmann_schwinger_solve(model, i).psi
             e = np.zeros(5, dtype=complex)
             e[i] = 1.0
             gv = green_diag(model, i)[:, None] * model.V.entries
