@@ -268,7 +268,8 @@ def two_level_phase(
 # cancellation), above it the recursion (the series would converge slowly).
 # A batch evaluates one interval level at a time, the series only on the
 # rows masked tight at that level and the recursion on the others. 0.05
-# keeps both branches < 1e-13.
+# keeps both branches < 1e-13. The same rule picks, per third-order level
+# pair of survival_amplitude, a difference quotient or the batch.
 _CLUSTER_DIAMETER = 0.05
 # A tight row's shifts obey |d| <= D, so series term m is at most D^m / m! of
 # the first; summing the terms below the smallest T with D^T / T! < 2^-64
@@ -295,13 +296,16 @@ def _cluster_series(nodes: np.ndarray) -> np.ndarray:
     acc = np.zeros(nodes.shape[0], dtype=np.complex128)
     for m in range(_SERIES_TERMS - 1, -1, -1):
         acc += np.divide(h[m], math.factorial(m + n), out=scratch)
-    # exp(c) * acc spelled out: numpy's SIMD complex multiply may fuse into
-    # FMA, and the recursion above a cluster amplifies that last-bit
-    # difference to ~1e-13, so the result would vary with the CPU
-    scale = np.exp(center)
-    out = np.empty_like(acc)
-    out.real = scale.real * acc.real - scale.imag * acc.imag
-    out.imag = scale.real * acc.imag + scale.imag * acc.real
+    # the recursion above a cluster amplifies a last-bit difference to ~1e-13
+    return _complex_product(np.exp(center), acc)
+
+
+def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b with each real product and sum rounded on its own: numpy's SIMD
+    complex multiply may fuse into FMA, so its last bit varies with the CPU."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
@@ -315,24 +319,39 @@ def _ordered_exponential_integral(freqs: np.ndarray, t: float) -> np.ndarray:
     built level by level over node intervals, a (B, k + 1 - span) table per
     level: tight intervals use the shifted series, wide ones the recursion,
     whose divisor is then large enough that the subtraction is benign.
+
+    Where |t|^k may pass the largest double, with |t| = 2^q s, 1 <= s < 2,
+    level span holds 2^(q span) times its divided differences (an exact
+    scaling, so nothing underflows) and the integral is s^k times the last
+    level; elsewhere q = 0. Raises Overflow where an integral or a phase
+    t B_j is not a finite double.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     rows, k = freqs.shape
     if t == 0.0:
         return np.zeros(rows, dtype=np.complex128)
+    e = math.frexp(t)[1]
+    q = e - 1 if k * e > 1023 else 0
     partial = np.zeros((rows, k + 1))
-    np.cumsum(freqs, axis=1, out=partial[:, 1:])
-    nodes = 1j * partial * t
-    nodes = np.take_along_axis(nodes, np.argsort(nodes.imag, axis=1), axis=1)
-    table = np.exp(nodes)
-    for span in range(1, k + 1):
-        tight = nodes.imag[:, span:] - nodes.imag[:, :-span] <= _CLUSTER_DIAMETER
-        gaps = np.where(tight, 1.0, nodes[:, span:] - nodes[:, :-span])
-        table = (table[:, 1:] - table[:, :-1]) / gaps
-        if tight.any():
-            windows = np.lib.stride_tricks.sliding_window_view(nodes, span + 1, axis=1)
-            table[tight] = _cluster_series(windows[tight])
-    return t**k * table[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(freqs, axis=1, out=partial[:, 1:])
+        nodes = 1j * partial * t
+        nodes = np.take_along_axis(nodes, np.argsort(nodes.imag, axis=1), axis=1)
+        table = np.exp(nodes)
+        for span in range(1, k + 1):
+            tight = nodes.imag[:, span:] - nodes.imag[:, :-span] <= _CLUSTER_DIAMETER
+            gaps = np.where(tight, 1.0, nodes[:, span:] - nodes[:, :-span])
+            table = (table[:, 1:] - table[:, :-1]) / gaps
+            if q:
+                table = np.ldexp(table.view(np.float64), q).view(np.complex128)
+            if tight.any():
+                windows = np.lib.stride_tricks.sliding_window_view(nodes, span + 1, axis=1)
+                series = _cluster_series(windows[tight])
+                table[tight] = np.ldexp(series.view(np.float64), q * span).view(np.complex128)
+        out = math.ldexp(t, -q) ** k * table[:, 0]
+    if not np.isfinite(out.view(np.float64)).all():
+        raise Overflow(f"ordered time integral leaves the doubles at t = {t}")
+    return out
 
 
 def f_mn(w1: float, w2: float, w3: float, t: float) -> complex:
@@ -352,6 +371,25 @@ def f_mn(w1: float, w2: float, w3: float, t: float) -> complex:
 def _fsum_complex(terms: np.ndarray) -> complex:
     """Correctly rounded sum of complex terms, real and imaginary parts apart."""
     return complex(_kernels.fsum(terms.real.ravel()), _kernels.fsum(terms.imag.ravel()))
+
+
+def _third_order_integrals(energies: np.ndarray, i: int, f2: np.ndarray, t: float) -> np.ndarray:
+    """f_mn(w_im, w_mn, w_ni, t) of every level pair (m, n) from the
+    second-order values f2[m], whose nodes {0, x_m, 0}, x_m = i t w_im, lack
+    one of the pair's {0, x_m, x_n, 0}: where |x_m - x_n| > _CLUSTER_DIAMETER
+    the pair is (f2[m] - f2[n]) / (i (w_im - w_in)), in real arithmetic, and
+    the other pairs (m = n among them) run the batch on their own rows."""
+    w_im = energies[i] - energies
+    gap = w_im[:, None] - w_im[None, :]
+    tight = np.abs(t * gap) <= _CLUSTER_DIAMETER
+    gap[tight] = 1.0
+    f3 = np.empty(gap.shape, dtype=np.complex128)
+    f3.real = (f2.imag[:, None] - f2.imag[None, :]) / gap
+    f3.imag = (f2.real[None, :] - f2.real[:, None]) / gap
+    m, n = np.nonzero(tight)
+    freqs = np.stack([w_im[m], energies[m] - energies[n], energies[n] - energies[i]], axis=1)
+    f3[m, n] = _ordered_exponential_integral(freqs, t)
+    return f3
 
 
 def survival_amplitude(
@@ -374,11 +412,17 @@ def survival_amplitude(
     with w_pq the level spacing E_p - E_q and F2 the two-fold analogue of
     f_mn. The truncation error is O((t ||V||)^(order+1)).
 
+    Order 3 takes each level pair wider than _CLUSTER_DIAMETER from two F2
+    values (_third_order_integrals). Each term product rounds every real
+    operation on its own, so the value does not depend on SIMD dispatch.
+
     Raises
     ------
     InvalidArgument
         If H0 is not diagonal (its basis defines the levels) or order is
         outside 0..3.
+    Overflow
+        If an ordered integral or the amplitude is not a finite double.
     """
     if order not in (0, 1, 2, 3):
         raise InvalidArgument(f"order must be in 0..3, got {order}")
@@ -395,17 +439,17 @@ def survival_amplitude(
     energies = np.real(np.diagonal(h0))
     v = V.entries
     amp = 1.0 + 0.0j
-    if order >= 1:
-        amp += -1j * t * v[i, i]
     w_im = energies[i] - energies
-    if order >= 2:
-        f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), t)
-        amp += _fsum_complex(-v[i, :] * v[:, i] * f2)
-    if order >= 3:
-        dim = H0.dim
-        w_mn = energies[:, None] - energies[None, :]
-        w_ni = energies - energies[i]
-        freqs = np.stack(np.broadcast_arrays(w_im[:, None], w_mn, w_ni[None, :]), axis=-1)
-        f3 = _ordered_exponential_integral(freqs.reshape(dim * dim, 3), t).reshape(dim, dim)
-        amp += _fsum_complex((1j * v[i, :])[:, None] * v * v[:, i][None, :] * f3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order >= 1:
+            amp += -1j * t * v[i, i]
+        if order >= 2:
+            f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), t)
+            amp -= _fsum_complex(_complex_product(_complex_product(v[i, :], v[:, i]), f2))
+        if order >= 3:
+            f3 = _third_order_integrals(energies, i, f2, t)
+            terms = _complex_product(_complex_product(v[i, :, None], v), v[None, :, i])
+            amp += 1j * _fsum_complex(_complex_product(terms, f3))
+    if not cmath.isfinite(amp):
+        raise Overflow(f"survival amplitude leaves the doubles at t = {t}")
     return amp

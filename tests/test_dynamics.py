@@ -2,8 +2,13 @@
 
 import cmath
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from ggphase import (
     CycleResult,
     NonOrthogonalBasis,
     Observable,
+    Overflow,
     StateVector,
     TwoLevelKind,
     TwoLevelParams,
@@ -476,3 +482,189 @@ class TestSurvivalAmplitude:
         h0, v = self.seeded_system(103, 3)
         with pytest.raises(ValueError):
             survival_amplitude(h0, v, 5, 0.3)
+
+
+def batch_third_order_table(energies: np.ndarray, i: int, t: float) -> np.ndarray:
+    """f_mn(w_im, w_mn, w_ni, t) of every level pair (m, n) as one (dim^2, 3)
+    row batch of the divided-difference dynamic program: the reference for
+    the level-pair difference quotients."""
+    dim = len(energies)
+    w_im = energies[i] - energies
+    w_mn = energies[:, None] - energies[None, :]
+    w_ni = energies - energies[i]
+    freqs = np.stack(np.broadcast_arrays(w_im[:, None], w_mn, w_ni[None, :]), axis=-1)
+    return _ordered_exponential_integral(freqs.reshape(dim * dim, 3), t).reshape(dim, dim)
+
+
+class TestThirdOrderFromSecondOrder:
+    """The third order takes each level pair wider than the cluster diameter
+    from a difference quotient of two second-order values, and the tight
+    pairs from the batch; these compare both with the dim^2-row batch."""
+
+    TIMES = [0.0, 1e-3, 1.0, -0.9, 40.0]
+
+    @staticmethod
+    def stressed_system(seed, t, dim=24):
+        """Levels around level 0 with exact degeneracies (m = i and m != n)
+        and gaps of 0.98 and 1.02 cluster widths, the rest at random; V
+        scaled to |t| ||V|| = 0.5, so the third order carries weight."""
+        rng = rng_for(seed)
+        width = _CLUSTER_DIAMETER / abs(t) if t else _CLUSTER_DIAMETER
+        a = float(rng.uniform(2.0, 3.0)) * width
+        offsets = [0.0, 0.0, 0.98 * width, -1.02 * width, a, a, a + 0.98 * width, a - 1.02 * width]
+        offsets += list(rng.uniform(-4.0, 4.0, size=dim - len(offsets)) * width)
+        energies = float(rng.uniform(-1.0, 1.0)) + np.array(offsets)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m += m.conj().T
+        m *= 0.5 / ((abs(t) or 1.0) * np.linalg.norm(m, 2))
+        return Observable(np.diag(energies)), Observable(m)
+
+    @pytest.mark.parametrize("t", TIMES)
+    @pytest.mark.parametrize("seed", [110, 111, 112])
+    def test_amplitude_matches_the_batch(self, seed, t):
+        h0, v = self.stressed_system(seed, t)
+        energies = np.real(np.diagonal(h0.entries))
+        vv = v.entries
+        terms = vv[0, :, None] * vv * vv[None, :, 0] * batch_third_order_table(energies, 0, t)
+        want = survival_amplitude(h0, v, 0, t, order=2) + 1j * complex(
+            math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel())
+        )
+        got = survival_amplitude(h0, v, 0, t)
+        assert abs(got - want) <= 1e-13 * np.abs(terms).sum()
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_tight_pairs_equal_the_batch_bit_for_bit(self, t):
+        h0, _ = self.stressed_system(113, t)
+        energies = np.real(np.diagonal(h0.entries))
+        w_im = energies[0] - energies
+        f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), t)
+        got = dynamics._third_order_integrals(energies, 0, f2, t)
+        want = batch_third_order_table(energies, 0, t)
+        tight = np.abs(t * (w_im[:, None] - w_im[None, :])) <= _CLUSTER_DIAMETER
+        assert tight.sum() > len(energies)  # off-diagonal tight pairs are present
+        assert got[tight].tobytes() == want[tight].tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+
+    def test_batch_runs_on_tight_pairs_only(self, monkeypatch):
+        # dim 64 with levels spread over [-2, 2]: the batch sees the dim
+        # second-order rows and then only the tight pairs, not dim^2 rows
+        h0, v = TestSurvivalAmplitude.seeded_system(104, 64)
+        energies = np.real(np.diagonal(h0.entries))
+        w_im = energies[7] - energies
+        tight = int((np.abs(w_im[:, None] - w_im[None, :]) <= _CLUSTER_DIAMETER).sum())
+        rows = []
+        batch = dynamics._ordered_exponential_integral
+
+        def counted(freqs, t):
+            rows.append(len(freqs))
+            return batch(freqs, t)
+
+        monkeypatch.setattr(dynamics, "_ordered_exponential_integral", counted)
+        survival_amplitude(h0, v, 7, 1.0)
+        assert rows == [64, tight]
+        assert tight < 4 * 64
+
+
+class TestLargeTimes:
+    """Past |t|^3 ~ 1e308 the batch scales its table by powers of two: an
+    integral that is a double comes back finite, any other raises Overflow
+    naming t, and neither leaks an OverflowError or a RuntimeWarning."""
+
+    @staticmethod
+    def distinct_node_sum(freqs, t):
+        """sum_a exp(i t B_a) / prod_{b != a} i (B_a - B_b) over distinct
+        partial sums B, in which t^3 cancels, on the same rounded phases."""
+        partial = np.concatenate([[0.0], np.cumsum(freqs)])
+        total = 0j
+        for a, ba in enumerate(partial):
+            denom = 1.0 + 0.0j
+            for b, bb in enumerate(partial):
+                if b != a:
+                    denom *= 1j * (ba - bb)
+            total += cmath.exp(1j * (ba * t)) / denom
+        return total
+
+    @pytest.mark.parametrize("t", [1e102, 1e103, -1e103, 3.7e150, 1e300])
+    @pytest.mark.parametrize("freqs", [(1.0, 2.0, 3.0), (0.5, -2.0, 4.0), (-1.25, 3.0, 0.75)])
+    def test_matches_the_distinct_node_sum(self, freqs, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f_mn(*freqs, t)
+        want = self.distinct_node_sum(freqs, t)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_coincident_frequencies_up_to_the_largest_double(self):
+        # f_mn(0, 0, 0, t) = t^3 / 6, a double up to t = (6 DBL_MAX)^(1/3)
+        t = 1.02e103
+        assert f_mn(0.0, 0.0, 0.0, t) == pytest.approx(t / 6.0 * t * t, rel=1e-14)
+        with pytest.raises(Overflow, match=re.escape("t = 1.03e+103")):
+            f_mn(0.0, 0.0, 0.0, 1.03e103)
+
+    @pytest.mark.parametrize("freqs", [
+        (0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (1.0, -1.0, 0.0), (0.0, 1.0, -1.0), (1e-3, 1e3, 1.0),
+    ])
+    def test_finite_or_overflow_at_every_scale(self, freqs):
+        for t in [s * 10.0**p for p in range(0, 309, 7) for s in (1.0, -1.0)] + [1.7e308]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value = f_mn(*freqs, t)
+                except Overflow as exc:
+                    assert f"t = {t}" in str(exc)
+                else:
+                    assert cmath.isfinite(value)
+
+    def test_survival_at_large_time(self):
+        h0 = Observable(np.diag([0.0, 1.0, 2.5]))
+        v = Observable(np.full((3, 3), 1e-120))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(survival_amplitude(h0, v, 0, 1e100) - 1.0) < 1e-15
+            # the m = n = i integral t^3 / 6 is not a double
+            with pytest.raises(Overflow, match=re.escape("t = 1e+110")):
+                survival_amplitude(h0, v, 0, 1e110)
+
+    def test_overflowing_amplitude_is_typed(self):
+        h0 = Observable(np.diag([0.0, 1.0, 2.5]))
+        v = Observable(np.full((3, 3), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match=re.escape("t = 1.0")):
+                survival_amplitude(h0, v, 0, 1.0)
+
+
+SURVIVAL_VALUES = """
+import numpy as np
+from ggphase import Observable, survival_amplitude
+for seed in range(30):
+    rng = np.random.default_rng(seed)
+    h0 = Observable(np.diag(np.sort(rng.uniform(-2.0, 2.0, size=64))))
+    a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    print(repr(survival_amplitude(h0, Observable(0.1 * (a + a.conj().T)), seed, 1.0)))
+"""
+
+
+def dispatched_cpu_features() -> list[str]:
+    """The SIMD targets numpy picks among at run time."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+def test_survival_values_do_not_depend_on_simd_dispatch():
+    features = dispatched_cpu_features()
+    if not features:
+        pytest.skip("this numpy dispatches no SIMD targets")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", SURVIVAL_VALUES], env=extra, capture_output=True, text=True, check=True
+        ).stdout
+        for extra in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})
+    ]
+    assert len(outputs[0].splitlines()) == 30
+    assert outputs[0] == outputs[1]
