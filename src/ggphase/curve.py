@@ -36,6 +36,8 @@ from .hilbert import (
     Observable,
     StateVector,
     ToleranceConfig,
+    finite_array,
+    finite_number,
     observable_entries,
     principal_arg,
     wrap_angle,
@@ -72,32 +74,26 @@ class ParamCurve:
     __slots__ = ("_params", "_coeffs", "_basis")
 
     def __init__(self, params, states, tol: ToleranceConfig = DEFAULT_TOLS, basis=None):
-        p = np.asarray(params, dtype=np.float64)
-        s = np.ascontiguousarray(states, dtype=np.complex128)
-        b = None if basis is None else np.ascontiguousarray(basis, dtype=np.complex128)
-        if p.ndim != 1 or s.ndim != 2 or p.shape[0] != s.shape[0]:
+        p = finite_array(params, 1, "params", np.float64)
+        s = finite_array(states, 2, "states")
+        b = None if basis is None else finite_array(basis, 2, "basis")
+        if p.shape[0] != s.shape[0]:
             raise InvalidArgument(
                 f"params shape {p.shape} and states shape {s.shape} are inconsistent"
             )
-        if b is not None and (b.ndim != 2 or b.shape[0] != s.shape[1]):
+        if b is not None and b.shape[0] != s.shape[1]:
             raise InvalidArgument(f"basis shape {b.shape} does not match coefficients shape {s.shape}")
         if p.shape[0] < 3:
             raise InvalidArgument(f"curve needs at least 3 samples, got {p.shape[0]}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidArgument("params contain non-finite entries")
         if not np.all(p[1:] > p[:-1]):
             raise InvalidArgument("params must be strictly increasing")
         parts = s.view(np.float64)  # (M, 2 r): real and imaginary parts
-        if not (np.all(np.isfinite(parts)) and (b is None or np.all(np.isfinite(b.view(np.float64))))):
-            raise InvalidArgument("states contain non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
             norms = (np.einsum("ld,ld->l", parts, parts) if b is None  # else c^* (b^* b^T) c
                      else np.einsum("lk,lk->l", s.conj() @ (b.conj() @ b.T), s).real)
         if np.any(norms <= tol.tol_zero):
             bad = int(np.argmax(norms <= tol.tol_zero))
             raise InvalidArgument(f"curve state at sample {bad} has vanishing norm")
-        for a in (p, s) if b is None else (p, s, b):
-            a.setflags(write=False)
         self._params = p
         self._coeffs = s
         self._basis = b
@@ -291,7 +287,7 @@ def geodesic_null_curve(
     OrthogonalEndpoints
         If |<B|A>| <= tol_zero: no geodesic phase reference exists.
     """
-    if not 0.0 < tau < math.pi:
+    if not 0.0 < finite_number("tau", tau) < math.pi:
         raise InvalidArgument(f"tau must lie in (0, pi), got {tau}")
     if M < 3:
         raise InvalidArgument(f"M must be >= 3, got {M}")
@@ -342,8 +338,7 @@ def o_null_curve(
     """
     if M < 3:
         raise InvalidArgument(f"M must be >= 3, got {M}")
-    if tau <= 0.0:
-        raise InvalidArgument(f"tau must be positive, got {tau}")
+    finite_number("tau", tau, positive=True)
     if A.dim != B.dim:
         raise InvalidArgument(f"state dims differ: {A.dim} vs {B.dim}")
     # n(x) = c_A(x) A + c_B(x) B is stored as its (M, 2) coefficients over
@@ -442,21 +437,14 @@ def triangle_holonomy(
 
 def gauge_transform(curve: ParamCurve, offsets) -> ParamCurve:
     """Re-phase each sample: states[l] -> e^{i lambda_l} states[l]."""
-    lam = np.asarray(offsets, dtype=np.float64)
+    lam = finite_array(offsets, 1, "offsets", np.float64)
     if lam.shape != (curve.sample_count,):
         raise InvalidArgument(
             f"offsets length {lam.shape} does not match sample count {curve.sample_count}"
         )
-    if not np.all(np.isfinite(lam)):
-        raise InvalidArgument("offsets contain non-finite entries")
     return ParamCurve(curve.params, np.exp(1j * lam)[:, None] * curve.coeffs, basis=curve.basis)
 
 
 def reparametrize(curve: ParamCurve, new_params) -> ParamCurve:
     """Replace the parameter grid, keeping the states; phases are invariant in the continuum."""
-    p = np.asarray(new_params, dtype=np.float64)
-    if p.shape != (curve.sample_count,):
-        raise InvalidArgument(
-            f"new_params length {p.shape} does not match sample count {curve.sample_count}"
-        )
-    return ParamCurve(p, curve.coeffs, basis=curve.basis)
+    return ParamCurve(new_params, curve.coeffs, basis=curve.basis)

@@ -23,6 +23,9 @@ from .hilbert import (
     Observable,
     StateVector,
     ToleranceConfig,
+    finite_array,
+    finite_number,
+    orthonormality_defect,
     principal_arg,
     wrap_angle,
 )
@@ -57,15 +60,12 @@ class UnitaryMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        mat = np.asarray(entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        mat = finite_array(entries, 2, "unitary")
+        if mat.shape[0] != mat.shape[1]:
             raise InvalidArgument(f"unitary must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise InvalidArgument("unitary entries contain non-finite values")
-        defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+        defect = orthonormality_defect(mat.T)  # the columns: U^H U - 1
         if defect > _UNITARITY_TOL:
             raise InvalidArgument(f"matrix is not unitary: max |U^H U - 1| = {defect:.3e}")
-        mat.setflags(write=False)
         self._entries = mat
 
     @property
@@ -95,8 +95,8 @@ class TwoLevelParams:
     phi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise InvalidArgument("angles must be finite")
+        finite_number("theta", self.theta)
+        finite_number("phi", self.phi)
         if not 0.0 <= self.theta <= 2.0 * math.pi:
             raise InvalidArgument(f"theta must lie in [0, 2*pi], got {self.theta}")
         if not -math.pi < self.phi <= math.pi:
@@ -140,8 +140,7 @@ def evolve(H: Observable, t: float) -> UnitaryMatrix:
     The spectral form keeps the result unitary to roundoff for any t, unlike
     a truncated series.
     """
-    if not math.isfinite(t):
-        raise InvalidArgument(f"time must be finite, got {t}")
+    t = finite_number("time", t)
     # a bound on the spectral radius, and on |t| times it: both finite, so
     # eigh converges and every phase t w is a double
     bound = H.dim * (float(np.abs(H.entries.real).max()) + float(np.abs(H.entries.imag).max()))
@@ -178,12 +177,11 @@ def projective_cycle_amplitude(
     """
     if len(basis) != 3:
         raise InvalidArgument(f"cycle needs exactly 3 basis states, got {len(basis)}")
-    if epsilon <= 0.0 or not math.isfinite(epsilon):
-        raise InvalidArgument(f"epsilon must be positive and finite, got {epsilon}")
+    finite_number("epsilon", epsilon, positive=True)
     if any(b.dim != H.dim for b in basis):
         raise InvalidArgument(f"basis dims {[b.dim for b in basis]} do not match H dim {H.dim}")
     stack = np.stack([b.components for b in basis])
-    gram_defect = np.abs(stack.conj() @ stack.T - np.eye(3)).max()
+    gram_defect = orthonormality_defect(stack)
     if gram_defect > tol.tol_herm:
         raise NonOrthogonalBasis(
             f"basis is not orthonormal: max |<b_a|b_b> - delta_ab| = {gram_defect:.3e}"
@@ -363,8 +361,7 @@ def f_mn(w1: float, w2: float, w3: float, t: float) -> complex:
     divided-difference evaluation is uniformly accurate across them.
     """
     for name, v in (("w1", w1), ("w2", w2), ("w3", w3), ("t", t)):
-        if not math.isfinite(v):
-            raise InvalidArgument(f"{name} must be finite, got {v}")
+        finite_number(name, v)
     return complex(_ordered_exponential_integral([[w1, w2, w3]], t)[0])
 
 
@@ -426,8 +423,7 @@ def survival_amplitude(
     """
     if order not in (0, 1, 2, 3):
         raise InvalidArgument(f"order must be in 0..3, got {order}")
-    if not math.isfinite(t):
-        raise InvalidArgument(f"time must be finite, got {t}")
+    t = finite_number("time", t)
     h0 = H0.entries
     off = np.abs(h0 - np.diag(np.diagonal(h0))).max()
     if off > tol.tol_zero:

@@ -3,6 +3,9 @@
 InvalidArgument (a ValueError) says an argument or input is malformed or out
 of range: a chain of two states, a non-Hermitian observable, a negative time
 step. The CLI maps it to exit status 1, like a bad flag or an unreadable file.
+Every number and array argument is checked in one place, ggphase.hilbert
+(finite_number, finite_array): a string, an integer past the doubles, nan and
+inf raise InvalidArgument there, never a bare TypeError or OverflowError.
 
 DomainError and its subclasses say that a well-posed question has no answer:
 a vanishing amplitude, a degenerate spectrum, a singular kernel, or a result

@@ -8,12 +8,14 @@ All phases live in the half-open interval (-pi, pi].
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, UndefinedPhase, UndefinedWeakValue
+from .errors import InvalidArgument, Overflow, UndefinedPhase, UndefinedWeakValue
 
 __all__ = [
     "ToleranceConfig",
@@ -28,6 +30,45 @@ __all__ = [
     "relative_phase",
     "weak_value",
 ]
+
+
+def finite_number(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float; InvalidArgument unless it is a finite real number,
+    and > 0 when ``positive``. A string is refused, not parsed."""
+    try:
+        x = math.nan if isinstance(value, (str, bytes)) else float(value)
+    except OverflowError:
+        raise InvalidArgument(f"{name} must be a finite number, got an integer too large for a double") from None
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise InvalidArgument(f"{name} must be a finite number, got {value!r}")
+    if positive and x <= 0.0:
+        raise InvalidArgument(f"{name} must be positive, got {value!r}")
+    return x
+
+
+def finite_array(data, ndim: int, what: str, dtype=np.complex128) -> np.ndarray:
+    """``data`` as a read-only C-ordered array of ``dtype``; InvalidArgument
+    unless numpy converts it and it has ``ndim`` dimensions and finite entries."""
+    try:
+        arr = np.asarray(data, dtype=dtype, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:  # a string, ragged rows, an int past the doubles
+        raise InvalidArgument(f"{what} is not an array of numbers: {exc}") from None
+    if arr.ndim != ndim:
+        raise InvalidArgument(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    if not np.isfinite(arr.view(np.float64)).all():  # the parts of a complex array
+        raise InvalidArgument(f"{what} must have finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
+def orthonormality_defect(rows: np.ndarray) -> float:
+    """max |<r_a|r_b> - delta_ab| over the rows of a matrix; inf where the
+    Gram matrix overflows, so an overflow fails any check against it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.abs(rows.conj() @ rows.T - np.eye(rows.shape[0])).max(initial=0.0))
+    return math.inf if math.isnan(defect) else defect
 
 
 @dataclass(frozen=True)
@@ -51,9 +92,7 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("tol_zero", "tol_herm", "tol_phase"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidArgument(f"{name} must be finite and positive, got {value!r}")
+            finite_number(name, getattr(self, name), positive=True)
 
 
 DEFAULT_TOLS = ToleranceConfig()
@@ -81,12 +120,15 @@ def principal_arg(z: complex) -> float:
     return wrap_angle(math.atan2(z.imag, z.real))  # cmath.phase raises when the Arg underflows
 
 
-def _as_complex_array(data, ndim: int, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.complex128)
-    if arr.ndim != ndim:
-        raise InvalidArgument(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgument(f"{what} contains non-finite entries")
+def _hermitian_matrix(entries, what: str, tol: ToleranceConfig) -> np.ndarray:
+    """``entries`` as a finite square matrix, Hermitian within tol_herm."""
+    arr = finite_array(entries, 2, what)
+    if arr.shape[0] != arr.shape[1]:
+        raise InvalidArgument(f"{what} must be square, got shape {arr.shape}")
+    with np.errstate(over="ignore"):  # a difference past the doubles is inf: not Hermitian
+        deviation = float(np.abs(arr - arr.conj().T).max(initial=0.0))
+    if deviation > tol.tol_herm:
+        raise InvalidArgument(f"{what} is not Hermitian (deviation {deviation:.3e})")
     return arr
 
 
@@ -107,10 +149,9 @@ class StateVector:
     __slots__ = ("_components",)
 
     def __init__(self, components, tol: ToleranceConfig = DEFAULT_TOLS):
-        arr = _as_complex_array(components, 1, "state vector")
+        arr = finite_array(components, 1, "state vector")
         if float(np.vdot(arr, arr).real) <= tol.tol_zero:
             raise InvalidArgument("state vector has vanishing norm")
-        arr.setflags(write=False)
         self._components = arr
 
     @classmethod
@@ -136,7 +177,11 @@ class StateVector:
 
     def normalized(self) -> "StateVector":
         """The unit-norm representative of the same ray."""
-        return StateVector(self._components / math.sqrt(self.norm_sq))
+        v, norm_sq = self._components, self.norm_sq
+        if not sys.float_info.min < norm_sq < math.inf:  # |v|^2 leaves the doubles: scale v first
+            v = v / np.abs(v).max()
+            norm_sq = float(np.vdot(v, v).real)
+        return StateVector(v / math.sqrt(norm_sq))
 
     def __repr__(self) -> str:
         return f"StateVector({self._components.tolist()!r})"
@@ -151,15 +196,7 @@ class Observable:
     __slots__ = ("_entries",)
 
     def __init__(self, entries, tol: ToleranceConfig = DEFAULT_TOLS):
-        arr = _as_complex_array(entries, 2, "observable")
-        if arr.shape[0] != arr.shape[1]:
-            raise InvalidArgument(f"observable must be square, got shape {arr.shape}")
-        with np.errstate(over="ignore"):  # a difference past the doubles is inf: not Hermitian
-            deviation = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-        if deviation > tol.tol_herm:
-            raise InvalidArgument(f"observable is not Hermitian (deviation {deviation:.3e})")
-        arr.setflags(write=False)
-        self._entries = arr
+        self._entries = _hermitian_matrix(entries, "observable", tol)
 
     @classmethod
     def identity(cls, dim: int) -> "Observable":
@@ -187,16 +224,14 @@ class DensityMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries, tol: ToleranceConfig = DEFAULT_TOLS):
-        arr = _as_complex_array(entries, 2, "density matrix")
-        if arr.shape[0] != arr.shape[1]:
-            raise InvalidArgument(f"density matrix must be square, got shape {arr.shape}")
-        if float(np.max(np.abs(arr - arr.conj().T))) > tol.tol_herm:
-            raise InvalidArgument("density matrix is not Hermitian")
-        if abs(complex(np.trace(arr)) - 1.0) > tol.tol_herm:
+        arr = _hermitian_matrix(entries, "density matrix", tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the checks below
+            trace_defect = abs(np.trace(arr) - 1.0)
+            idempotency_defect = np.abs(arr @ arr - arr).max(initial=0.0)
+        if not trace_defect <= tol.tol_herm:
             raise InvalidArgument("density matrix trace differs from 1")
-        if float(np.max(np.abs(arr @ arr - arr))) > tol.tol_herm:
+        if not idempotency_defect <= tol.tol_herm:
             raise InvalidArgument("density matrix is not idempotent (mixed states rejected)")
-        arr.setflags(write=False)
         self._entries = arr
 
     @classmethod
@@ -241,13 +276,20 @@ def matrix_element(A: StateVector, O: Observable | None, B: StateVector) -> comp
     Returns
     -------
     complex
+
+    Raises
+    ------
+    Overflow
+        If the amplitude is not a finite double.
     """
     if A.dim != B.dim:
         raise InvalidArgument(f"state dims differ: {A.dim} vs {B.dim}")
-    if O is None:
-        return complex(np.vdot(A.components, B.components))
-    entries = observable_entries(O, A.dim)
-    return complex(np.vdot(A.components, entries @ B.components))
+    entries, ket = observable_entries(O, A.dim), B.components
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is refused below
+        amp = complex(np.vdot(A.components, ket if entries is None else entries @ ket))
+    if not cmath.isfinite(amp):
+        raise Overflow(f"the amplitude <A|O|B> = {amp} is not a finite double")
+    return amp
 
 
 def relative_phase(

@@ -23,6 +23,9 @@ from .hilbert import (
     Observable,
     StateVector,
     ToleranceConfig,
+    finite_array,
+    finite_number,
+    orthonormality_defect,
 )
 
 __all__ = [
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 _REALITY_TOL = 1e-12
+# Smallest admissible level spacing; every formula here divides by gaps.
+_GAP_TOL = 1e-8
 
 
 class EigenSystem:
@@ -47,9 +52,8 @@ class EigenSystem:
     basis : sequence of StateVector, or None
         One orthonormal eigenvector per energy, in the same order. None is
         the standard basis: level k lives on the k-th coordinate axis.
-    gap_tol : float
-        Smallest admissible level spacing; anything at or below raises
-        DegenerateSpectrum, since every formula here divides by gaps.
+
+    A level spacing at or below 1e-8 raises DegenerateSpectrum.
     """
 
     __slots__ = ("_energies", "_basis")
@@ -58,41 +62,37 @@ class EigenSystem:
         self,
         energies,
         basis: Sequence[StateVector] | None,
-        gap_tol: float = 1e-8,
         tol: ToleranceConfig = DEFAULT_TOLS,
     ):
-        e = np.asarray(energies, dtype=np.float64)
-        if e.ndim != 1 or e.shape[0] < 2:
+        e = finite_array(energies, 1, "energies", np.float64)
+        if e.shape[0] < 2:
             raise InvalidArgument(f"need at least 2 levels, got shape {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise InvalidArgument("energies contain non-finite entries")
         if basis is not None and len(basis) != e.shape[0]:
             raise InvalidArgument(f"{len(basis)} basis states for {e.shape[0]} energies")
         with np.errstate(over="ignore"):  # a gap past the doubles is inf, and large enough
             gaps = np.diff(e)
         if np.any(gaps <= 0.0):
             raise InvalidArgument("energies must be strictly ascending")
-        if gaps.min() <= gap_tol:
+        if gaps.min() <= _GAP_TOL:
             k = int(np.argmin(gaps))
             raise DegenerateSpectrum(
-                f"levels {k} and {k + 1} are separated by {gaps.min():.3e} <= gap_tol"
+                f"levels {k} and {k + 1} are separated by {gaps.min():.3e} <= {_GAP_TOL:g}"
             )
         if basis is not None:
             basis = np.stack([b.components for b in basis])
-            gram_defect = np.abs(basis.conj() @ basis.T - np.eye(basis.shape[0])).max()
+            gram_defect = orthonormality_defect(basis)
             if gram_defect > tol.tol_herm:
                 raise InvalidArgument(
                     f"basis is not orthonormal: max |<b_a|b_b> - delta_ab| = {gram_defect:.3e}"
                 )
             basis.setflags(write=False)
-        e.setflags(write=False)
         self._energies = e
         self._basis = basis
 
     @classmethod
-    def standard(cls, energies, gap_tol: float = 1e-8) -> "EigenSystem":
+    def standard(cls, energies) -> "EigenSystem":
         """Diagonal reference: level k lives on the k-th coordinate axis."""
-        return cls(energies, None, gap_tol=gap_tol)
+        return cls(energies, None)
 
     @property
     def energies(self) -> np.ndarray:
@@ -223,8 +223,7 @@ def energy_shift(
     summed moduli of its terms.
     """
     w, others, gaps = _level_projection(sys, V, n)
-    if not math.isfinite(coupling):
-        raise InvalidArgument(f"coupling must be finite, got {coupling}")
+    finite_number("coupling", coupling)
     order1 = float(w[n, n].real)
     # An overflowing order stays non-finite; the report emitter names it (exit 2).
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,8 +257,7 @@ def perturbed_state(
     so the result is not unit-normalized.
     """
     w, others, gaps = _level_projection(sys, V, n)
-    if not math.isfinite(coupling):
-        raise InvalidArgument(f"coupling must be finite, got {coupling}")
+    finite_number("coupling", coupling)
     col = w[others, n]
     first = col / gaps
     second = (

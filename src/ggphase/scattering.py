@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, Overflow, PoleAtEnergy, SingularKernel
-from .hilbert import DEFAULT_TOLS, Observable, ToleranceConfig
+from .hilbert import DEFAULT_TOLS, Observable, ToleranceConfig, finite_array, finite_number
 from .perturbation import PhaseTermTable, _closed_triples
 
 __all__ = [
@@ -62,25 +62,16 @@ class GridModel:
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
             raise InvalidArgument("momentum labels must be distinct")
-        e = np.asarray(energies, dtype=np.float64)
-        if e.ndim != 1 or e.shape[0] != len(labels):
-            raise InvalidArgument(
-                f"{len(labels)} labels but energies shape {e.shape}"
-            )
-        if not np.all(np.isfinite(e)):
-            raise InvalidArgument("energies contain non-finite entries")
-        if not (math.isfinite(mass) and mass > 0.0):
-            raise InvalidArgument(f"mass must be positive, got {mass}")
+        e = finite_array(energies, 1, "energies", np.float64)
+        if e.shape[0] != len(labels):
+            raise InvalidArgument(f"{len(labels)} labels but energies shape {e.shape}")
+        self._mass = finite_number("mass", mass, positive=True)
         if V.dim != len(labels):
             raise InvalidArgument(f"V dim {V.dim} does not match grid size {len(labels)}")
-        if not (math.isfinite(greens_epsilon) and greens_epsilon > 0.0):
-            raise InvalidArgument(f"greens_epsilon must be positive, got {greens_epsilon}")
-        e.setflags(write=False)
+        self._epsilon = finite_number("greens_epsilon", greens_epsilon, positive=True)
         self._labels = labels
         self._energies = e
-        self._mass = float(mass)
         self._v = V
-        self._epsilon = float(greens_epsilon)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -125,13 +116,9 @@ class SeparableModel:
     mass: float
 
     def __post_init__(self):
-        for name, v in (("coupling", self.coupling), ("beta", self.beta), ("mass", self.mass)):
-            if not math.isfinite(v):
-                raise InvalidArgument(f"{name} must be finite, got {v}")
-        if self.beta <= 0.0:
-            raise InvalidArgument(f"beta must be positive, got {self.beta}")
-        if self.mass <= 0.0:
-            raise InvalidArgument(f"mass must be positive, got {self.mass}")
+        finite_number("coupling", self.coupling)
+        finite_number("beta", self.beta, positive=True)
+        finite_number("mass", self.mass, positive=True)
 
 
 @dataclass(frozen=True)
@@ -283,8 +270,7 @@ def loop_integral(model: SeparableModel, k: float) -> complex:
     I(E_k) = 2 pi^2 m chi(k)^2 ((k^2 - beta^2) / beta - 2 i k) with
     chi(k) = 1 / (k^2 + beta^2) (Y. Yamaguchi, Phys. Rev. 95, 1628 (1954)).
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidArgument(f"on-shell momentum must be positive, got {k}")
+    finite_number("on-shell momentum", k, positive=True)
     beta = model.beta
     chi = _form_factor(k, beta)
     scale = 2.0 * math.pi**2 * model.mass * chi

@@ -109,7 +109,7 @@ class TestCurveOverABasis:
             ParamCurve([0.0, 0.5, 1.0], np.ones((3, 2)), basis=np.ones((3, 4)))
 
     def test_non_finite_basis_is_refused(self):
-        with pytest.raises(ValueError, match="states contain non-finite entries"):
+        with pytest.raises(ValueError, match="basis must have finite entries"):
             ParamCurve([0.0, 0.5, 1.0], np.ones((3, 2)), basis=[[1.0, 0.0], [np.inf, 0.0]])
 
     def test_vanishing_state_is_named(self):
