@@ -1,10 +1,15 @@
 """Hot numeric kernels: cyclic chain-link amplitudes over a stack of states,
 and per-sample connection numerators/denominators along a discretized curve.
 
-Every quantity is built from the O-sandwich <psi|O|phi>. :func:`bra_rows`
-gives the rows <psi_l|O| of a stack of states, and a sandwich <psi_l|O|ket_l>
-is the sum over row l of ``bra * ket``. An operator of None is the identity,
-so the rows are then ``states.conj()`` with no matmul. The chain phase
+Every quantity is built from the O-sandwich <psi|O|phi>, spelled once:
+:func:`bra_rows` gives the rows <psi_l|O| of a stack of states, and
+:func:`sandwiches` contracts them row by row with kets,
+``np.einsum("ij,ij->i", bra, kets)``. An operator of None is the identity, so
+the rows are then ``states.conj()`` with no matmul. A connection pass over M
+states holds one (M, dim) array, the bra rows: they are conjugated in place,
+the sandwiches form no product array, and the kets are views of the states.
+A chain pass also copies its kets rolled by one; chains are short, and two
+sandwich calls in place of the copy cost more than it. The chain phase
 multiplies the links <psi_l|O|psi_{l+1}>. The connection numerator
 <psi_l|O|d psi_l> is the limit of those same links: on the grid
 h1 = s_l - s_{l-1}, h2 = s_{l+1} - s_l it is
@@ -29,6 +34,7 @@ import numpy as np
 __all__ = [
     "fsum",
     "bra_rows",
+    "sandwiches",
     "chain_link_amplitudes",
     "connection_terms",
 ]
@@ -46,13 +52,18 @@ def fsum(values: np.ndarray) -> float:
 
 def bra_rows(states: np.ndarray, obs: np.ndarray | None) -> np.ndarray:
     """The rows <psi_l|O| of a stack of states (or the one row of a single
-    state) under a (dim, dim) operator, or the identity when obs is None."""
-    return states.conj() if obs is None else states.conj() @ obs
+    state) under a (dim, dim) operator, or the identity when obs is None.
+    conj(psi) O is formed as conj(psi conj(O)), conjugated in place, so no
+    conjugated copy of the states is made."""
+    if obs is None:
+        return states.conj()
+    bra = states @ obs.conj()
+    return np.conjugate(bra, out=bra)
 
 
-def _sandwiches(bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Row by row, <psi_l|O|ket_l> = sum_j bra[l, j] kets[l, j]."""
-    return (bra * kets).sum(axis=1)
+def sandwiches(bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Row by row, <psi_l|O|ket_l> = sum_j bra[l, j] kets[l, j], with no product array."""
+    return np.einsum("ij,ij->i", bra, kets)
 
 
 def chain_link_amplitudes(states: np.ndarray, obs: np.ndarray | None) -> np.ndarray:
@@ -61,7 +72,7 @@ def chain_link_amplitudes(states: np.ndarray, obs: np.ndarray | None) -> np.ndar
     when obs is None."""
     states = np.asarray(states, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan links are the caller's to report
-        return _sandwiches(bra_rows(states, obs), np.concatenate((states[1:], states[:1])))
+        return sandwiches(bra_rows(states, obs), np.concatenate((states[1:], states[:1])))
 
 
 def connection_terms(
@@ -78,9 +89,9 @@ def connection_terms(
     h1, h2 = h[:-1], h[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan terms: the caller reports them
         bra = bra_rows(states, obs)
-        den = _sandwiches(bra, states)
-        fwd = _sandwiches(bra[:-1], states[1:])  # <psi_l|O|psi_{l+1}>, l = 0 .. M-2
-        bwd = _sandwiches(bra[1:], states[:-1])  # <psi_l|O|psi_{l-1}>, l = 1 .. M-1
+        den = sandwiches(bra, states)
+        fwd = sandwiches(bra[:-1], states[1:])  # <psi_l|O|psi_{l+1}>, l = 0 .. M-2
+        bwd = sandwiches(bra[1:], states[:-1])  # <psi_l|O|psi_{l-1}>, l = 1 .. M-1
         num = np.empty_like(den)
         num[1:-1] = (
             (-(h2 / (h1 + h2)) / h1) * bwd[:-1]

@@ -38,6 +38,7 @@ from .hilbert import (
     ToleranceConfig,
     finite_array,
     finite_number,
+    integer,
     observable_entries,
     principal_arg,
     wrap_angle,
@@ -90,7 +91,7 @@ class ParamCurve:
         parts = s.view(np.float64)  # (M, 2 r): real and imaginary parts
         with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
             norms = (np.einsum("ld,ld->l", parts, parts) if b is None  # else c^* (b^* b^T) c
-                     else np.einsum("lk,lk->l", s.conj() @ (b.conj() @ b.T), s).real)
+                     else _kernels.sandwiches(_kernels.bra_rows(s, b.conj() @ b.T), s).real)
         if np.any(norms <= tol.tol_zero):
             bad = int(np.argmax(norms <= tol.tol_zero))
             raise InvalidArgument(f"curve state at sample {bad} has vanishing norm")
@@ -192,11 +193,12 @@ def connection_samples(
             f"(|<psi|O|psi>| = {moduli[l]:.3e})",
             sample_index=l,
         )
-    values = np.empty(m, dtype=np.float64)
-    good = ~singular
     extrapolated = []
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral is refused below
-        values[good] = np.imag(num[good] / den[good])
+    # an interior vanishing denominator has raised, so only an endpoint can
+    # divide by zero here, and its value is extrapolated; a non-finite
+    # integral is refused below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.divide(num, den).imag
         for end, first, second in ((0, 1, 2), (m - 1, m - 2, m - 3)):
             if not singular[end]:
                 continue
@@ -214,7 +216,7 @@ def connection_samples(
     if not math.isfinite(integral):
         raise Overflow(f"the connection integral is {integral}: the connection overflows a double")
     return ConnectionSamples(
-        curve.params, values, integral, float(moduli[good].min()), tuple(sorted(extrapolated))
+        curve.params, values, integral, float(moduli[~singular].min()), tuple(sorted(extrapolated))
     )
 
 
@@ -289,7 +291,7 @@ def geodesic_null_curve(
     """
     if not 0.0 < finite_number("tau", tau) < math.pi:
         raise InvalidArgument(f"tau must lie in (0, pi), got {tau}")
-    if M < 3:
+    if integer("M", M) < 3:
         raise InvalidArgument(f"M must be >= 3, got {M}")
     for name, s in (("A", A), ("B", B)):
         if abs(s.norm_sq - 1.0) > 1e-9:
@@ -336,7 +338,7 @@ def o_null_curve(
         either at a sample or as a sign change between adjacent samples,
         naming the nearest sample.
     """
-    if M < 3:
+    if integer("M", M) < 3:
         raise InvalidArgument(f"M must be >= 3, got {M}")
     finite_number("tau", tau, positive=True)
     if A.dim != B.dim:
@@ -354,7 +356,7 @@ def o_null_curve(
         frac = x / tau
         gauge = np.exp(-1j * theta * frac)
         coeffs = np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
-        den = np.einsum("lk,lk->l", coeffs.conj() @ gram, coeffs).real
+        den = _kernels.sandwiches(_kernels.bra_rows(coeffs, gram), coeffs).real
         # |c_A|, |c_B| <= 1 bound each part of a state by 2 sqrt(2) max|parts of
         # A, B|; only past DBL_MAX / 4 are the states formed and checked
         finite = (np.abs(span.view(np.float64)).max() < np.finfo(np.float64).max / 4
@@ -424,7 +426,7 @@ def triangle_holonomy(
     The sum of the three connection integrals along the null segments
     psi1 -> psi2 -> psi3 -> psi1 equals the three-state chain phase.
     """
-    vertices = (psi1, psi2, psi3)
+    vertices, M = (psi1, psi2, psi3), integer("M", M)
     total = 0.0
     min_mod = math.inf
     for a in range(3):

@@ -25,6 +25,7 @@ from .hilbert import (
     ToleranceConfig,
     finite_array,
     finite_number,
+    integer,
     orthonormality_defect,
     principal_arg,
     wrap_angle,
@@ -421,14 +422,14 @@ def survival_amplitude(
     Overflow
         If an ordered integral or the amplitude is not a finite double.
     """
-    if order not in (0, 1, 2, 3):
+    if integer("order", order) not in (0, 1, 2, 3):
         raise InvalidArgument(f"order must be in 0..3, got {order}")
     t = finite_number("time", t)
     h0 = H0.entries
     off = np.abs(h0 - np.diag(np.diagonal(h0))).max()
     if off > tol.tol_zero:
         raise InvalidArgument(f"H0 must be diagonal; max off-diagonal entry is {off:.3e}")
-    if not 0 <= i < H0.dim:
+    if not 0 <= integer("level index", i) < H0.dim:
         raise InvalidArgument(f"level index {i} out of range for dim {H0.dim}")
     if V.dim != H0.dim:
         raise InvalidArgument(f"V dim {V.dim} does not match H0 dim {H0.dim}")

@@ -48,10 +48,21 @@ def finite_number(name: str, value, positive: bool = False) -> float:
     return x
 
 
+def integer(name: str, value) -> int:
+    """``value`` as an int; InvalidArgument unless it is a Python or numpy
+    integer. A bool, a string and a float, even a whole one, are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def finite_array(data, ndim: int, what: str, dtype=np.complex128) -> np.ndarray:
     """``data`` as a read-only C-ordered array of ``dtype``; InvalidArgument
-    unless numpy converts it and it has ``ndim`` dimensions and finite entries."""
+    unless numpy converts it and it has ``ndim`` dimensions and finite entries.
+    Complex data given for a real dtype is refused, not cast."""
     try:
+        if np.dtype(dtype).kind == "f" and np.iscomplexobj(data):  # a cast would drop the imaginary parts
+            raise TypeError("complex entries where real numbers are expected")
         arr = np.asarray(data, dtype=dtype, order="C")
     except (TypeError, ValueError, OverflowError) as exc:  # a string, ragged rows, an int past the doubles
         raise InvalidArgument(f"{what} is not an array of numbers: {exc}") from None
@@ -157,6 +168,7 @@ class StateVector:
     @classmethod
     def basis_vector(cls, dim: int, index: int) -> "StateVector":
         """The computational basis vector e_index in dimension dim."""
+        dim, index = integer("dim", dim), integer("basis index", index)
         if not 0 <= index < dim:
             raise InvalidArgument(f"basis index {index} out of range for dim {dim}")
         vec = np.zeros(dim, dtype=np.complex128)

@@ -25,6 +25,7 @@ from .hilbert import (
     ToleranceConfig,
     finite_array,
     finite_number,
+    integer,
     orthonormality_defect,
 )
 
@@ -195,7 +196,7 @@ def _level_projection(
     makes the double sums below real to the last bit instead of merely
     within the hermiticity tolerance of the input.
     """
-    if not 0 <= n < sys.level_count:
+    if not 0 <= integer("level", n) < sys.level_count:
         raise InvalidArgument(f"level {n} out of range for {sys.level_count} levels")
     if V.dim != sys.dim:
         raise InvalidArgument(f"V dim {V.dim} does not match system dim {sys.dim}")

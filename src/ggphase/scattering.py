@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, Overflow, PoleAtEnergy, SingularKernel
-from .hilbert import DEFAULT_TOLS, Observable, ToleranceConfig, finite_array, finite_number
+from .hilbert import DEFAULT_TOLS, Observable, ToleranceConfig, finite_array, finite_number, integer
 from .perturbation import PhaseTermTable, _closed_triples
 
 __all__ = [
@@ -153,7 +153,7 @@ class ScatteringState:
 
 def _propagator(model: GridModel, i: int) -> np.ndarray:
     """E_i - E_p + i epsilon over the grid points p; inf past the doubles."""
-    if not 0 <= i < model.size:
+    if not 0 <= integer("momentum index", i) < model.size:
         raise InvalidArgument(f"momentum index {i} out of range for grid size {model.size}")
     with np.errstate(over="ignore"):
         return model.energies[i] - model.energies + 1j * model.greens_epsilon
@@ -246,8 +246,8 @@ def triple_product_phases(
     (E_i - E_p + ie)(E_i - E_q + ie). Rows are p-major. Summing
     modulus * exp(i gamma_v) / denominator reproduces <i|V G0 V G0 V|i>.
     """
-    v = model.V.entries
-    return _closed_triples(v[i, :], v, v[:, i], _propagator(model, i), np.arange(model.size), tol)
+    denominators, v = _propagator(model, i), model.V.entries  # the index is checked before it indexes
+    return _closed_triples(v[i, :], v, v[:, i], denominators, np.arange(model.size), tol)
 
 
 # Separable continuum model ------------------------------------------------
@@ -313,7 +313,7 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
     doubles over the bits of order, so it costs O(log order) products. Raises
     InvalidArgument if order < 1, Overflow if the series overflows a double.
     """
-    if order < 1:
+    if integer("order", order) < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
     c = model.coupling
     x = c * loop_integral(model, k)

@@ -12,9 +12,13 @@ import cmath
 import decimal
 import math
 import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from ggphase import Observable, StateVector, wrap_angle
@@ -130,11 +134,32 @@ def connection_value_oracle(curve_states, curve_params, obs, index: int) -> floa
 def connection_terms_gradient_oracle(params, states, obs) -> tuple[np.ndarray, np.ndarray]:
     """Connection numerators <psi|O|D psi> and denominators <psi|O|psi> from
     an explicit derivative array: numpy's np.gradient (second order inside,
-    first order one-sided at the ends), then one row sandwich each."""
+    first order one-sided at the ends), then one row sandwich each, with the
+    bra rows conj(psi conj(O)) and the row sums of np.einsum."""
     states = np.asarray(states, dtype=np.complex128)
-    bra = states.conj() @ obs
+    bra = np.conjugate(states @ obs.conj())
     dstates = np.gradient(states, np.asarray(params, dtype=np.float64), axis=0, edge_order=1)
-    return (bra * dstates).sum(axis=1), (bra * states).sum(axis=1)
+    return np.einsum("ij,ij->i", bra, dstates), np.einsum("ij,ij->i", bra, states)
+
+
+def outputs_under_both_dispatches(program: str) -> tuple[str, str]:
+    """Standard output of a Python program run on src/ in a subprocess,
+    under numpy's default SIMD dispatch and with every target numpy
+    dispatches to switched off; skips when this numpy dispatches none."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    if not __cpu_dispatch__:
+        pytest.skip("this numpy dispatches no SIMD targets")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    default, reduced = (
+        subprocess.run([sys.executable, "-c", program], env=extra, capture_output=True, text=True, check=True).stdout
+        for extra in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)})
+    )
+    return default, reduced
 
 
 def null_curve_oracle(a: StateVector, b: StateVector, obs: Observable, tau: float, count: int):

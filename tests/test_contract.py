@@ -26,12 +26,14 @@ from ggphase import (
     TwoLevelParams,
     UnitaryMatrix,
     bargmann_density_phase,
+    born_forward_amplitude,
     energy_shift,
     evolve,
     f_mn,
     gauge_transform,
     geodesic_null_curve,
     in_phase,
+    lippmann_schwinger_solve,
     loop_integral,
     matrix_element,
     o_null_curve,
@@ -39,7 +41,11 @@ from ggphase import (
     projective_cycle_amplitude,
     relative_phase,
     reparametrize,
+    separable_born_amplitude,
     survival_amplitude,
+    third_order_phase_terms,
+    triangle_holonomy,
+    triple_product_phases,
     weak_value,
 )
 
@@ -157,3 +163,72 @@ class TestArgumentContract:
             build(StateVector([1e200, 1e200]))
         except (InvalidArgument, DomainError):
             pass
+
+
+C = StateVector([0.8, 0.6j])
+GRID = GridModel(["a", "b", "c"], [1.0, 2.0, 3.0], 1.0, V)
+
+# Each entry point with one integer argument (a sample count M, a level or
+# basis index, a series order) replaced by x, and a valid value for it.
+INTEGER_ENTRY_POINTS = {
+    "StateVector.basis_vector.dim": (lambda x: StateVector.basis_vector(x, 0), 3),
+    "StateVector.basis_vector.index": (lambda x: StateVector.basis_vector(3, x), 1),
+    "geodesic_null_curve.M": (lambda x: geodesic_null_curve(A, B, M=x), 5),
+    "o_null_curve.M": (lambda x: o_null_curve(A, B, M=x), 5),
+    "triangle_holonomy.M": (lambda x: triangle_holonomy(A, B, C, M=x), 5),
+    "survival_amplitude.i": (lambda x: survival_amplitude(H, V, x, 0.1), 1),
+    "survival_amplitude.order": (lambda x: survival_amplitude(H, V, 0, 0.1, order=x), 2),
+    "energy_shift": (lambda x: energy_shift(SYSTEM, V, x, 0.1), 1),
+    "perturbed_state": (lambda x: perturbed_state(SYSTEM, V, x, 0.1), 1),
+    "third_order_phase_terms": (lambda x: third_order_phase_terms(SYSTEM, V, x), 1),
+    "lippmann_schwinger_solve": (lambda x: lippmann_schwinger_solve(GRID, x), 1),
+    "born_forward_amplitude": (lambda x: born_forward_amplitude(GRID, x), 1),
+    "triple_product_phases": (lambda x: triple_product_phases(GRID, x), 1),
+    "separable_born_amplitude": (lambda x: separable_born_amplitude(MODEL, 1.0, order=x), 3),
+}
+
+BAD_INTEGERS = {"numeric string": "1", "float": 1.5, "whole float": 2.0, "numpy float": np.float64(1.0),
+                "bool": True, "numpy bool": np.True_, "none": None}
+
+# The entry points above whose integer indexes a level, a basis vector or a
+# grid point of 3.
+INDEX_ENTRY_POINTS = ["StateVector.basis_vector.index", "survival_amplitude.i", "energy_shift", "perturbed_state",
+                      "third_order_phase_terms", "lippmann_schwinger_solve", "born_forward_amplitude",
+                      "triple_product_phases"]
+
+# Each entry point with one real array argument given as a complex array.
+REAL_ARRAY_ENTRY_POINTS = {
+    "ParamCurve.params": lambda z: ParamCurve(z, [[1.0, 0.0]] * 3),
+    "gauge_transform": lambda z: gauge_transform(CURVE, z),
+    "reparametrize": lambda z: reparametrize(CURVE, z),
+    "EigenSystem.energies": lambda z: EigenSystem(z, None),
+    "GridModel.energies": lambda z: GridModel(["a", "b", "c"], z, 1.0, V),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestIntegerAndRealArguments:
+    @pytest.mark.parametrize("bad", BAD_INTEGERS.values(), ids=BAD_INTEGERS.keys())
+    @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+    def test_a_non_integer_is_an_invalid_argument(self, entry, bad):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            INTEGER_ENTRY_POINTS[entry][0](bad)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+    def test_python_and_numpy_integers_are_accepted(self, entry, kind):
+        call, valid = INTEGER_ENTRY_POINTS[entry]
+        assert repr(call(kind(valid))) == repr(call(valid))
+
+    @pytest.mark.parametrize("index", [-1, 3, 10**30])
+    @pytest.mark.parametrize("entry", INDEX_ENTRY_POINTS)
+    def test_an_index_out_of_range_is_an_invalid_argument(self, entry, index):
+        with pytest.raises(InvalidArgument, match="out of range"):
+            INTEGER_ENTRY_POINTS[entry][0](index)
+
+    @pytest.mark.parametrize("entry", REAL_ARRAY_ENTRY_POINTS)
+    def test_complex_data_for_a_real_array_is_refused(self, entry):
+        # numpy's cast would warn and drop the imaginary parts
+        for z in (np.array([0.0, 1j, 2.0]), [np.complex128(0.0), 1.0, 2.0], np.array([0.0, 1.0, 2.0], complex)):
+            with pytest.raises(InvalidArgument, match="complex entries"):
+                REAL_ARRAY_ENTRY_POINTS[entry](z)

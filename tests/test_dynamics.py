@@ -2,11 +2,7 @@
 
 import cmath
 import math
-import os
-import pathlib
 import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -14,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_hermitian, rng_for
+from conftest import outputs_under_both_dispatches, random_hermitian, rng_for
 from ggphase import (
     CycleResult,
     NonOrthogonalBasis,
@@ -644,27 +640,7 @@ for seed in range(30):
 """
 
 
-def dispatched_cpu_features() -> list[str]:
-    """The SIMD targets numpy picks among at run time."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__
-    return list(__cpu_dispatch__)
-
-
 def test_survival_values_do_not_depend_on_simd_dispatch():
-    features = dispatched_cpu_features()
-    if not features:
-        pytest.skip("this numpy dispatches no SIMD targets")
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-c", SURVIVAL_VALUES], env=extra, capture_output=True, text=True, check=True
-        ).stdout
-        for extra in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})
-    ]
-    assert len(outputs[0].splitlines()) == 30
-    assert outputs[0] == outputs[1]
+    default, reduced = outputs_under_both_dispatches(SURVIVAL_VALUES)
+    assert len(default.splitlines()) == 30
+    assert default == reduced

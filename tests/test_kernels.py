@@ -2,12 +2,14 @@
 finite-difference stencils, the np.gradient derivative array and the
 np.roll link form they replace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ggphase._kernels import chain_link_amplitudes, connection_terms
 
-from conftest import connection_terms_gradient_oracle, random_hermitian, rng_for
+from conftest import connection_terms_gradient_oracle, outputs_under_both_dispatches, random_hermitian, rng_for
 
 
 def random_stack(seed: int, count: int, dim: int):
@@ -135,7 +137,7 @@ class TestChainLinksAgainstRoll:
         rng = rng_for(950 + seed)
         count, dim = int(rng.integers(3, 41)), int(rng.integers(1, 18))
         states, obs = random_stack(950 + seed, count, dim)
-        rolled = ((states.conj() @ obs) * np.roll(states, -1, axis=0)).sum(axis=1)
+        rolled = np.einsum("ij,ij->i", np.conjugate(states @ obs.conj()), np.roll(states, -1, axis=0))
         assert np.array_equal(chain_link_amplitudes(states, obs), rolled)
         assert np.array_equal(chain_link_amplitudes(states[:, ::-1][:, ::-1], obs), rolled)
 
@@ -153,3 +155,42 @@ class TestIdentityObservable:
         assert chain_link_amplitudes(states, None).tobytes() == chain_link_amplitudes(states, eye).tobytes()
         for got, want in zip(connection_terms(params, states, None), connection_terms(params, states, eye)):
             assert got.tobytes() == want.tobytes()
+
+
+class TestOneArrayPerPass:
+    def test_connection_terms_allocation_peak(self):
+        # a pass holds the (M, dim) bra rows, 5.12 MB here, plus (M,) rows
+        # of sandwiches and weights: no conjugated copy and no product array
+        count, dim = 20001, 16
+        states, obs = random_stack(31, count, dim)
+        params = np.cumsum(rng_for(32).uniform(0.5, 1.5, size=count))
+        connection_terms(params, states, obs)  # warm-up
+        tracemalloc.start()
+        try:
+            connection_terms(params, states, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * count * dim * 16
+
+
+KERNEL_BYTES = """
+import hashlib
+import numpy as np
+from ggphase._kernels import chain_link_amplitudes, connection_terms
+for count, dim in ((20001, 16), (2001, 2), (41, 7)):
+    rng = np.random.default_rng(count + dim)
+    states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    params = np.cumsum(rng.uniform(0.5, 1.5, size=count))
+    for obs in (a + a.conj().T, None):
+        num, den = connection_terms(params, states, obs)
+        links = chain_link_amplitudes(states, obs)
+        print(count, dim, obs is None, *(hashlib.sha256(x.tobytes()).hexdigest() for x in (num, den, links)))
+"""
+
+
+def test_kernel_values_do_not_depend_on_simd_dispatch():
+    default, reduced = outputs_under_both_dispatches(KERNEL_BYTES)
+    assert len(default.splitlines()) == 6
+    assert default == reduced
