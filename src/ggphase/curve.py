@@ -126,7 +126,11 @@ class ParamCurve:
         return (self._coeffs if self._basis is None else self._basis).shape[1]
 
     def row(self, index: int) -> np.ndarray:
-        """The state at one sample, without forming the others."""
+        """The state at one sample, without forming the others; a negative
+        index counts from the end."""
+        m = self.sample_count
+        if not -m <= integer("sample index", index) < m:
+            raise InvalidArgument(f"sample index {index} out of range for {m} samples")
         c = self._coeffs[index]
         return c if self._basis is None else c @ self._basis
 

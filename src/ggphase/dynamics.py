@@ -9,7 +9,6 @@ exp(-i t H) is the propagator of a time-independent Hermitian H.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,14 +33,10 @@ from .hilbert import (
 __all__ = [
     "UnitaryMatrix",
     "TwoLevelParams",
-    "TwoLevelKind",
     "CycleResult",
     "evolve",
     "projective_cycle_amplitude",
-    "two_level_state",
     "two_level_phase",
-    "pauli_x",
-    "hadamard",
     "f_mn",
     "survival_amplitude",
 ]
@@ -102,13 +97,6 @@ class TwoLevelParams:
             raise InvalidArgument(f"theta must lie in [0, 2*pi], got {self.theta}")
         if not -math.pi < self.phi <= math.pi:
             raise InvalidArgument(f"phi must lie in (-pi, pi], got {self.phi}")
-
-
-class TwoLevelKind(enum.Enum):
-    """Which observable the closed-form two-level chain phase refers to."""
-
-    SWAP_X = "x"
-    HADAMARD = "hadamard"
 
 
 @dataclass(frozen=True)
@@ -205,25 +193,8 @@ def projective_cycle_amplitude(
     return CycleResult(amplitude, extracted, epsilon, limit)
 
 
-def two_level_state(p: TwoLevelParams) -> StateVector:
-    """The Bloch state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    half = 0.5 * p.theta
-    return StateVector([math.cos(half), math.sin(half) * complex(math.cos(p.phi), math.sin(p.phi))])
-
-
-def pauli_x() -> Observable:
-    """The two-level observable that swaps the basis states."""
-    return Observable([[0.0, 1.0], [1.0, 0.0]])
-
-
-def hadamard() -> Observable:
-    """The two-level Hadamard observable (X + Z)/sqrt(2)."""
-    r = 1.0 / math.sqrt(2.0)
-    return Observable([[r, r], [r, -r]])
-
-
 def two_level_phase(
-    kind: TwoLevelKind | str,
+    kind: str,
     p: TwoLevelParams,
     tol: ToleranceConfig = DEFAULT_TOLS,
 ) -> float:
@@ -238,12 +209,15 @@ def two_level_phase(
 
     Raises
     ------
+    InvalidArgument
+        If kind is not "x" or "hadamard".
     UndefinedPhase
         Where the product modulus vanishes: theta in {0, pi, 2*pi} for X;
         cos(theta) = 0 together with sin(theta) sin(phi) = 0 for Hadamard.
     """
-    kind = TwoLevelKind(kind.lower()) if isinstance(kind, str) else kind
-    if kind is TwoLevelKind.SWAP_X:
+    if not isinstance(kind, str) or kind not in ("x", "hadamard"):
+        raise InvalidArgument(f'kind must be "x" or "hadamard", got {kind!r}')
+    if kind == "x":
         modulus = 0.5 * abs(math.sin(p.theta))
         if modulus <= tol.tol_zero:
             raise UndefinedPhase(

@@ -1,4 +1,4 @@
-"""Core Hilbert-space types: states, Hermitian observables, density matrices.
+"""Core Hilbert-space types: states and Hermitian observables.
 
 States are ray representatives and need not be normalized; every phase formula
 downstream divides by the norms it needs. Amplitudes whose modulus falls below
@@ -22,7 +22,6 @@ __all__ = [
     "DEFAULT_TOLS",
     "StateVector",
     "Observable",
-    "DensityMatrix",
     "wrap_angle",
     "wrapped_distance",
     "principal_arg",
@@ -91,8 +90,7 @@ class ToleranceConfig:
     tol_zero : float
         Modulus below which an amplitude is treated as vanishing.
     tol_herm : float
-        Largest allowed entrywise deviation from Hermiticity; density
-        matrices also use it for their unit-trace and idempotency checks.
+        Largest allowed entrywise deviation from Hermiticity.
     tol_phase : float
         Angular tolerance for phase comparisons.
     """
@@ -129,18 +127,6 @@ def principal_arg(z: complex) -> float:
     """Arg of a complex number in (-pi, pi] (the -pi branch cut maps to +pi)."""
     z = complex(z)
     return wrap_angle(math.atan2(z.imag, z.real))  # cmath.phase raises when the Arg underflows
-
-
-def _hermitian_matrix(entries, what: str, tol: ToleranceConfig) -> np.ndarray:
-    """``entries`` as a finite square matrix, Hermitian within tol_herm."""
-    arr = finite_array(entries, 2, what)
-    if arr.shape[0] != arr.shape[1]:
-        raise InvalidArgument(f"{what} must be square, got shape {arr.shape}")
-    with np.errstate(over="ignore"):  # a difference past the doubles is inf: not Hermitian
-        deviation = float(np.abs(arr - arr.conj().T).max(initial=0.0))
-    if deviation > tol.tol_herm:
-        raise InvalidArgument(f"{what} is not Hermitian (deviation {deviation:.3e})")
-    return arr
 
 
 class StateVector:
@@ -208,7 +194,14 @@ class Observable:
     __slots__ = ("_entries",)
 
     def __init__(self, entries, tol: ToleranceConfig = DEFAULT_TOLS):
-        self._entries = _hermitian_matrix(entries, "observable", tol)
+        arr = finite_array(entries, 2, "observable")
+        if arr.shape[0] != arr.shape[1]:
+            raise InvalidArgument(f"observable must be square, got shape {arr.shape}")
+        with np.errstate(over="ignore"):  # a difference past the doubles is inf: not Hermitian
+            deviation = float(np.abs(arr - arr.conj().T).max(initial=0.0))
+        if deviation > tol.tol_herm:
+            raise InvalidArgument(f"observable is not Hermitian (deviation {deviation:.3e})")
+        self._entries = arr
 
     @classmethod
     def identity(cls, dim: int) -> "Observable":
@@ -224,40 +217,6 @@ class Observable:
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"
-
-
-class DensityMatrix:
-    """A pure-state density matrix: Hermitian, unit trace, idempotent.
-
-    Built from a state via :meth:`from_state`; direct construction validates
-    all three invariants, so mixed states are rejected.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries, tol: ToleranceConfig = DEFAULT_TOLS):
-        arr = _hermitian_matrix(entries, "density matrix", tol)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the checks below
-            trace_defect = abs(np.trace(arr) - 1.0)
-            idempotency_defect = np.abs(arr @ arr - arr).max(initial=0.0)
-        if not trace_defect <= tol.tol_herm:
-            raise InvalidArgument("density matrix trace differs from 1")
-        if not idempotency_defect <= tol.tol_herm:
-            raise InvalidArgument("density matrix is not idempotent (mixed states rejected)")
-        self._entries = arr
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        v = state.components
-        return cls(np.outer(v, v.conj()) / state.norm_sq)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def dim(self) -> int:
-        return self._entries.shape[0]
 
 
 def observable_entries(O: Observable | None, dim: int) -> np.ndarray | None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateSpectrum, DomainError, InvalidArgument
+from .errors import DegenerateSpectrum, DomainError, InvalidArgument, Overflow
 from .hilbert import (
     DEFAULT_TOLS,
     Observable,
@@ -256,16 +256,25 @@ def perturbed_state(
                                     - V_nn V_kn / (E_n - E_k)^2 ],
 
     so the result is not unit-normalized.
+
+    Raises
+    ------
+    Overflow
+        If a component of the state is not a finite double.
     """
     w, others, gaps = _level_projection(sys, V, n)
-    finite_number("coupling", coupling)
+    coupling = finite_number("coupling", coupling)
     col = w[others, n]
-    first = col / gaps
-    second = (
-        w[np.ix_(others, others)] * col[None, :] / np.multiply.outer(gaps, gaps)
-    ).sum(axis=1) - w[n, n] * col / gaps**2
-    coeff = coupling * first + coupling**2 * second
-    return StateVector(sys.basis_matrix[n] + coeff @ sys.basis_matrix[others])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is refused below
+        first = col / gaps
+        second = (
+            w[np.ix_(others, others)] * col[None, :] / np.multiply.outer(gaps, gaps)
+        ).sum(axis=1) - w[n, n] * col / gaps**2
+        coeff = coupling * first + coupling * (coupling * second)  # a zero term stays 0 where c^2 is inf
+        vec = sys.basis_matrix[n] + coeff @ sys.basis_matrix[others]
+    if not np.isfinite(vec.view(np.float64)).all():
+        raise Overflow(f"the level-{n} state at coupling {coupling} is not a finite double")
+    return StateVector(vec)
 
 
 def third_order_phase_terms(

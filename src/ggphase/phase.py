@@ -114,14 +114,14 @@ def bargmann_density_phase(
     Equals :func:`generalized_phase_chain` on the same inputs; computing it
     through density matrices makes the gauge invariance manifest. Each factor
     rho O = |psi><psi|O / <psi|psi> is the outer product of the state with its
-    bra row <psi|O|.
+    bra row <psi|O|, the state first divided by its largest modulus: rho does
+    not change, and the outer product of a huge state stays a double.
     """
     if len(states) != 3:
         raise InvalidArgument(f"density-matrix form takes exactly 3 states, got {len(states)}")
     obs = observable_entries(O, states[0].dim)
-    r1, r2, r3 = (
-        np.outer(s.components, _kernels.bra_rows(s.components, obs)) / s.norm_sq for s in states
-    )
+    scaled = [s.components / np.abs(s.components).max() for s in states]
+    r1, r2, r3 = (np.outer(v, _kernels.bra_rows(v, obs)) / np.vdot(v, v).real for v in scaled)
     trace = complex(np.trace(r1 @ r2 @ r3))
     if abs(trace) <= tol.tol_zero:
         raise UndefinedPhase(

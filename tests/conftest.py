@@ -76,13 +76,19 @@ def random_chain(rng: np.random.Generator, dim: int, length: int) -> list[StateV
 
 
 def bloch_state(theta: float, phi: float) -> StateVector:
-    # built directly, independent of the package's two_level_state helper
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
     return StateVector(
         np.array(
             [math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)],
             dtype=complex,
         )
     )
+
+
+# The two observables of the closed-form two-level chain phases: the swap X
+# and the Hadamard (X + Z)/sqrt(2).
+SWAP_X = Observable([[0, 1], [1, 0]])
+HADAMARD = Observable(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
 
 
 def chain_arg_oracle(states, obs: Observable | None) -> float:

@@ -15,6 +15,8 @@ import numpy as np
 import ggphase as gg
 
 from conftest import (
+    HADAMARD,
+    SWAP_X,
     acceptance_report as report,
     bloch_curve_arrays,
     bloch_state,
@@ -28,9 +30,6 @@ from conftest import (
 from test_dynamics import exact_survival, ordered_triple_quad
 from test_perturbation import exact_shift, seeded_problem
 from test_scattering import AMP_SCALE, brute_force_terms, seeded_grid
-
-X = gg.Observable([[0, 1], [1, 0]])
-HADAMARD = gg.Observable(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
 
 # 21 polar angles in (0, pi) U (pi, 2 pi) and 21 azimuths in (-pi, pi),
 # both clear of every closed-form branch point.
@@ -53,7 +52,7 @@ def test_criterion_01_two_level_swap_closed_form():
     worst = 0.0
     for theta in THETA_GRID:
         for phi in PHI_GRID:
-            got = swap_chain(theta, phi, X)
+            got = swap_chain(theta, phi, SWAP_X)
             want = gg.wrap_angle(phi if theta < math.pi else math.pi + phi)
             worst = max(worst, abs(gg.wrapped_distance(got, want)))
     ok = worst < 1e-10
@@ -230,7 +229,7 @@ def test_criterion_06_refinement_convergence():
         for count in (251, 501, 1001):
             s, theta, phi = smooth_two_level_path(rng_for(seed), count, x_safe=True)
             params, states = bloch_curve_arrays(s, theta, phi)
-            phases.append(gg.curve_phase(gg.ParamCurve(params, states), X).value)
+            phases.append(gg.curve_phase(gg.ParamCurve(params, states), SWAP_X).value)
         d1 = abs(gg.wrapped_distance(phases[0], phases[1]))
         d2 = abs(gg.wrapped_distance(phases[1], phases[2]))
         ratios.append(d1 / d2)

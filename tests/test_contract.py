@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from ggphase import (
-    DensityMatrix,
     DomainError,
     EigenSystem,
     GridModel,
     InvalidArgument,
     Observable,
+    Overflow,
     ParamCurve,
     SeparableModel,
     StateVector,
@@ -46,6 +46,7 @@ from ggphase import (
     third_order_phase_terms,
     triangle_holonomy,
     triple_product_phases,
+    two_level_phase,
     weak_value,
 )
 
@@ -62,7 +63,6 @@ ENTRY_POINTS = {
     "StateVector": lambda x: StateVector([x, 1.0]),
     "StateVector.normalized": lambda x: StateVector([x, x]).normalized(),
     "Observable": lambda x: Observable([[x, 0.0], [0.0, 1.0]]),
-    "DensityMatrix": lambda x: DensityMatrix([[1.0, x], [x, 0.0]]),
     "UnitaryMatrix": lambda x: UnitaryMatrix([[x, 0.0], [0.0, 1.0]]),
     "ToleranceConfig": lambda x: ToleranceConfig(tol_zero=x),
     "TwoLevelParams": lambda x: TwoLevelParams(x, 0.0),
@@ -96,10 +96,6 @@ ENTRY_POINTS = {
 
 BAD_NUMBERS = {"string": "one", "int past the doubles": 10**400, "nan": math.nan, "inf": math.inf}
 
-# A computation that still overflows on a 1e200 coupling, past the argument
-# check that accepts it: coupling**2 raises a bare OverflowError.
-HUGE_ESCAPES = {"perturbed_state"}
-
 
 def _finite(value) -> bool:
     """Whether every number a result carries is finite."""
@@ -119,10 +115,7 @@ class TestArgumentContract:
         with pytest.raises(InvalidArgument):
             ENTRY_POINTS[entry](bad)
 
-    @pytest.mark.parametrize("entry", [
-        pytest.param(name, marks=pytest.mark.xfail(strict=True, raises=OverflowError))
-        if name in HUGE_ESCAPES else name for name in ENTRY_POINTS
-    ])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_huge_entries_stay_in_the_taxonomy(self, entry):
         try:
             result = ENTRY_POINTS[entry](1e200)
@@ -152,17 +145,25 @@ class TestArgumentContract:
         v = np.array([0.3, 0.4j, 1.2])
         assert np.array_equal(StateVector(v).normalized().components, v / math.sqrt(np.vdot(v, v).real))
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeWarning)
-    @pytest.mark.parametrize("build", [
-        lambda s: DensityMatrix.from_state(s),
-        lambda s: bargmann_density_phase([s, s, s]),
-    ], ids=["DensityMatrix.from_state", "bargmann_density_phase"])
-    def test_density_forms_of_huge_states(self, build):
-        # both divide an outer product past the doubles by a norm past them
-        try:
-            build(StateVector([1e200, 1e200]))
-        except (InvalidArgument, DomainError):
-            pass
+    def test_density_phase_of_huge_states(self):
+        # each state is scaled into the doubles before its outer product
+        s = StateVector([1e200, 1e200])
+        assert bargmann_density_phase([s, s, s]).value == 0.0
+
+    def test_a_perturbed_state_past_the_doubles_overflows(self):
+        huge_v = Observable(np.asarray(V.entries) * 1e200)
+        for v, coupling in ((V, 1e200), (huge_v, 1.0)):
+            with pytest.raises(Overflow):
+                perturbed_state(SYSTEM, v, 0, coupling)
+        # no second-order term: the state [1, -1e199, 0] is a double
+        first_order_only = Observable([[0.0, 0.1, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        state = perturbed_state(SYSTEM, first_order_only, 0, 1e200)
+        np.testing.assert_allclose(state.components, [1.0, -1e199, 0.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", [1, None, "foo", "X"])
+    def test_two_level_kind_is_one_of_two_strings(self, kind):
+        with pytest.raises(InvalidArgument, match="kind must be"):
+            two_level_phase(kind, TwoLevelParams(1.0, 0.2))
 
 
 C = StateVector([0.8, 0.6j])
@@ -185,6 +186,8 @@ INTEGER_ENTRY_POINTS = {
     "born_forward_amplitude": (lambda x: born_forward_amplitude(GRID, x), 1),
     "triple_product_phases": (lambda x: triple_product_phases(GRID, x), 1),
     "separable_born_amplitude": (lambda x: separable_born_amplitude(MODEL, 1.0, order=x), 3),
+    "ParamCurve.row": (lambda x: CURVE.row(x), 1),
+    "ParamCurve.state": (lambda x: CURVE.state(x), 1),
 }
 
 BAD_INTEGERS = {"numeric string": "1", "float": 1.5, "whole float": 2.0, "numpy float": np.float64(1.0),
@@ -225,6 +228,15 @@ class TestIntegerAndRealArguments:
     def test_an_index_out_of_range_is_an_invalid_argument(self, entry, index):
         with pytest.raises(InvalidArgument, match="out of range"):
             INTEGER_ENTRY_POINTS[entry][0](index)
+
+    @pytest.mark.parametrize("entry", ["ParamCurve.row", "ParamCurve.state"])
+    def test_a_sample_index_counts_from_either_end(self, entry):
+        call = INTEGER_ENTRY_POINTS[entry][0]
+        for index in (-3, -1, 0, 2):
+            assert repr(call(index)) == repr(call(index % 3))
+        for index in (-4, 3, 10**6, 10**30):
+            with pytest.raises(InvalidArgument, match="out of range"):
+                call(index)
 
     @pytest.mark.parametrize("entry", REAL_ARRAY_ENTRY_POINTS)
     def test_complex_data_for_a_real_array_is_refused(self, entry):

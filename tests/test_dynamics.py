@@ -10,25 +10,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import outputs_under_both_dispatches, random_hermitian, rng_for
+from conftest import HADAMARD, SWAP_X, bloch_state, outputs_under_both_dispatches, random_hermitian, rng_for
 from ggphase import (
     CycleResult,
     NonOrthogonalBasis,
     Observable,
     Overflow,
     StateVector,
-    TwoLevelKind,
     TwoLevelParams,
     UndefinedPhase,
     UnitaryMatrix,
     evolve,
     f_mn,
-    hadamard,
-    pauli_x,
     projective_cycle_amplitude,
     survival_amplitude,
     two_level_phase,
-    two_level_state,
     generalized_phase_chain,
     wrap_angle,
     wrapped_distance,
@@ -212,34 +208,28 @@ class TestProjectiveCycle:
 
 
 class TestTwoLevelClosedForms:
+    @staticmethod
+    def chain_phase(p: TwoLevelParams, obs: Observable) -> float:
+        states = [bloch_state(0.0, 0.0), bloch_state(p.theta, p.phi), bloch_state(math.pi, 0.0)]
+        return generalized_phase_chain(states, obs).value
+
     def test_swap_matches_chain_everywhere(self):
         for theta in np.linspace(0.15, 2 * math.pi - 0.15, 17):
             if abs(theta - math.pi) < 0.2:
                 continue
             for phi in np.linspace(-3.0, 3.0, 9):
                 p = TwoLevelParams(float(theta), float(phi))
-                want = generalized_phase_chain(
-                    [two_level_state(TwoLevelParams(0.0, 0.0)),
-                     two_level_state(p),
-                     two_level_state(TwoLevelParams(math.pi, 0.0))],
-                    pauli_x(),
-                ).value
+                want = self.chain_phase(p, SWAP_X)
                 assert wrapped_distance(two_level_phase("x", p), want) < 1e-12
 
     def test_hadamard_matches_chain_everywhere(self):
-        obs = hadamard()
         for theta in np.linspace(0.1, 2 * math.pi - 0.1, 15):
             for phi in np.linspace(-3.0, 3.0, 9):
                 p = TwoLevelParams(float(theta), float(phi))
                 mod = math.hypot(math.cos(theta), math.sin(theta) * math.sin(phi))
                 if mod < 1e-3:
                     continue
-                want = generalized_phase_chain(
-                    [two_level_state(TwoLevelParams(0.0, 0.0)),
-                     two_level_state(p),
-                     two_level_state(TwoLevelParams(math.pi, 0.0))],
-                    obs,
-                ).value
+                want = self.chain_phase(p, HADAMARD)
                 assert wrapped_distance(two_level_phase("hadamard", p), want) < 1e-12
 
     def test_swap_branch_jump(self):
@@ -268,10 +258,6 @@ class TestTwoLevelClosedForms:
         assert two_level_phase(
             "hadamard", TwoLevelParams(math.pi / 2, 0.4)
         ) == pytest.approx(math.pi / 2)
-
-    def test_kind_enum_accepted(self):
-        p = TwoLevelParams(1.0, 0.2)
-        assert two_level_phase(TwoLevelKind.SWAP_X, p) == two_level_phase("x", p)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from conftest import random_hermitian, random_state, rng_for
 from ggphase import (
     DEFAULT_TOLS,
-    DensityMatrix,
     Observable,
     ParamCurve,
     StateVector,
-    ToleranceConfig,
     UndefinedWeakValue,
     bargmann_density_phase,
     curve_phase,
@@ -108,26 +106,6 @@ class TestObservable:
     def test_identity(self):
         ident = Observable.identity(4)
         np.testing.assert_array_equal(ident.entries, np.eye(4))
-
-
-class TestDensityMatrix:
-    def test_pure_state_properties(self):
-        rho = DensityMatrix.from_state(StateVector([1.0, 1.0j]))
-        m = rho.entries
-        assert np.trace(m).real == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(m @ m, m, atol=1e-14)
-        np.testing.assert_allclose(m, m.conj().T, atol=1e-15)
-
-    def test_rejects_impure_input(self):
-        with pytest.raises(ValueError):
-            DensityMatrix([[0.5, 0.0], [0.0, 0.5]])
-
-    def test_trace_and_idempotency_follow_tol_herm(self):
-        off = np.diag([1.0 + 1e-9, 0.0])
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(off)
-        loose = ToleranceConfig(tol_herm=1e-8)
-        np.testing.assert_array_equal(DensityMatrix(off, tol=loose).entries, off)
 
 
 class TestNoneIsTheIdentity:

@@ -6,6 +6,8 @@ against the installed package, where no PYTHONPATH points at src/.
 """
 
 import importlib
+import importlib.util
+import pathlib
 
 import pytest
 
@@ -34,6 +36,22 @@ def test_star_import_gives_every_name():
     namespace: dict = {}
     exec("from ggphase import *", namespace)
     assert set(ggphase.__all__) <= set(namespace)
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # perfbench/tracer.py imports only the standard library at load time; it
+    # looks each traced name up with a bare getattr, so a deleted or renamed
+    # name breaks the traced benchmark run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(modname, fname) for modname, fnames in tracer.FUNCTIONS.values() for fname in fnames]
+    names += [(modname, cname) for modname, cnames in tracer.CONSTRUCTORS.values() for cname in cnames]
+    names += list(tracer.COUNTED.values())
+    missing = [f"{modname}.{name}" for modname, name in names
+               if not hasattr(importlib.import_module(modname), name)]
+    assert not missing
 
 
 def test_exit_status_follows_the_error_class():
