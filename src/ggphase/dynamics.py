@@ -22,7 +22,6 @@ from .hilbert import (
     Observable,
     StateVector,
     ToleranceConfig,
-    finite_array,
     finite_number,
     integer,
     orthonormality_defect,
@@ -31,7 +30,6 @@ from .hilbert import (
 )
 
 __all__ = [
-    "UnitaryMatrix",
     "TwoLevelParams",
     "CycleResult",
     "evolve",
@@ -42,42 +40,6 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-10
-
-
-class UnitaryMatrix:
-    """A square complex matrix validated to be unitary.
-
-    Parameters
-    ----------
-    entries : array_like of complex, shape (dim, dim)
-        Must satisfy max |(U^dagger U - 1)_ij| <= 1e-10.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries):
-        mat = finite_array(entries, 2, "unitary")
-        if mat.shape[0] != mat.shape[1]:
-            raise InvalidArgument(f"unitary must be square, got shape {mat.shape}")
-        defect = orthonormality_defect(mat.T)  # the columns: U^H U - 1
-        if defect > _UNITARITY_TOL:
-            raise InvalidArgument(f"matrix is not unitary: max |U^H U - 1| = {defect:.3e}")
-        self._entries = mat
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def dim(self) -> int:
-        return self._entries.shape[0]
-
-    def apply(self, state: StateVector) -> StateVector:
-        """U |psi>."""
-        return StateVector(self._entries @ state.components)
-
-    def __repr__(self) -> str:
-        return f"UnitaryMatrix(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -123,20 +85,36 @@ class CycleResult:
     limit_phase: float
 
 
-def evolve(H: Observable, t: float) -> UnitaryMatrix:
-    """Propagator exp(-i t H) of a Hermitian generator, via eigendecomposition.
-
-    The spectral form keeps the result unitary to roundoff for any t, unlike
-    a truncated series.
-    """
-    t = finite_number("time", t)
+def _spectrum(H: Observable, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors q of H and m_k = exp(-i t w_k) - 1, so that
+    exp(-i t H) = 1 + q diag(m) q^H. m is formed as -2 sin^2(t w/2) - i sin(t w),
+    which has no cancellation however small t w is."""
     # a bound on the spectral radius, and on |t| times it: both finite, so
     # eigh converges and every phase t w is a double
     bound = H.dim * (float(np.abs(H.entries.real).max()) + float(np.abs(H.entries.imag).max()))
     if not math.isfinite(bound * max(1.0, abs(t))):
         raise Overflow(f"the spectrum of t H overflows a double at t = {t}")
     w, q = np.linalg.eigh(H.entries)
-    return UnitaryMatrix((q * np.exp(-1j * t * w)) @ q.conj().T)
+    tw = t * w
+    return q, -2.0 * np.sin(0.5 * tw) ** 2 - 1j * np.sin(tw)
+
+
+def evolve(H: Observable, t: float) -> np.ndarray:
+    """Propagator exp(-i t H) of a Hermitian generator, as a read-only
+    (dim, dim) complex array, via eigendecomposition.
+
+    The spectral form keeps the result unitary to roundoff for any t, unlike
+    a truncated series, and 1 + q diag(m) q^H keeps every entry's relative
+    accuracy at small t.
+    """
+    t = finite_number("time", t)
+    q, m = _spectrum(H, t)
+    u = np.eye(H.dim, dtype=np.complex128) + (q * m) @ q.conj().T
+    defect = orthonormality_defect(u.T)  # the columns: U^H U - 1
+    if defect > _UNITARITY_TOL:
+        raise InvalidArgument(f"matrix is not unitary: max |U^H U - 1| = {defect:.3e}")
+    u.flags.writeable = False
+    return u
 
 
 def projective_cycle_amplitude(
@@ -147,7 +125,9 @@ def projective_cycle_amplitude(
 ) -> CycleResult:
     """Amplitude of the cycle b0 -> b1 -> b2 -> b0 under exp(-i epsilon H) steps.
 
-    amplitude = <b0|U|b2><b2|U|b1><b1|U|b0> with U = evolve(H, epsilon).
+    amplitude = <b0|U|b2><b2|U|b1><b1|U|b0> with U = exp(-i epsilon H). Each
+    link is <b_a|b_b> + sum_k (b_a q)_k m_k conj((b_b q)_k) from U = 1 + q diag(m) q^H,
+    exact for any vectors and accurate at any epsilon; no propagator is formed.
     For small epsilon each off-diagonal factor is -i*epsilon*<.|H|.> to
     leading order, so extracted_phase = wrap(Arg(amplitude) + 3*pi/2) tends
     to limit_phase = Arg(<b0|H|b2><b2|H|b1><b1|H|b0>) linearly in epsilon.
@@ -182,7 +162,11 @@ def projective_cycle_amplitude(
             raise UndefinedPhase(
                 f"cycle phase undefined: |<b{a}|H|b{b}>| = {abs(amp):.3e} <= tol_zero"
             )
-    u_links = _kernels.chain_link_amplitudes(chain, evolve(H, epsilon).entries)
+    q, m = _spectrum(H, epsilon)
+    rows = chain.conj() @ q  # (b_a^* q)_k
+    u_links = _kernels.chain_link_amplitudes(chain, None) + _kernels.sandwiches(
+        rows * m, np.roll(rows, -1, axis=0).conj()
+    )
     amplitude = complex(u_links[0] * u_links[1] * u_links[2])
     extracted = wrap_angle(principal_arg(amplitude) + 1.5 * math.pi)
     with np.errstate(over="ignore", invalid="ignore"):

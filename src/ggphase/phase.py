@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import IdentityNotApplicable, InvalidArgument, UndefinedPhase
+from .errors import IdentityNotApplicable, InvalidArgument, Overflow, UndefinedPhase
 from .hilbert import (
     DEFAULT_TOLS,
     Observable,
@@ -115,19 +115,22 @@ def bargmann_density_phase(
     through density matrices makes the gauge invariance manifest. Each factor
     rho O = |psi><psi|O / <psi|psi> is the outer product of the state with its
     bra row <psi|O|, the state first divided by its largest modulus: rho does
-    not change, and the outer product of a huge state stays a double.
+    not change, and the outer product of a huge state stays a double. A trace
+    past the doubles raises Overflow.
     """
     if len(states) != 3:
         raise InvalidArgument(f"density-matrix form takes exactly 3 states, got {len(states)}")
     obs = observable_entries(O, states[0].dim)
     scaled = [s.components / np.abs(s.components).max() for s in states]
-    r1, r2, r3 = (np.outer(v, _kernels.bra_rows(v, obs)) / np.vdot(v, v).real for v in scaled)
-    trace = complex(np.trace(r1 @ r2 @ r3))
-    if abs(trace) <= tol.tol_zero:
-        raise UndefinedPhase(
-            f"density phase undefined: |trace| = {abs(trace):.3e} <= tol_zero"
-        )
-    return PhaseResult(principal_arg(trace), abs(trace), 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # a trace past the doubles is refused below
+        r1, r2, r3 = (np.outer(v, _kernels.bra_rows(v, obs)) / np.vdot(v, v).real for v in scaled)
+        trace = complex(np.trace(r1 @ r2 @ r3))
+    modulus = math.hypot(trace.real, trace.imag)
+    if not math.isfinite(modulus):
+        raise Overflow("the density-matrix trace overflows a double")
+    if modulus <= tol.tol_zero:
+        raise UndefinedPhase(f"density phase undefined: |trace| = {modulus:.3e} <= tol_zero")
+    return PhaseResult(principal_arg(trace), modulus, 3)
 
 
 def phase_via_weak_values(
@@ -160,10 +163,10 @@ def phase_via_weak_values(
             )
         ws.append(weak_value(states[a], O, states[b], tol=tol))
     gamma_identity = generalized_phase_chain(states, None, tol=tol).value
-    w_product = ws[0] * ws[1] * ws[2]
-    if abs(w_product) <= tol.tol_zero:
+    # the product's Arg and modulus factor by factor: the product itself may leave the doubles
+    if math.prod(math.hypot(w.real, w.imag) for w in ws) <= tol.tol_zero:
         raise UndefinedPhase("weak-value product has vanishing modulus")
-    return wrap_angle(principal_arg(w_product) + gamma_identity)
+    return wrap_angle(math.fsum(map(principal_arg, ws)) + gamma_identity)
 
 
 def in_phase(

@@ -20,8 +20,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.integrate import quad
 
-from ggphase import Observable, StateVector, wrap_angle
+import ggphase as gg
+from ggphase import EigenSystem, Observable, StateVector, wrap_angle
 from ggphase._io import InputError
 
 # HYPOTHESIS_PROFILE=ci (set by the CI workflow) keeps slow shared runners from
@@ -415,3 +417,91 @@ def assert_separable_report_near_reference(results: dict, ref: dict) -> None:
     assert_near_reference(results["born_error"], ref["born_error"])
     for name in ("optical_residual", "born_optical_residual"):
         assert_near_reference(results[name], ref[name], ref[f"{name}_scale"])
+
+
+# Oracles shared by the module tests and the acceptance sweep.
+
+
+def ordered_triple_quad(w1: float, w2: float, w3: float, t: float) -> complex:
+    """Adaptive nested quadrature over the ordered simplex 0<t3<t2<t1<t."""
+
+    def inner(t2):
+        re = quad(lambda t3: math.cos(w3 * t3), 0.0, t2, epsabs=1e-13, limit=200)[0]
+        im = quad(lambda t3: math.sin(w3 * t3), 0.0, t2, epsabs=1e-13, limit=200)[0]
+        return complex(re, im)
+
+    def middle(t1):
+        re = quad(
+            lambda t2: (cmath.exp(1j * w2 * t2) * inner(t2)).real,
+            0.0,
+            t1,
+            epsabs=1e-13,
+            limit=200,
+        )[0]
+        im = quad(
+            lambda t2: (cmath.exp(1j * w2 * t2) * inner(t2)).imag,
+            0.0,
+            t1,
+            epsabs=1e-13,
+            limit=200,
+        )[0]
+        return complex(re, im)
+
+    re = quad(lambda t1: (cmath.exp(1j * w1 * t1) * middle(t1)).real, 0.0, t, epsabs=1e-12, limit=200)[0]
+    im = quad(lambda t1: (cmath.exp(1j * w1 * t1) * middle(t1)).imag, 0.0, t, epsabs=1e-12, limit=200)[0]
+    return complex(re, im)
+
+
+def exact_survival(H0: Observable, V: Observable, i: int, t: float) -> complex:
+    h0 = np.asarray(H0.entries)
+    full = h0 + np.asarray(V.entries)
+    wf, qf = np.linalg.eigh(full)
+    u_full = qf @ np.diag(np.exp(-1j * wf * t)) @ qf.conj().T
+    u0_dag = np.diag(np.exp(1j * np.diag(h0) * t))
+    return complex((u0_dag @ u_full)[i, i])
+
+
+def seeded_problem(seed: int, dim: int, spread: float = 1.0):
+    rng = rng_for(seed)
+    energies = np.cumsum(rng.uniform(0.5, 1.5, size=dim)) * spread
+    return EigenSystem.standard(energies), random_hermitian(rng, dim)
+
+
+def exact_shift(sys: EigenSystem, v: Observable, n: int, coupling: float) -> float:
+    h = np.diag(sys.energies) + coupling * np.asarray(v.entries)
+    return float(np.linalg.eigvalsh(h)[n] - sys.energies[n])
+
+
+def seeded_grid(seed: int, size: int, *, scale: float = 1.0, epsilon: float = 0.8):
+    """A grid with well-separated energies and a dense Hermitian potential.
+
+    The default regulator is O(1) so every propagator entry, including the
+    on-shell one, stays O(1); that keeps absolute 1e-12 oracle comparisons
+    meaningful and the Born iteration contractive for small potentials.
+    """
+    rng = rng_for(seed)
+    energies = np.cumsum(rng.uniform(0.4, 1.1, size=size))
+    labels = [f"k{j}" for j in range(size)]
+    return gg.GridModel(labels, energies, 1.0, random_hermitian(rng, size, scale), epsilon)
+
+
+def green_diag(model: gg.GridModel, i: int) -> np.ndarray:
+    return 1.0 / (model.energies[i] - model.energies + 1j * model.greens_epsilon)
+
+
+def brute_force_terms(model: gg.GridModel, i: int) -> tuple[complex, complex, complex]:
+    """Forward Born terms as explicit index sums, in bare (unscaled) units."""
+    v = model.V.entries
+    g = green_diag(model, i)
+    n = model.size
+    t0 = v[i, i]
+    t1 = sum(v[i, p] * g[p] * v[p, i] for p in range(n))
+    t2 = sum(
+        v[i, p] * g[p] * v[p, q] * g[q] * v[q, i]
+        for p in range(n)
+        for q in range(n)
+    )
+    return complex(t0), complex(t1), complex(t2)
+
+
+AMP_SCALE = -4.0 * math.pi**2

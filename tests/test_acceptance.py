@@ -15,21 +15,25 @@ import numpy as np
 import ggphase as gg
 
 from conftest import (
+    AMP_SCALE,
     HADAMARD,
     SWAP_X,
     acceptance_report as report,
     bloch_curve_arrays,
     bloch_state,
+    brute_force_terms,
+    exact_shift,
+    exact_survival,
+    ordered_triple_quad,
     random_hermitian,
     random_positive_definite,
     random_state,
     rng_for,
+    seeded_grid,
+    seeded_problem,
     smooth_two_level_path,
     trapezoid,
 )
-from test_dynamics import exact_survival, ordered_triple_quad
-from test_perturbation import exact_shift, seeded_problem
-from test_scattering import AMP_SCALE, brute_force_terms, seeded_grid
 
 # 21 polar angles in (0, pi) U (pi, 2 pi) and 21 azimuths in (-pi, pi),
 # both clear of every closed-form branch point.

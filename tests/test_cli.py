@@ -686,6 +686,16 @@ class TestCycle:
         assert complex(amp["re"], amp["im"]) == expected.amplitude
         assert report["diagnostics"]["limit_gap"] < 0.2
 
+    def test_limit_gap_is_linear_in_epsilon_down_to_1e_10(self, capsys, h3_file):
+        # the gap to the limit phase is O(epsilon); digits lost as 1/epsilon
+        # in the links would swamp it at small epsilon
+        slopes = []
+        for eps in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10):
+            code, out, _ = invoke(capsys, "cycle", "--h", h3_file, "--epsilon", repr(eps))
+            assert code == 0
+            slopes.append(json.loads(out)["diagnostics"]["limit_gap"] / eps)
+        assert max(slopes) <= 1.01 * min(slopes)
+
     def test_two_dim_h_needs_explicit_basis(self, capsys, tmp_path, x_file):
         code, _, err = invoke(capsys, "cycle", "--h", x_file, "--epsilon", "0.01")
         assert code == 1

@@ -24,7 +24,6 @@ from ggphase import (
     StateVector,
     ToleranceConfig,
     TwoLevelParams,
-    UnitaryMatrix,
     bargmann_density_phase,
     born_forward_amplitude,
     energy_shift,
@@ -38,6 +37,7 @@ from ggphase import (
     matrix_element,
     o_null_curve,
     perturbed_state,
+    phase_via_weak_values,
     projective_cycle_amplitude,
     relative_phase,
     reparametrize,
@@ -57,13 +57,13 @@ SYSTEM = EigenSystem.standard([1.0, 2.0, 4.0])
 CURVE = ParamCurve([0.0, 1.0, 2.0], [[1.0, 0.0], [1.0, 0.1], [1.0, 0.2]])
 A, B = StateVector([1.0, 0.0]), StateVector([0.6, 0.8])
 MODEL = SeparableModel(-0.1, 1.0, 1.0)
+TRIPLE = [StateVector([1.0, 0.3j]), StateVector([0.2, 1.0]), StateVector([1.0, 1.0])]
 
 # Each entry point with one number, or one array entry, replaced by x.
 ENTRY_POINTS = {
     "StateVector": lambda x: StateVector([x, 1.0]),
     "StateVector.normalized": lambda x: StateVector([x, x]).normalized(),
     "Observable": lambda x: Observable([[x, 0.0], [0.0, 1.0]]),
-    "UnitaryMatrix": lambda x: UnitaryMatrix([[x, 0.0], [0.0, 1.0]]),
     "ToleranceConfig": lambda x: ToleranceConfig(tol_zero=x),
     "TwoLevelParams": lambda x: TwoLevelParams(x, 0.0),
     "evolve": lambda x: evolve(H, x),
@@ -92,6 +92,8 @@ ENTRY_POINTS = {
     "relative_phase": lambda x: relative_phase(StateVector([x, x]), StateVector([x, -x])),
     "in_phase": lambda x: in_phase(StateVector([x, x]), StateVector([x, -x])),
     "weak_value": lambda x: weak_value(StateVector([x, 0.0]), None, StateVector([x, 0.0])),
+    "phase_via_weak_values": lambda x: phase_via_weak_values(TRIPLE, Observable([[x, 0.5], [0.5, 2.0]])),
+    "bargmann_density_phase": lambda x: bargmann_density_phase(TRIPLE, Observable([[x, 0.5], [0.5, 2.0]])),
 }
 
 BAD_NUMBERS = {"string": "one", "int past the doubles": 10**400, "nan": math.nan, "inf": math.inf}

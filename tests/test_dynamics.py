@@ -8,9 +8,17 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from conftest import HADAMARD, SWAP_X, bloch_state, outputs_under_both_dispatches, random_hermitian, rng_for
+from conftest import (
+    HADAMARD,
+    SWAP_X,
+    bloch_state,
+    exact_survival,
+    ordered_triple_quad,
+    outputs_under_both_dispatches,
+    random_hermitian,
+    rng_for,
+)
 from ggphase import (
     CycleResult,
     NonOrthogonalBasis,
@@ -19,7 +27,6 @@ from ggphase import (
     StateVector,
     TwoLevelParams,
     UndefinedPhase,
-    UnitaryMatrix,
     evolve,
     f_mn,
     projective_cycle_amplitude,
@@ -31,36 +38,6 @@ from ggphase import (
 )
 from ggphase import dynamics
 from ggphase.dynamics import _CLUSTER_DIAMETER, _ordered_exponential_integral
-
-
-def ordered_triple_quad(w1: float, w2: float, w3: float, t: float) -> complex:
-    """Adaptive nested quadrature over the ordered simplex 0<t3<t2<t1<t."""
-
-    def inner(t2):
-        re = quad(lambda t3: math.cos(w3 * t3), 0.0, t2, epsabs=1e-13, limit=200)[0]
-        im = quad(lambda t3: math.sin(w3 * t3), 0.0, t2, epsabs=1e-13, limit=200)[0]
-        return complex(re, im)
-
-    def middle(t1):
-        re = quad(
-            lambda t2: (cmath.exp(1j * w2 * t2) * inner(t2)).real,
-            0.0,
-            t1,
-            epsabs=1e-13,
-            limit=200,
-        )[0]
-        im = quad(
-            lambda t2: (cmath.exp(1j * w2 * t2) * inner(t2)).imag,
-            0.0,
-            t1,
-            epsabs=1e-13,
-            limit=200,
-        )[0]
-        return complex(re, im)
-
-    re = quad(lambda t1: (cmath.exp(1j * w1 * t1) * middle(t1)).real, 0.0, t, epsabs=1e-12, limit=200)[0]
-    im = quad(lambda t1: (cmath.exp(1j * w1 * t1) * middle(t1)).imag, 0.0, t, epsabs=1e-12, limit=200)[0]
-    return complex(re, im)
 
 
 def scalar_ordered_integral(freqs, t: float) -> complex:
@@ -92,39 +69,52 @@ def scalar_ordered_integral(freqs, t: float) -> complex:
     return t ** len(freqs) * table[0, len(nodes) - 1]
 
 
-def exact_survival(H0: Observable, V: Observable, i: int, t: float) -> complex:
-    h0 = np.asarray(H0.entries)
-    full = h0 + np.asarray(V.entries)
-    wf, qf = np.linalg.eigh(full)
-    u_full = qf @ np.diag(np.exp(-1j * wf * t)) @ qf.conj().T
-    u0_dag = np.diag(np.exp(1j * np.diag(h0) * t))
-    return complex((u0_dag @ u_full)[i, i])
+def taylor_links(h: np.ndarray, rows: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
+    """<b_a|exp(-i eps H)|b_b> for each pair of columns of rows and cols, as
+    the Taylor sum over k = 0 .. 6 of (-i eps)^k / k! <b_a|H^k|b_b>. For
+    eps |H| <= 1e-2 the terms past the overlap shrink geometrically, and the
+    dropped tail is below 1e-14 of the first of them."""
+    total, power = np.einsum("ij,ij->j", rows.conj(), cols), cols.astype(complex)
+    for k in range(1, 7):
+        power = h @ power
+        total = total + (-1j * eps) ** k / math.factorial(k) * np.einsum("ij,ij->j", rows.conj(), power)
+    return total
 
 
 class TestUnitaryAndEvolve:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            UnitaryMatrix([[1.0, 0.0], [0.0, 2.0]])
-
     def test_evolve_is_unitary_and_inverts(self):
         rng = rng_for(90)
         h = random_hermitian(rng, 4)
-        u = evolve(h, 0.7)
-        m = np.asarray(u.entries)
+        m = evolve(h, 0.7)
         np.testing.assert_allclose(m.conj().T @ m, np.eye(4), atol=1e-12)
-        back = np.asarray(evolve(h, -0.7).entries)
-        np.testing.assert_allclose(back @ m, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(evolve(h, -0.7) @ m, np.eye(4), atol=1e-12)
 
     def test_eigenstate_picks_up_energy_phase(self):
         h = Observable([[0.3, 0.0], [0.0, -1.1]])
-        u = evolve(h, 2.0)
-        state = u.apply(StateVector([1.0, 0.0]))
-        assert state.components[0] == pytest.approx(cmath.exp(-0.6j), abs=1e-14)
+        state = evolve(h, 2.0) @ np.array([1.0, 0.0])
+        assert state[0] == pytest.approx(cmath.exp(-0.6j), abs=1e-14)
 
     def test_zero_time_is_identity(self):
         rng = rng_for(91)
-        u = evolve(random_hermitian(rng, 3), 0.0)
-        np.testing.assert_allclose(np.asarray(u.entries), np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(evolve(random_hermitian(rng, 3), 0.0), np.eye(3), atol=1e-15)
+
+    def test_the_propagator_is_read_only(self):
+        u = evolve(Observable([[0.3, 0.1], [0.1, -1.1]]), 0.5)
+        assert isinstance(u, np.ndarray) and u.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dim", [3, 64])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_off_diagonal_entries_match_the_taylor_sum(self, dim, eps):
+        # relative to the largest entry: eigh's backward error is of that size
+        # in every entry, so a small entry of H is known no better in any form
+        h = random_hermitian(rng_for(880 + dim), dim)
+        eye = np.eye(dim)
+        rows, cols = np.nonzero(~np.eye(dim, dtype=bool))
+        oracle = taylor_links(np.asarray(h.entries), eye[:, rows], eye[:, cols], eps)
+        error = np.abs(evolve(h, eps)[rows, cols] - oracle).max()
+        assert error <= 1e-13 * np.abs(oracle).max()
 
 
 class TestProjectiveCycle:
@@ -195,6 +185,18 @@ class TestProjectiveCycle:
         m[zero] = m[zero[::-1]] = 0.0
         with pytest.raises(UndefinedPhase, match=re.escape(named)):
             projective_cycle_amplitude(Observable(m), self.axes(3), 1e-2)
+
+    @pytest.mark.parametrize("dim", [3, 64])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_amplitude_matches_the_taylor_links(self, dim, eps):
+        # each link is O(eps); formed from O(1) terms it would lose digits as 1/eps
+        rng = rng_for(890 + dim)
+        h = random_hermitian(rng, dim)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)))
+        chain = q[:, [0, 2, 1]]  # the links <b0|U|b2>, <b2|U|b1>, <b1|U|b0>
+        oracle = np.prod(taylor_links(np.asarray(h.entries), chain, np.roll(chain, -1, axis=1), eps))
+        amplitude = projective_cycle_amplitude(h, [StateVector(col) for col in q.T], eps).amplitude
+        assert abs(amplitude - oracle) <= 1e-13 * abs(oracle)
 
     def test_result_carries_inputs(self):
         rng = rng_for(95)

@@ -7,8 +7,10 @@ import pytest
 
 from conftest import (
     assert_table_matches_rows,
+    exact_shift,
     random_hermitian,
     rng_for,
+    seeded_problem,
     table_pairs,
     third_order_rows_oracle,
 )
@@ -26,12 +28,6 @@ from ggphase import (
     wrapped_distance,
 )
 from ggphase.perturbation import _wrap_angles
-
-
-def seeded_problem(seed: int, dim: int, spread: float = 1.0):
-    rng = rng_for(seed)
-    energies = np.cumsum(rng.uniform(0.5, 1.5, size=dim)) * spread
-    return EigenSystem.standard(energies), random_hermitian(rng, dim)
 
 
 def zeroed_problem(seed: int, dim: int):
@@ -71,11 +67,6 @@ def perturbed_state_oracle(sys: EigenSystem, v: Observable, n: int, coupling: fl
         )
         vec = vec + (coupling * first + coupling**2 * second) * b[k]
     return vec
-
-
-def exact_shift(sys: EigenSystem, v: Observable, n: int, coupling: float) -> float:
-    h = np.diag(sys.energies) + coupling * np.asarray(v.entries)
-    return float(np.linalg.eigvalsh(h)[n] - sys.energies[n])
 
 
 class TestEigenSystem:

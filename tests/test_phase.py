@@ -18,6 +18,7 @@ from conftest import (
 from ggphase import (
     IdentityNotApplicable,
     Observable,
+    Overflow,
     StateVector,
     UndefinedPhase,
     bargmann_density_phase,
@@ -128,6 +129,34 @@ class TestThreeWayAgreement:
         weak = phase_via_weak_values(states, obs)
         assert wrapped_distance(chain, density) < 1e-10
         assert wrapped_distance(chain, weak) < 1e-9
+
+
+HUGE_O_STATES = [StateVector([1.0, 0.3j]), StateVector([0.2, 1.0]), StateVector([1.0, 1.0])]
+
+
+def scaled_observable(scale: float) -> Observable:
+    return Observable(scale * np.array([[1.0, 0.5], [0.5, 2.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+class TestHugeObservable:
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e200])
+    def test_weak_values_answer_past_the_doubles(self, scale):
+        # the three weak values are near scale; their product may not be a double
+        obs = scaled_observable(scale)
+        chain = generalized_phase_chain(HUGE_O_STATES, obs).value
+        assert chain == pytest.approx(-0.26917, abs=1e-5)
+        assert wrapped_distance(phase_via_weak_values(HUGE_O_STATES, obs), chain) <= 1e-12
+
+    def test_density_phase_at_1e100(self):
+        obs = scaled_observable(1e100)
+        chain = generalized_phase_chain(HUGE_O_STATES, obs).value
+        assert wrapped_distance(bargmann_density_phase(HUGE_O_STATES, obs).value, chain) <= 1e-12
+
+    def test_density_trace_past_the_doubles_overflows(self):
+        # |trace| is about 1e600, so the modulus it would report is not a double
+        with pytest.raises(Overflow, match="trace overflows"):
+            bargmann_density_phase(HUGE_O_STATES, scaled_observable(1e200))
 
 
 class TestErrorPaths:

@@ -17,55 +17,23 @@ import ggphase as gg
 from ggphase import PoleAtEnergy, SingularKernel
 
 from conftest import (
+    AMP_SCALE,
     assert_near_reference,
     assert_table_matches_rows,
-    random_hermitian,
+    brute_force_terms,
+    green_diag,
     rng_for,
+    seeded_grid,
     separable_reference,
     table_pairs,
     triple_product_rows_oracle,
 )
 
 
-def seeded_grid(seed: int, size: int, *, scale: float = 1.0, epsilon: float = 0.8):
-    """A grid with well-separated energies and a dense Hermitian potential.
-
-    The default regulator is O(1) so every propagator entry, including the
-    on-shell one, stays O(1); that keeps absolute 1e-12 oracle comparisons
-    meaningful and the Born iteration contractive for small potentials.
-    """
-    rng = rng_for(seed)
-    energies = np.cumsum(rng.uniform(0.4, 1.1, size=size))
-    labels = [f"k{j}" for j in range(size)]
-    return gg.GridModel(labels, energies, 1.0, random_hermitian(rng, size, scale), epsilon)
-
-
-def green_diag(model: gg.GridModel, i: int) -> np.ndarray:
-    return 1.0 / (model.energies[i] - model.energies + 1j * model.greens_epsilon)
-
-
-def brute_force_terms(model: gg.GridModel, i: int) -> tuple[complex, complex, complex]:
-    """Forward Born terms as explicit index sums, in bare (unscaled) units."""
-    v = model.V.entries
-    g = green_diag(model, i)
-    n = model.size
-    t0 = v[i, i]
-    t1 = sum(v[i, p] * g[p] * v[p, i] for p in range(n))
-    t2 = sum(
-        v[i, p] * g[p] * v[p, q] * g[q] * v[q, i]
-        for p in range(n)
-        for q in range(n)
-    )
-    return complex(t0), complex(t1), complex(t2)
-
-
 def analytic_loop(k: float, beta: float, mass: float) -> complex:
     """Closed form of int d^3p chi(p)^2 / (E_k - p^2/2m + i0)."""
     scale = 2.0 * math.pi**2 * mass / (k * k + beta * beta) ** 2
     return scale * complex((k * k - beta * beta) / beta, -2.0 * k)
-
-
-AMP_SCALE = -4.0 * math.pi**2
 
 
 class TestGridModel:
