@@ -22,7 +22,16 @@ stencils (<psi_0|O|psi_1> - <psi_0|O|psi_0>) / h and
 (<psi_L|O|psi_L> - <psi_L|O|psi_{L-1}>) / h at the two ends. The weights divide
 in sequence and never multiply two steps together, so grids with steps far
 above 1 or far below it neither overflow nor underflow. No derivative array of
-the states is ever formed. :func:`fsum` is the one correctly rounded sum.
+the states is ever formed.
+
+:func:`fsum` is the one correctly rounded sum, math.fsum's value to the bit.
+From _EXACT_SUM_MIN entries it is R. Neal's exponent-binned exact sum
+(arXiv:1505.05571): np.frexp gives each double's exponent and 53-bit integer
+mantissa, whose high 27 and low 26 bits np.bincount sums per exponent (every
+partial is an integer below 2^53, so exact); the bins add as Python ints and
+int true division rounds once. Other sizes, non-finite entries, n max|x|
+past 2^1023 (where fsum's partials may overflow) and an exact zero take
+math.fsum over Python floats, or the plain sum where fsum raises.
 """
 
 from __future__ import annotations
@@ -40,9 +49,33 @@ __all__ = [
 ]
 
 
+# Size from which the binned sum is as fast as math.fsum (CPython 3.11, numpy 2.4):
+# 256 entries took 9 us by fsum and 27 us binned, 1024 took 39 and 39, 2048 104 and 62.
+_EXACT_SUM_MIN = 1024
+
+
 def fsum(values: np.ndarray) -> float:
-    """math.fsum of an array, correctly rounded; where the sum leaves the
-    doubles and fsum would raise, the inf or nan of a plain sum instead."""
+    """math.fsum of a 1-d float64 array, correctly rounded, by the binned sum
+    of the module docstring from _EXACT_SUM_MIN entries; where the sum leaves
+    the doubles and fsum would raise, the inf or nan of a plain sum instead."""
+    n = values.shape[0]
+    if _EXACT_SUM_MIN <= n < 2**25:  # below 2^25 entries every bin stays below 2^53
+        mant, exps = np.frexp(values)  # x = mant 2^exps, 1/2 <= |mant| < 1
+        top, bottom = int(exps.max()), int(exps.min())
+        if top + (n - 1).bit_length() <= 1023:  # n max|x| <= 2^1023
+            mant *= 2.0**27
+            low, high = np.modf(mant)  # |high| < 2^27, and 2^26 low is an integer below 2^26
+            low *= 2.0**26
+            exps -= bottom  # x = (2^26 high + 2^26 low) 2^(exps + bottom - 53)
+            bins = np.bincount(exps, weights=low, minlength=top - bottom + 27)
+            bins[26:] += np.bincount(exps, weights=high, minlength=top - bottom + 1)
+            bits = np.flatnonzero(bins)
+            try:  # int() of an inf or nan bin raises: a non-finite entry
+                total = sum(map(int.__lshift__, map(int, bins[bits].tolist()), bits.tolist()))
+            except (OverflowError, ValueError):
+                total = 0
+            if total:  # one rounding, by int true division or int to float
+                return total / (1 << 53 - bottom) if bottom < 53 else float(total << bottom - 53)
     values = values.tolist()  # fsum iterates Python floats faster than numpy scalars
     try:
         return math.fsum(values)

@@ -14,8 +14,10 @@ None is the identity.
 
 :func:`connection_samples` is the one path to the connection: it runs the
 kernel once per curve and returns the samples with their integral and their
-smallest denominator. :func:`curve_phase` takes such a result to reuse it,
-and the holonomies read theirs from it.
+smallest denominator. :func:`curve_phase` takes such a result to reuse it.
+The holonomies use its array half, :func:`_sample_connection`, on the
+samples, coefficients and Gram matrix of each null segment, which is built
+and checked once and never wrapped in a :class:`ParamCurve`.
 
 Null curves make the phase a pure loop integral: along them the connection
 integral alone reproduces the relative phase of the endpoints, so closing an
@@ -185,10 +187,19 @@ def connection_samples(
     if basis is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan reaches the checks below
             obs = _kernels.bra_rows(basis, obs) @ basis.T
-    num, den = _kernels.connection_terms(curve.params, curve.coeffs, obs)
+    return _sample_connection(curve.params, curve.coeffs, obs, tol)
+
+
+def _sample_connection(
+    params: np.ndarray, rows: np.ndarray, obs: np.ndarray | None, tol: ToleranceConfig
+) -> ConnectionSamples:
+    """The array half of :func:`connection_samples`: the connection of a
+    curve given as its parameter samples and rows, under the (dim, dim)
+    operator of its states, or the Gram matrix of its basis, or None."""
+    num, den = _kernels.connection_terms(params, rows, obs)
     moduli = np.abs(den)
     singular = moduli <= tol.tol_zero
-    m = curve.sample_count
+    m = params.shape[0]
     interior_bad = np.flatnonzero(singular[1 : m - 1])
     if interior_bad.size:
         l = int(interior_bad[0]) + 1
@@ -207,7 +218,7 @@ def connection_samples(
             if not singular[end]:
                 continue
             extrapolated.append(end)
-            p = curve.params
+            p = params
             if singular[first]:
                 # both ends singular on an M=3 curve: only the middle sample remains
                 values[end] = values[second]
@@ -215,12 +226,12 @@ def connection_samples(
                 slope = (values[second] - values[first]) / (p[second] - p[first])
                 values[end] = values[first] + slope * (p[end] - p[first])
         # trapezoid rule with a deterministic, correctly rounded accumulation
-        integral = _kernels.fsum(0.5 * (values[1:] + values[:-1]) * np.diff(curve.params))
+        integral = _kernels.fsum(0.5 * (values[1:] + values[:-1]) * np.diff(params))
     values.setflags(write=False)
     if not math.isfinite(integral):
         raise Overflow(f"the connection integral is {integral}: the connection overflows a double")
     return ConnectionSamples(
-        curve.params, values, integral, float(moduli[~singular].min()), tuple(sorted(extrapolated))
+        params, values, integral, float(moduli[~singular].min()), tuple(sorted(extrapolated))
     )
 
 
@@ -342,6 +353,19 @@ def o_null_curve(
         either at a sample or as a sign change between adjacent samples,
         naming the nearest sample.
     """
+    x, coeffs, span, _ = _null_segment(A, B, O, tau, M, tol)
+    return ParamCurve(x, coeffs, tol=tol, basis=span)
+
+
+def _null_segment(
+    A: StateVector, B: StateVector, O: Observable | None, tau: float, M: int, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every check of :func:`o_null_curve`, and its samples x, its (M, 2)
+    coefficients over span = [A; B] and the Gram matrix <b_k|O|b_m> of that
+    span, ready for :func:`_sample_connection`. The samples are finite and
+    the coefficients bounded by 1, so of the checks a :class:`ParamCurve`
+    makes only two can fail; they are made here, in its order: increasing
+    samples (a small tau fails it) and nonvanishing norms."""
     if integer("M", M) < 3:
         raise InvalidArgument(f"M must be >= 3, got {M}")
     finite_number("tau", tau, positive=True)
@@ -389,7 +413,13 @@ def o_null_curve(
             f"<n|O|n> changes sign between samples {i} and {i + 1} of the null interpolation",
             sample_index=l,
         )
-    return ParamCurve(x, coeffs, tol=tol, basis=span)
+    if not np.all(x[1:] > x[:-1]):
+        raise InvalidArgument("params must be strictly increasing")
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
+        norms = _kernels.sandwiches(_kernels.bra_rows(coeffs, span.conj() @ span.T), coeffs).real
+    if np.any(norms <= tol.tol_zero):
+        raise InvalidArgument(f"curve state at sample {int(np.argmax(norms <= tol.tol_zero))} has vanishing norm")
+    return x, coeffs, span, gram
 
 
 def loop_holonomy(
@@ -408,13 +438,13 @@ def loop_holonomy(
     UndefinedPhase, SingularConnection
         Propagated from the closing-curve construction or the sampling.
     """
-    closing = o_null_curve(open_curve.state(-1), open_curve.state(0), O, tau=1.0,
-                           M=open_curve.sample_count, tol=tol)
+    M = open_curve.sample_count
+    x, coeffs, _, gram = _null_segment(open_curve.state(-1), open_curve.state(0), O, 1.0, M, tol)
     open_part = connection_samples(open_curve, O, tol)
-    closing_part = connection_samples(closing, O, tol)
+    closing_part = _sample_connection(x, coeffs, gram, tol)
     value = wrap_angle(open_part.integral + closing_part.integral)
     min_mod = min(open_part.min_modulus, closing_part.min_modulus)
-    return PhaseResult(value, min_mod, open_curve.sample_count + closing.sample_count)
+    return PhaseResult(value, min_mod, 2 * M)
 
 
 def triangle_holonomy(
@@ -434,8 +464,8 @@ def triangle_holonomy(
     total = 0.0
     min_mod = math.inf
     for a in range(3):
-        segment = o_null_curve(vertices[a], vertices[(a + 1) % 3], O, tau=1.0, M=M, tol=tol)
-        samples = connection_samples(segment, O, tol)
+        x, coeffs, _, gram = _null_segment(vertices[a], vertices[(a + 1) % 3], O, 1.0, M, tol)
+        samples = _sample_connection(x, coeffs, gram, tol)
         total += samples.integral
         min_mod = min(min_mod, samples.min_modulus)
     return PhaseResult(wrap_angle(total), min_mod, 3 * M)

@@ -223,8 +223,8 @@ def two_level_phase(
 # every row picks its own branch from its width: at or below this diameter
 # the shifted Taylor series (the recursion would lose digits to
 # cancellation), above it the recursion (the series would converge slowly).
-# A batch evaluates one interval level at a time, the series only on the
-# rows masked tight at that level and the recursion on the others. 0.05
+# A batch runs the series once, on the intervals masked tight at every
+# level, and the recursion level by level on the others. 0.05
 # keeps both branches < 1e-13. The same rule picks, per third-order level
 # pair of survival_amplitude, a difference quotient or the batch.
 _CLUSTER_DIAMETER = 0.05
@@ -234,25 +234,28 @@ _CLUSTER_DIAMETER = 0.05
 _SERIES_TERMS = next(T for T in range(1, 64) if _CLUSTER_DIAMETER**T / math.factorial(T) < 2.0**-64)
 
 
-def _cluster_series(nodes: np.ndarray) -> np.ndarray:
-    """Divided differences of exp over tight node clusters, one per row of
-    an (P, L) array.
+def _cluster_series(shifts: np.ndarray, center: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Divided differences of exp over tight node clusters, one per row:
+    row p holds the shifts d of its spans[p] + 1 nodes from their centroid
+    center[p], padded with zero shifts to the width of the array.
 
-    Shifts each row to its centroid c and sums exp(c) * sum_m h_m(d) / (m + n)!
-    where h_m are complete homogeneous symmetric polynomials of the shifts d.
+    Sums exp(c) * sum_m h_m(d) / (m + n)! with n = spans[p], where h_m are
+    complete homogeneous symmetric polynomials of the shifts; a zero shift
+    leaves every h_m unchanged, so the padding does not move a bit.
     """
-    n = nodes.shape[1] - 1
-    center = nodes.mean(axis=1)
-    shifts = nodes - center[:, None]
-    h = np.zeros((_SERIES_TERMS, nodes.shape[0]), dtype=np.complex128)
+    rows = shifts.shape[0]
+    h = np.zeros((_SERIES_TERMS, rows), dtype=np.complex128)
     h[0] = 1.0
-    scratch = np.empty(nodes.shape[0], dtype=np.complex128)
+    scratch = np.empty(rows, dtype=np.complex128)
     for x in shifts.T:
         for m in range(1, _SERIES_TERMS):
             h[m] += np.multiply(x, h[m - 1], out=scratch)
-    acc = np.zeros(nodes.shape[0], dtype=np.complex128)
+    # (m + n)! of every term and row, sized by _SERIES_TERMS as it is now
+    factorials = np.array([float(math.factorial(j)) for j in range(_SERIES_TERMS + shifts.shape[1])])
+    divisors = factorials[np.arange(_SERIES_TERMS)[:, None] + spans]
+    acc = np.zeros(rows, dtype=np.complex128)
     for m in range(_SERIES_TERMS - 1, -1, -1):
-        acc += np.divide(h[m], math.factorial(m + n), out=scratch)
+        acc += np.divide(h[m], divisors[m], out=scratch)
     # the recursion above a cluster amplifies a last-bit difference to ~1e-13
     return _complex_product(np.exp(center), acc)
 
@@ -294,17 +297,31 @@ def _ordered_exponential_integral(freqs: np.ndarray, t: float) -> np.ndarray:
         np.cumsum(freqs, axis=1, out=partial[:, 1:])
         nodes = 1j * partial * t
         nodes = np.take_along_axis(nodes, np.argsort(nodes.imag, axis=1), axis=1)
+        # the tight windows of every level depend on the sorted nodes alone, so
+        # the series runs once, on all of them, before the recursion
+        masks = [nodes.imag[:, span:] - nodes.imag[:, :-span] <= _CLUSTER_DIAMETER for span in range(1, k + 1)]
+        windows = [np.lib.stride_tricks.sliding_window_view(nodes, span + 1, axis=1)[tight]
+                   for span, tight in enumerate(masks, 1)]
+        rows = np.cumsum([0] + [len(w) for w in windows])  # level span's rows: rows[span - 1] onwards
+        if rows[-1]:
+            shifts = np.zeros((rows[-1], k + 1), dtype=np.complex128)
+            center = np.empty(rows[-1], dtype=np.complex128)
+            for span, w, first, stop in zip(range(1, k + 1), windows, rows, rows[1:]):
+                if stop > first:
+                    center[first:stop] = w.mean(axis=1)
+                    shifts[first:stop, : span + 1] = w - center[first:stop, None]
+            spans = np.repeat(np.arange(1, k + 1), np.diff(rows))
+            series = _cluster_series(shifts, center, spans)
+            if q:
+                series = np.ldexp(series.view(np.float64).reshape(-1, 2), q * spans[:, None]).view(np.complex128)[:, 0]
         table = np.exp(nodes)
-        for span in range(1, k + 1):
-            tight = nodes.imag[:, span:] - nodes.imag[:, :-span] <= _CLUSTER_DIAMETER
+        for span, tight, first, stop in zip(range(1, k + 1), masks, rows, rows[1:]):
             gaps = np.where(tight, 1.0, nodes[:, span:] - nodes[:, :-span])
             table = (table[:, 1:] - table[:, :-1]) / gaps
             if q:
                 table = np.ldexp(table.view(np.float64), q).view(np.complex128)
-            if tight.any():
-                windows = np.lib.stride_tricks.sliding_window_view(nodes, span + 1, axis=1)
-                series = _cluster_series(windows[tight])
-                table[tight] = np.ldexp(series.view(np.float64), q * span).view(np.complex128)
+            if stop > first:
+                table[tight] = series[first:stop]
         out = math.ldexp(t, -q) ** k * table[:, 0]
     if not np.isfinite(out.view(np.float64)).all():
         raise Overflow(f"ordered time integral leaves the doubles at t = {t}")

@@ -100,7 +100,9 @@ def generalized_phase_chain(
             f"|amplitude| = {moduli[l]:.3e} <= tol_zero",
             link_index=l,
         )
-    value = wrap_angle(math.fsum(np.angle(amps).tolist()))
+    # each Arg by math.atan2, as principal_arg takes it: np.angle's SIMD
+    # arctan2 moves the last bit with the CPU's dispatch target
+    value = wrap_angle(math.fsum(map(math.atan2, amps.imag.tolist(), amps.real.tolist())))
     return PhaseResult(value, min_modulus, len(states))
 
 

@@ -277,6 +277,28 @@ def loop_integral(model: SeparableModel, k: float) -> complex:
     return complex(scale * ((k - beta) * (k * chi + beta * chi)) / beta, -2.0 * scale * k * chi)
 
 
+def _scaled_terms(model: SeparableModel, k: float):
+    """The separable amplitude's pieces with k and beta scaled by s = 2^n,
+    the power of two at or below max(k, beta), and the powers of two of
+    beta, m, c and s carried apart as ints, so that none of them over- or
+    underflows: u^2 = ((k - i beta) / s)^2, and Q = 2 g / r^4, V = c I / u^2
+    and P = 2 beta / s^2 as (mantissa, exponent) pairs, with g = 2 pi^2 m c
+    and r = hypot(k, beta). Then c I = u^2 V and -Q is the first Born term.
+    """
+    finite_number("on-shell momentum", k, positive=True)
+    n = math.frexp(max(k, model.beta))[1]
+    a, b = math.ldexp(k, -n), math.ldexp(model.beta, -n)  # both <= 1, the larger >= 1/2
+    rho4 = (a * a + b * b) ** 2  # (r / s)^4, in [1/16, 4]
+    (bm, be), (mm, me), (cm, ce) = (math.frexp(x) for x in (model.beta, model.mass, model.coupling))
+    return (complex(a * a - b * b, -2.0 * a * b), (4.0 * math.pi**2 * mm * cm / rho4, me + ce - 4 * n),
+            (2.0 * math.pi**2 * mm * cm / (bm * rho4), me + ce - be - 2 * n), (2.0 * bm, be - 2 * n))
+
+
+def _scaled_value(z: complex, exponent: int) -> complex:
+    """z 2^exponent, rounded once per part; OverflowError past the doubles."""
+    return complex(math.ldexp(z.real, exponent), math.ldexp(z.imag, exponent))
+
+
 def separable_tmatrix(
     model: SeparableModel, k: float, tol: ToleranceConfig = DEFAULT_TOLS
 ) -> complex:
@@ -284,39 +306,54 @@ def separable_tmatrix(
 
     f(k) = -4 pi^2 m c chi(k)^2 / (1 - c I(E_k)) with c the coupling; the
     geometric expansion of the denominator reproduces the Born terms order
-    by order in c.
+    by order in c. As 1 - c I = 1 - g chi^2 (k - i beta)^2 / beta, the same
+    amplitude is f = 2 beta / ((k - i beta)^2 - beta r^4 / g), which holds
+    neither chi^2 nor c I. From the pieces of :func:`_scaled_terms`, with
+    W = 1 / V, it is formed as -Q / (1 - u^2 V) where |V| <= 1 and as
+    P / (u^2 - W) elsewhere, so it is found wherever it is a double.
 
     Raises
     ------
     PoleAtEnergy
-        If 1 - c I(E_k) vanishes (a bound or virtual state sits at this
-        energy).
+        If |1 - c I(E_k)| <= tol_zero (a bound or virtual state sits at
+        this energy).
     Overflow
-        If the amplitude, formed as written, is not a finite double.
+        If the amplitude is not a finite double.
     """
-    loop = loop_integral(model, k)
-    den = 1.0 - model.coupling * loop
-    if abs(den) <= tol.tol_zero:
-        raise PoleAtEnergy(f"T-matrix pole at k = {k}: |1 - coupling*I| = {abs(den):.3e}")
-    chi = _form_factor(k, model.beta)
-    amplitude = -4.0 * math.pi**2 * model.mass * model.coupling * chi * chi / den
-    if not cmath.isfinite(amplitude):
-        raise Overflow(f"the exact amplitude overflows a double at coupling {model.coupling}")
-    return amplitude
+    u2, (qm, qe), (vm, ve), (pm, pe) = _scaled_terms(model, k)
+    v = math.ldexp(vm, min(ve, 64))  # V itself where |V| <= 1; vm = 0 at zero coupling
+    if abs(v) <= 1.0:
+        den = 1.0 - u2 * v  # 1 - c I
+        pole, num, exponent = abs(den), -qm, qe
+    else:
+        w = math.ldexp(1.0 / vm, -ve)
+        den = u2 - w  # (1 - c I) / -V
+        pole, num, exponent = abs(den) / abs(w) if w else math.inf, pm, pe
+    if pole <= tol.tol_zero:
+        raise PoleAtEnergy(f"T-matrix pole at k = {k}: |1 - coupling*I| = {pole:.3e}")
+    try:
+        return _scaled_value(num / den, exponent)
+    except OverflowError:
+        raise Overflow(f"the exact amplitude overflows a double at coupling {model.coupling}") from None
 
 
 def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) -> complex:
     """Born series of the separable amplitude truncated at the given power.
 
-    Sums -4 pi^2 m chi(k)^2 * (c + c^2 I + ... + c^order I^(order-1)); the
-    deviation from the exact amplitude is O(c^(order+1)). The geometric sum
-    doubles over the bits of order, so it costs O(log order) products. Raises
-    InvalidArgument if order < 1, Overflow if the series overflows a double.
+    Sums -4 pi^2 m chi(k)^2 * (c + c^2 I + ... + c^order I^(order-1)), that
+    is -Q (1 + x + ... + x^(order-1)) with x = c I, from the pieces of
+    :func:`_scaled_terms`; the deviation from the exact amplitude is
+    O(c^(order+1)). The geometric sum doubles over the bits of order, so it
+    costs O(log order) products. Raises InvalidArgument if order < 1,
+    Overflow if the series or the amplitude overflows a double.
     """
     if integer("order", order) < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
-    c = model.coupling
-    x = c * loop_integral(model, k)
+    u2, (qm, qe), (vm, ve), _ = _scaled_terms(model, k)
+    try:
+        x = u2 * math.ldexp(vm, ve)
+    except OverflowError:  # c I is not a double; only order 1 can still be one
+        x = u2 * math.copysign(math.inf, vm)
     # series = 1 + x + ... + x^(m-1) and power = x^m, from m = 1 up to m = order:
     # doubling m adds x^m times the series, a set bit then adds x^(2m)
     series, power = complex(1.0), x
@@ -324,10 +361,12 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
         series, power = series + power * series, power * power
         if bit == "1":
             series, power = series + power, power * x
-    chi = _form_factor(k, model.beta)
-    amplitude = -4.0 * math.pi**2 * model.mass * chi * chi * c * series
+    try:
+        amplitude = _scaled_value(-qm * series, qe)
+    except OverflowError:
+        amplitude = complex(math.inf)
     if not cmath.isfinite(amplitude):
-        raise Overflow(f"the order-{order} Born amplitude overflows a double at coupling {c}")
+        raise Overflow(f"the order-{order} Born amplitude overflows a double at coupling {model.coupling}")
     return amplitude
 
 

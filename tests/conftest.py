@@ -400,6 +400,20 @@ def separable_reference(coupling, beta, mass, k, born_order: int = 2) -> dict:
     return out
 
 
+def separable_exact_is_a_double(coupling, beta, mass, k) -> bool:
+    """The exact amplitude and its optical residual at these floats are
+    finite doubles, and |1 - c I| is more than twice the default tol_zero
+    from zero, so no pole may be reported."""
+    ref = separable_reference(coupling, beta, mass, k, born_order=1)
+    c, (re, im) = Fraction(coupling), ref["loop"]
+    if (1 - c * re) ** 2 + (c * im) ** 2 <= (2 * Fraction(gg.DEFAULT_TOLS.tol_zero)) ** 2:
+        return False
+    try:
+        return all(math.isfinite(float(x)) for x in (*ref["amplitude"], ref["optical_residual"]))
+    except OverflowError:  # float() of a Fraction past the doubles
+        return False
+
+
 def assert_near_reference(value: float, ref: Fraction, scale: Fraction | None = None) -> None:
     """value is within 1e-12 of ref relative to scale (default |ref|), or
     within four ulp of the smallest subnormal where that bound is smaller."""

@@ -31,6 +31,7 @@ from conftest import (
     located_vector_oracle,
     random_hermitian,
     rng_for,
+    separable_exact_is_a_double,
     separable_reference,
 )
 from ggphase._io import InputError
@@ -895,6 +896,34 @@ class TestScatter:
             json.loads(out)["results"], separable_reference(-1e155, 1.0, 1.0, 1e-200, born_order=1)
         )
 
+    def test_separable_born_order_one_where_chi_squared_leaves_the_doubles(self, capsys):
+        # chi^2 is about 2.5e-641 and 1 - c I about 1e120: the exact amplitude
+        # is about 1e-160i and the first Born term -9.9e-40
+        code, out, err = invoke(
+            capsys, "scatter", "separable", "--coupling", "1e300",
+            "--beta", "1e160", "--mass", "1e300", "--k", "1e160", "--born-order", "1",
+        )
+        assert (code, err) == (0, "")
+        assert_separable_report_near_reference(
+            json.loads(out)["results"], separable_reference(1e300, 1e160, 1e300, 1e160, born_order=1)
+        )
+
+    @pytest.mark.parametrize(("beta", "k", "field"), [
+        ("1e-300", "1e-290", "the order-2 Born amplitude"),
+        ("1e160", "1e160", "the optical residual of the order-2 Born amplitude"),
+    ])
+    def test_separable_born_fields_past_the_doubles_exit_2(self, capsys, beta, k, field):
+        # the exact amplitudes are doubles (test_scattering), but these Born
+        # fields are not, in separable_reference either
+        code, out, _ = invoke(
+            capsys, "scatter", "separable", "--coupling", "1e300",
+            "--beta", beta, "--mass", "1e300", "--k", k,
+        )
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "Overflow"
+        assert error["message"].startswith(field + " overflows")
+
     def test_separable_matches_library(self, capsys):
         code, out, _ = invoke(
             capsys, "scatter", "separable", "--coupling", "-0.1",
@@ -1431,9 +1460,16 @@ class TestCommandLineNumbers:
            order=st.integers())
     @settings(max_examples=200, deadline=None)
     def test_any_separable_flags_keep_the_exit_contract(self, beta, coupling, mass, k, order):
+        # wherever the exact amplitude and its residual are doubles, only
+        # the Born fields, which may leave the doubles, can end the job in exit 2
         argv = ["scatter", "separable", "--beta", repr(beta), "--coupling", repr(coupling),
                 "--mass", repr(mass), "--k", repr(k), "--born-order", str(order)]
-        assert_exit_contract_within_seconds(argv)
+        start = time.perf_counter()
+        code, text = run_contained(argv)
+        assert time.perf_counter() - start < 5.0
+        assert_exit_contract(code, text)
+        if min(beta, mass, k) > 0.0 and order >= 1 and separable_exact_is_a_double(coupling, beta, mass, k):
+            assert code == 0 or "Born" in json.loads(text)["error"]["message"], text
 
     @given(tau=st.floats(0.1, 3.0) | FINITE_FLOATS, samples=st.integers(3, 10**5), ends=endpoint_pair(),
            identity=st.booleans())

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bloch_curve_arrays,
@@ -21,8 +23,12 @@ from conftest import (
     trapezoid,
 )
 from ggphase import (
+    DEFAULT_TOLS,
+    DomainError,
+    InvalidArgument,
     Observable,
     OrthogonalEndpoints,
+    Overflow,
     ParamCurve,
     SingularConnection,
     StateVector,
@@ -40,6 +46,7 @@ from ggphase import (
 )
 from ggphase import _kernels
 from ggphase.cli import main
+from ggphase.curve import _null_segment
 
 X = Observable([[0.0, 1.0], [1.0, 0.0]])
 
@@ -555,6 +562,97 @@ class TestHolonomy:
             tri = triangle_holonomy(states[0], states[1], states[2], obs, M=4001)
             chain = generalized_phase_chain(states, obs)
             assert wrapped_distance(tri.value, chain.value) < 1e-6
+
+
+def polyline_curve(rows, count: int) -> ParamCurve:
+    """count uniform samples on [0, 1] of the polygon through the given rows,
+    which it meets at evenly spaced parameters."""
+    rows = np.asarray(rows, dtype=complex)
+    at = np.linspace(0.0, len(rows) - 1.0, count)
+    lo = np.minimum(np.floor(at).astype(int), len(rows) - 2)
+    frac = (at - lo)[:, None]
+    return ParamCurve(np.linspace(0.0, 1.0, count), (1.0 - frac) * rows[lo] + frac * rows[lo + 1])
+
+
+def raised(call) -> tuple:
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value), getattr(info.value, "sample_index", None)
+
+
+Z = Observable(np.diag([1.0, -1.0]))
+
+
+class TestHolonomyErrors:
+    """The holonomies build and check each null segment once, as arrays, and
+    raise what they raised when every segment was a checked ParamCurve: the
+    same type, message and sample index, in the same order: closing segment
+    built, then the open connection, then the closing one."""
+
+    def test_vanishing_closing_link(self):
+        # <psi(0)|Z|psi(L)> = 0
+        error = raised(lambda: loop_holonomy(polyline_curve([[1, 0], [1, 1], [0, 1]], 11), Z))
+        assert error == (UndefinedPhase, "null curve undefined: |<A|O|B>| = 0.000e+00 <= tol_zero", None)
+
+    def test_vanishing_triangle_link(self):
+        # <psi3|Z|psi2> = 0.5 - 0.5 on the second segment
+        error = raised(lambda: triangle_holonomy(StateVector([1, 0.1]), StateVector([1, 0.5]),
+                                                 StateVector([0.5, 1]), Z, M=11))
+        assert error == (UndefinedPhase, "null curve undefined: |<A|O|B>| = 0.000e+00 <= tol_zero", None)
+
+    def test_closing_sign_change_comes_before_a_singular_open_connection(self):
+        # <n|Z|n> goes from 0.75 to -0.96 along the closing segment, and the
+        # open curve meets <psi|Z|psi> = 0 at its interior sample 4
+        error = raised(lambda: loop_holonomy(polyline_curve([[0.2, 1], [1, 1], [1, 0.5]], 9), Z))
+        assert error == (SingularConnection,
+                         "<n|O|n> changes sign between samples 4 and 5 of the null interpolation", 4)
+
+    def test_triangle_interior_zero(self):
+        error = raised(lambda: triangle_holonomy(StateVector([1, 0.5]), StateVector([0.2, 1]),
+                                                 StateVector([1, 0.3]), Z, M=10))
+        assert error == (SingularConnection, "<n|O|n> vanishes at interior sample 5 of the null interpolation", 5)
+
+    def test_open_connection_comes_before_the_closing_connection(self):
+        # at 1e306 the closing segment's stencil terms pass the doubles, so its
+        # connection alone raises Overflow; with an open curve singular at
+        # its interior sample 1000 the open connection's error comes first
+        big = Observable(1e306 * np.diag([1.0, -1.0, 1.0]))
+        closing_only = raised(lambda: loop_holonomy(
+            polyline_curve([[1, 0.1, 0], [1, 0.05, 0.05], [1, 0, 0.1]], 2001), big))
+        assert closing_only == (Overflow, "the connection integral is nan: the connection overflows a double", None)
+        both = raised(lambda: loop_holonomy(polyline_curve([[1, 0.1, 0], [1, 1, 0], [1, 0, 0.1]], 2001), big))
+        assert both == (SingularConnection, "connection denominator vanishes at interior sample 1000 "
+                        "(|<psi|O|psi>| = 0.000e+00)", 1000)
+
+    def test_vanishing_norm_of_a_closing_state_is_still_checked(self):
+        # psi(0) = (1 + 2e-7) psi(L) under O = -1e8: the closing state is
+        # (1 - 2x - 2e-7 x) psi(L), of norm 1e-14 at x = 1/2, while <n|O|n>
+        # is -1e-6 there and never changes sign
+        a = np.array([0.6, 0.8j])
+        curve = ParamCurve([0.0, 0.5, 1.0], [(1 + 2e-7) * a, [1, 0], a])
+        error = raised(lambda: loop_holonomy(curve, Observable(-1e8 * np.eye(2))))
+        assert error == (InvalidArgument, "curve state at sample 1 has vanishing norm", None)
+
+    def test_chain_lengths(self):
+        loop = loop_holonomy(polyline_curve([[1, 0.1], [1, 0.3j], [1, -0.2]], 10), Z)
+        triangle = triangle_holonomy(StateVector([1, 0.1]), StateVector([1, 0.3j]), StateVector([1, -0.2]), Z, M=10)
+        assert (loop.chain_length, triangle.chain_length) == (20, 30)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), count=st.integers(3, 40),
+           tau=st.sampled_from([1.0, 0.3, 3.0, 1e-300, 5e-324]), definite=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_param_curve_accepts_every_null_segment(self, seed, dim, count, tau, definite):
+        # the ParamCurve checks the segments skip (finite arrays, shapes, M >= 3)
+        # cannot fail on what _null_segment returns
+        rng = rng_for(seed)
+        a, b = (StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in range(2))
+        obs = (random_positive_definite if definite else random_hermitian)(rng, dim)
+        try:
+            x, coeffs, span, _ = _null_segment(a, b, obs, tau, count, DEFAULT_TOLS)
+        except (DomainError, InvalidArgument):  # a small tau fails the kept check of increasing samples
+            return
+        curve = ParamCurve(x, coeffs, basis=span)
+        assert np.array_equal(curve.params, x) and np.array_equal(curve.coeffs, coeffs)
 
 
 class TestConnectionEvaluatedOncePerCurve:

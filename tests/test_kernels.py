@@ -1,12 +1,16 @@
 """The hot kernels against direct per-row sandwiches, explicit
 finite-difference stencils, the np.gradient derivative array and the
-np.roll link form they replace."""
+np.roll link form they replace; the exact sum against math.fsum."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ggphase import _kernels
 from ggphase._kernels import chain_link_amplitudes, connection_terms
 
 from conftest import connection_terms_gradient_oracle, outputs_under_both_dispatches, random_hermitian, rng_for
@@ -192,5 +196,79 @@ for count, dim in ((20001, 16), (2001, 2), (41, 7)):
 
 def test_kernel_values_do_not_depend_on_simd_dispatch():
     default, reduced = outputs_under_both_dispatches(KERNEL_BYTES)
+    assert len(default.splitlines()) == 6
+    assert default == reduced
+
+
+def fsum_rule(values: np.ndarray) -> float:
+    """math.fsum over Python floats, or the plain sum where fsum raises:
+    the rule the binned sum must reproduce to the bit."""
+    values = values.tolist()
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
+
+
+SUM_SIZES = (1, 7, _kernels._EXACT_SUM_MIN - 1, _kernels._EXACT_SUM_MIN, _kernels._EXACT_SUM_MIN + 1, 4096, 20000)
+
+
+def sum_case(kind: str, size: int, rng: np.random.Generator, pattern: list) -> np.ndarray:
+    """One array of a kind the binned sum has to get right, from a seed and a
+    short drawn pattern of doubles."""
+    if kind == "pattern":  # the drawn doubles, repeated, then negated in part
+        x = np.resize(np.array(pattern, dtype=np.float64), size)
+        x[rng.random(size) < 0.5] *= -1.0
+        return x
+    if kind == "cancel":  # pairs that cancel exactly, around a few small terms
+        half = rng.normal(size=size // 2) * np.exp2(rng.integers(-80, 80, size // 2))
+        x = np.concatenate([half, -half, rng.normal(size=size % 2) * 1e-300])
+        return x[rng.permutation(size)]
+    scale = {"normal": np.ones(size), "wide": np.exp2(rng.integers(-1074, 1000, size).astype(float)),
+             "subnormal": np.full(size, 1e-310), "huge": np.full(size, 1.7e308 / rng.choice([1.0, size, 4.0 * size]))}
+    return rng.uniform(-1.0, 1.0, size) * scale[kind]
+
+
+def same_double(a: float, b: float) -> bool:
+    return math.isnan(a) and math.isnan(b) or a.hex() == b.hex()
+
+
+class TestExactSum:
+    @given(kind=st.sampled_from(["pattern", "cancel", "normal", "wide", "subnormal", "huge"]),
+           size=st.sampled_from(SUM_SIZES), seed=st.integers(0, 2**32 - 1),
+           pattern=st.lists(st.floats(), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_to_the_bit(self, kind, size, seed, pattern):
+        # st.floats() draws nan, inf, -0.0, subnormals and DBL_MAX
+        x = sum_case(kind, size, np.random.default_rng(seed), pattern)
+        assert same_double(_kernels.fsum(x), fsum_rule(x))
+
+    @pytest.mark.parametrize("size", SUM_SIZES)
+    def test_partials_past_the_doubles_take_the_plain_sum(self, size):
+        # fsum raises on these partials: [M, M, -M, -M, ...] in order, then
+        # the plain sum's inf, or a finite total the binned sum never reaches
+        big = np.finfo(np.float64).max
+        for x in (np.resize([big, big, -big, -big], size), np.resize([big, -big, big], size)):
+            assert same_double(_kernels.fsum(x), fsum_rule(x))
+
+    @pytest.mark.parametrize("values", [[0.0], [-0.0], [1.0, -1.0], [math.inf], [-math.inf, math.inf], [math.nan]])
+    def test_zeros_and_non_finite_entries(self, values):
+        for size in SUM_SIZES:
+            x = np.resize(np.array(values), size)
+            assert same_double(_kernels.fsum(x), fsum_rule(x))
+
+
+SUM_BYTES = """
+import numpy as np
+from ggphase import _kernels
+rng = np.random.default_rng(24)
+for size in (1500, 4096, 20000):
+    for scale in (np.ones(size), np.exp2(rng.integers(-1074, 1000, size).astype(float))):
+        print(size, _kernels.fsum(rng.uniform(-1.0, 1.0, size) * scale).hex())
+"""
+
+
+def test_exact_sum_does_not_depend_on_simd_dispatch():
+    default, reduced = outputs_under_both_dispatches(SUM_BYTES)
     assert len(default.splitlines()) == 6
     assert default == reduced

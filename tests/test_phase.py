@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     bloch_state,
     chain_arg_oracle,
+    outputs_under_both_dispatches,
     random_chain,
     random_hermitian,
     random_state,
@@ -212,3 +213,24 @@ class TestInPhase:
         # plain overlap has Arg pi/4, X-element Arg differs
         assert not in_phase(a, b)
         assert not in_phase(a, b, X)
+
+
+CHAIN_VALUES = """
+import numpy as np
+from ggphase import Observable, StateVector, generalized_phase_chain
+rng = np.random.default_rng(4242)
+for j in range(400):
+    dim, length = int(rng.integers(2, 17)), int(rng.integers(3, 41))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    obs = None if j % 4 == 0 else Observable(a + a.conj().T)
+    states = rng.normal(size=(length, dim)) + 1j * rng.normal(size=(length, dim))
+    print(repr(generalized_phase_chain([StateVector(s) for s in states], obs).value))
+"""
+
+
+def test_chain_values_do_not_depend_on_simd_dispatch():
+    # the links are dispatch-independent (test_kernels); each Arg is taken by
+    # math.atan2, so the phase is too
+    default, reduced = outputs_under_both_dispatches(CHAIN_VALUES)
+    assert len(default.splitlines()) == 400
+    assert default == reduced

@@ -451,12 +451,31 @@ class TestSeparableModel:
 
     @pytest.mark.parametrize(("beta", "k"), [(1e-300, 1e-290), (1e160, 1e160)])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_amplitude_past_the_doubles_rejected(self, beta, k):
-        # Formed as written, these amplitudes are nan+nanj (chi overflows,
-        # so 1 - cI is nan) and -inf+infj (m c overflows).
+    def test_amplitude_where_chi_squared_leaves_the_doubles(self, beta, k):
+        # Formed as -4 pi^2 m c chi^2 / (1 - c I), these amplitudes were
+        # nan+nanj (chi overflows, so 1 - cI is nan) and -inf+infj (m c
+        # overflows); they are about 2e280 + 4e270i and 1e-160i.
         model = gg.SeparableModel(coupling=1e300, beta=beta, mass=1e300)
-        with pytest.raises(gg.Overflow, match="exact amplitude .*coupling 1e\\+300"):
-            gg.separable_tmatrix(model, k)
+        ref = separable_reference(1e300, beta, 1e300, k, born_order=1)
+        value = gg.separable_tmatrix(model, k)
+        re, im = ref["amplitude"]
+        assert_near_reference(value.real, re, abs(re) + abs(im))
+        assert_near_reference(value.imag, im, abs(re) + abs(im))
+        assert_near_reference(gg.optical_theorem_residual(model, k), ref["optical_residual"],
+                              ref["optical_residual_scale"])
+
+    @pytest.mark.parametrize(("coupling", "beta", "mass", "k"), [
+        (1e300, 1e160, 1e300, 1e160), (-1e-300, 1e-200, 1e-300, 3e-201),
+        (1e-300, 1e-160, 1e-300, 1e-160), (1e300, 1e170, 1e300, 1e100),
+    ])
+    def test_first_born_term_where_chi_squared_leaves_the_doubles(self, coupling, beta, mass, k):
+        # the term -4 pi^2 m c chi^2 is a double in every case, but formed
+        # as written it is -0.0, inf, -inf and -0.0
+        model = gg.SeparableModel(coupling=coupling, beta=beta, mass=mass)
+        re, im = separable_reference(coupling, beta, mass, k, born_order=1)["born_amplitude"]
+        value = gg.separable_born_amplitude(model, k, 1)
+        assert_near_reference(value.real, re)
+        assert value.imag == 0.0
 
     def test_pole_guard(self):
         # No real coupling puts a pole exactly on the real axis, so the
