@@ -300,8 +300,8 @@ def _ordered_exponential_integral(freqs: np.ndarray, t: float) -> np.ndarray:
         # the tight windows of every level depend on the sorted nodes alone, so
         # the series runs once, on all of them, before the recursion
         masks = [nodes.imag[:, span:] - nodes.imag[:, :-span] <= _CLUSTER_DIAMETER for span in range(1, k + 1)]
-        windows = [np.lib.stride_tricks.sliding_window_view(nodes, span + 1, axis=1)[tight]
-                   for span, tight in enumerate(masks, 1)]
+        windows = [nodes[rows[:, None], starts[:, None] + np.arange(span + 1)]  # (count, span + 1)
+                   for span, (rows, starts) in enumerate(map(np.nonzero, masks), 1)]
         rows = np.cumsum([0] + [len(w) for w in windows])  # level span's rows: rows[span - 1] onwards
         if rows[-1]:
             shifts = np.zeros((rows[-1], k + 1), dtype=np.complex128)

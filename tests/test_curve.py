@@ -639,17 +639,24 @@ class TestHolonomyErrors:
         assert (loop.chain_length, triangle.chain_length) == (20, 30)
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), count=st.integers(3, 40),
-           tau=st.sampled_from([1.0, 0.3, 3.0, 1e-300, 5e-324]), definite=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_param_curve_accepts_every_null_segment(self, seed, dim, count, tau, definite):
-        # the ParamCurve checks the segments skip (finite arrays, shapes, M >= 3)
-        # cannot fail on what _null_segment returns
+           tau=st.sampled_from([1.0, 0.3, 3.0, 1e-300, 5e-324]), scale=st.sampled_from([1.0, -1.0, -1e8]),
+           offset=st.sampled_from([0.3, 1e-5, 1e-6, 1e-7, 1e-9]), spread=st.sampled_from([0.0, 1e-9, 1e-7, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_param_curve_accepts_every_null_segment(self, seed, dim, count, tau, scale, offset, spread):
+        # the ParamCurve checks a segment skips (finite arrays, shapes, M >= 3),
+        # and the norm check it skips where the span's Gram matrix bounds every
+        # norm away from tol_zero, cannot fail on what _null_segment returns.
+        # Under a negative definite O the chord through A and B = mu A (spread 0)
+        # passes through zero `offset` sample steps past the middle sample.
         rng = rng_for(seed)
-        a, b = (StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in range(2))
-        obs = (random_positive_definite if definite else random_hermitian)(rng, dim)
+        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        f0 = (count // 2 + offset) / (count - 1)
+        b = (1.0 / f0 - 1.0) * a + spread * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        obs = scale * random_positive_definite(rng, dim).entries
+        obs = Observable(0.5 * (obs + obs.conj().T))
         try:
-            x, coeffs, span, _ = _null_segment(a, b, obs, tau, count, DEFAULT_TOLS)
-        except (DomainError, InvalidArgument):  # a small tau fails the kept check of increasing samples
+            x, coeffs, span, _ = _null_segment(StateVector(a), StateVector(b), obs, tau, count, DEFAULT_TOLS)
+        except (DomainError, InvalidArgument):  # the kept checks: a small tau, or a vanishing norm
             return
         curve = ParamCurve(x, coeffs, basis=span)
         assert np.array_equal(curve.params, x) and np.array_equal(curve.coeffs, coeffs)
