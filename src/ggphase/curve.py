@@ -61,6 +61,12 @@ __all__ = [
 ]
 
 
+def _refuse_vanishing_norms(norms: np.ndarray, tol: ToleranceConfig) -> None:
+    """InvalidArgument naming the first sample whose state has norm^2 <= tol_zero."""
+    if np.any(norms <= tol.tol_zero):
+        raise InvalidArgument(f"curve state at sample {int(np.argmax(norms <= tol.tol_zero))} has vanishing norm")
+
+
 class ParamCurve:
     """An ordered discretization of a curve of rays.
 
@@ -94,9 +100,7 @@ class ParamCurve:
         with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
             norms = (np.einsum("ld,ld->l", parts, parts) if b is None  # else c^* (b^* b^T) c
                      else _kernels.sandwiches(_kernels.bra_rows(s, b.conj() @ b.T), s).real)
-        if np.any(norms <= tol.tol_zero):
-            bad = int(np.argmax(norms <= tol.tol_zero))
-            raise InvalidArgument(f"curve state at sample {bad} has vanishing norm")
+        _refuse_vanishing_norms(norms, tol)
         self._params = p
         self._coeffs = s
         self._basis = b
@@ -421,9 +425,7 @@ def _null_segment(
         # every row has |c|^2 >= 1/2, so each norm c^* G c is at least half the least
         # eigenvalue of G, det G / tr G or more; 4 (dim + 10) eps tr G bounds the rounding
         if not (a * b - g * g) / (a + b) > 2.0 * tol.tol_zero + 4 * (A.dim + 10) * 2.0**-52 * (a + b):
-            norms = _kernels.sandwiches(_kernels.bra_rows(coeffs, span_gram), coeffs).real
-            if np.any(norms <= tol.tol_zero):
-                raise InvalidArgument(f"curve state at sample {int(np.argmax(norms <= tol.tol_zero))} has vanishing norm")
+            _refuse_vanishing_norms(_kernels.sandwiches(_kernels.bra_rows(coeffs, span_gram), coeffs).real, tol)
     return x, coeffs, span, gram
 
 

@@ -585,8 +585,8 @@ Z = Observable(np.diag([1.0, -1.0]))
 
 class TestHolonomyErrors:
     """The holonomies build and check each null segment once, as arrays, and
-    raise what they raised when every segment was a checked ParamCurve: the
-    same type, message and sample index, in the same order: closing segment
+    raise the type, message and sample index that o_null_curve and
+    connection_samples raise on that segment, in this order: closing segment
     built, then the open connection, then the closing one."""
 
     def test_vanishing_closing_link(self):
