@@ -252,10 +252,27 @@ def triple_product_phases(
 
 # Separable continuum model ------------------------------------------------
 
-def _form_factor(k: float, beta: float) -> float:
-    """chi(k) = 1 / (k^2 + beta^2), through hypot so that k^2 alone never overflows."""
-    r = math.hypot(k, beta)
-    return 1.0 / r / r
+def _scaled_terms(model: SeparableModel, k: float, coupling: float):
+    """The separable model's pieces at on-shell momentum k with k and beta
+    scaled by s = 2^n, the power of two at or below max(k, beta), and the
+    powers of two of beta, m, c (the given coupling) and s carried apart as
+    ints, so that none of them over- or underflows: u^2 = ((k - i beta) / s)^2,
+    and Q = 2 g / r^4, V = c I / u^2 and P = 2 beta / s^2 as (mantissa,
+    exponent) pairs, with g = 2 pi^2 m c and r = hypot(k, beta). Then
+    c I = u^2 V and -Q is the first Born term.
+    """
+    finite_number("on-shell momentum", k, positive=True)
+    n = math.frexp(max(k, model.beta))[1]
+    a, b = math.ldexp(k, -n), math.ldexp(model.beta, -n)  # both <= 1, the larger >= 1/2
+    rho4 = (a * a + b * b) ** 2  # (r / s)^4, in [1/16, 4]
+    (bm, be), (mm, me), (cm, ce) = (math.frexp(x) for x in (model.beta, model.mass, coupling))
+    return (complex((a - b) * (a + b), -2.0 * a * b), (4.0 * math.pi**2 * mm * cm / rho4, me + ce - 4 * n),
+            (2.0 * math.pi**2 * mm * cm / (bm * rho4), me + ce - be - 2 * n), (2.0 * bm, be - 2 * n))
+
+
+def _scaled_value(z: complex, exponent: int) -> complex:
+    """z 2^exponent, rounded once per part; OverflowError past the doubles."""
+    return complex(math.ldexp(z.real, exponent), math.ldexp(z.imag, exponent))
 
 
 def loop_integral(model: SeparableModel, k: float) -> complex:
@@ -269,34 +286,14 @@ def loop_integral(model: SeparableModel, k: float) -> complex:
     and the on-shell pole term gives the imaginary part, so
     I(E_k) = 2 pi^2 m chi(k)^2 ((k^2 - beta^2) / beta - 2 i k) with
     chi(k) = 1 / (k^2 + beta^2) (Y. Yamaguchi, Phys. Rev. 95, 1628 (1954)).
+    That is u^2 V of :func:`_scaled_terms` at unit coupling, which is how it
+    is formed; Overflow where it is not a double.
     """
-    finite_number("on-shell momentum", k, positive=True)
-    beta = model.beta
-    chi = _form_factor(k, beta)
-    scale = 2.0 * math.pi**2 * model.mass * chi
-    return complex(scale * ((k - beta) * (k * chi + beta * chi)) / beta, -2.0 * scale * k * chi)
-
-
-def _scaled_terms(model: SeparableModel, k: float):
-    """The separable amplitude's pieces with k and beta scaled by s = 2^n,
-    the power of two at or below max(k, beta), and the powers of two of
-    beta, m, c and s carried apart as ints, so that none of them over- or
-    underflows: u^2 = ((k - i beta) / s)^2, and Q = 2 g / r^4, V = c I / u^2
-    and P = 2 beta / s^2 as (mantissa, exponent) pairs, with g = 2 pi^2 m c
-    and r = hypot(k, beta). Then c I = u^2 V and -Q is the first Born term.
-    """
-    finite_number("on-shell momentum", k, positive=True)
-    n = math.frexp(max(k, model.beta))[1]
-    a, b = math.ldexp(k, -n), math.ldexp(model.beta, -n)  # both <= 1, the larger >= 1/2
-    rho4 = (a * a + b * b) ** 2  # (r / s)^4, in [1/16, 4]
-    (bm, be), (mm, me), (cm, ce) = (math.frexp(x) for x in (model.beta, model.mass, model.coupling))
-    return (complex(a * a - b * b, -2.0 * a * b), (4.0 * math.pi**2 * mm * cm / rho4, me + ce - 4 * n),
-            (2.0 * math.pi**2 * mm * cm / (bm * rho4), me + ce - be - 2 * n), (2.0 * bm, be - 2 * n))
-
-
-def _scaled_value(z: complex, exponent: int) -> complex:
-    """z 2^exponent, rounded once per part; OverflowError past the doubles."""
-    return complex(math.ldexp(z.real, exponent), math.ldexp(z.imag, exponent))
+    u2, _, (vm, ve), _ = _scaled_terms(model, k, 1.0)
+    try:
+        return _scaled_value(u2 * vm, ve)
+    except OverflowError:
+        raise Overflow(f"the bubble integral overflows a double at k = {k}") from None
 
 
 def separable_tmatrix(
@@ -320,7 +317,7 @@ def separable_tmatrix(
     Overflow
         If the amplitude is not a finite double.
     """
-    u2, (qm, qe), (vm, ve), (pm, pe) = _scaled_terms(model, k)
+    u2, (qm, qe), (vm, ve), (pm, pe) = _scaled_terms(model, k, model.coupling)
     v = math.ldexp(vm, min(ve, 64))  # V itself where |V| <= 1; vm = 0 at zero coupling
     if abs(v) <= 1.0:
         den = 1.0 - u2 * v  # 1 - c I
@@ -349,7 +346,7 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
     """
     if integer("order", order) < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
-    u2, (qm, qe), (vm, ve), _ = _scaled_terms(model, k)
+    u2, (qm, qe), (vm, ve), _ = _scaled_terms(model, k, model.coupling)
     try:
         x = u2 * math.ldexp(vm, ve)
     except OverflowError:  # c I is not a double; only order 1 can still be one

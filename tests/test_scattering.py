@@ -339,13 +339,29 @@ class TestLoopIntegral:
         with pytest.raises(ValueError):
             gg.loop_integral(model, k)
 
-    @pytest.mark.parametrize(("k", "beta"), [(1e300, 1.0), (1e80, 1.0), (1.0, 1.2e77), (1.0, 1e-100)])
+    # (1.0000001, 1.0) cancels all but 7 digits of k^2 - beta^2
+    @pytest.mark.parametrize(("k", "beta"), [(1e300, 1.0), (1e80, 1.0), (1.0, 1.2e77), (1.0, 1e-100),
+                                             (1.0000001, 1.0)])
     def test_extreme_scales_match_exact_reference(self, k, beta):
         model = gg.SeparableModel(coupling=0.1, beta=beta, mass=1.0)
         value = gg.loop_integral(model, k)
         re, im = separable_reference(0.1, beta, 1.0, k)["loop"]
         assert_near_reference(value.real, re)
         assert_near_reference(value.imag, im)
+
+    def test_subnormal_form_factor_keeps_its_digits(self):
+        # chi(k) = 1 / (2e320) is subnormal, but I is about -9.9e-180i
+        model = gg.SeparableModel(coupling=0.1, beta=1e160, mass=1e300)
+        value = gg.loop_integral(model, 1e160)
+        re, im = separable_reference(0.1, 1e160, 1e300, 1e160)["loop"]
+        assert value.real == re == 0
+        assert_near_reference(value.imag, im)
+
+    def test_bubble_past_the_doubles_overflows(self):
+        # chi(k) is about 1e580, and I about 2e1150
+        model = gg.SeparableModel(coupling=0.1, beta=1e-300, mass=1.0)
+        with pytest.raises(gg.Overflow, match="bubble integral"):
+            gg.loop_integral(model, 1e-290)
 
     @pytest.mark.parametrize("k", [0.05, 0.3, 1.0, 1.7, 6.0])
     @pytest.mark.parametrize("beta", [0.3, 1.0, 1.7])
