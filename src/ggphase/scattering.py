@@ -254,20 +254,28 @@ def triple_product_phases(
 
 def _scaled_terms(model: SeparableModel, k: float, coupling: float):
     """The separable model's pieces at on-shell momentum k with k and beta
-    scaled by s = 2^n, the power of two at or below max(k, beta), and the
-    powers of two of beta, m, c (the given coupling) and s carried apart as
-    ints, so that none of them over- or underflows: u^2 = ((k - i beta) / s)^2,
-    and Q = 2 g / r^4, V = c I / u^2 and P = 2 beta / s^2 as (mantissa,
-    exponent) pairs, with g = 2 pi^2 m c and r = hypot(k, beta). Then
-    c I = u^2 V and -Q is the first Born term.
+    scaled by s = 2^n, the power of two just above max(k, beta), and the
+    powers of two of k, beta, m, c (the given coupling) and s carried apart
+    as ints, so that none of them over- or underflows: u^2 = ((k - i beta) / s)^2
+    as its real part and the (mantissa, exponent) pair of its imaginary part
+    -2 k beta / s^2, which keeps its digits where k / s or beta / s leaves the
+    normal doubles, and Q = 2 g / r^4, the real V = c I / u^2 and
+    P = 2 beta / s^2 as (mantissa, exponent) pairs, with g = 2 pi^2 m c and
+    r = hypot(k, beta). Then c I = u^2 V and -Q is the first Born term.
     """
     finite_number("on-shell momentum", k, positive=True)
-    n = math.frexp(max(k, model.beta))[1]
-    a, b = math.ldexp(k, -n), math.ldexp(model.beta, -n)  # both <= 1, the larger >= 1/2
-    rho4 = (a * a + b * b) ** 2  # (r / s)^4, in [1/16, 4]
-    (bm, be), (mm, me), (cm, ce) = (math.frexp(x) for x in (model.beta, model.mass, coupling))
-    return (complex((a - b) * (a + b), -2.0 * a * b), (4.0 * math.pi**2 * mm * cm / rho4, me + ce - 4 * n),
+    (km, ke), (bm, be), (mm, me), (cm, ce) = (math.frexp(x) for x in (k, model.beta, model.mass, coupling))
+    n = max(ke, be)
+    a, b = math.ldexp(km, ke - n), math.ldexp(bm, be - n)  # both < 1, the larger >= 1/2
+    rho4 = (a * a + b * b) ** 2  # (r / s)^4, in [1/16, 4)
+    return (((a - b) * (a + b), (-2.0 * km * bm, ke + be - 2 * n)), (4.0 * math.pi**2 * mm * cm / rho4, me + ce - 4 * n),
             (2.0 * math.pi**2 * mm * cm / (bm * rho4), me + ce - be - 2 * n), (2.0 * bm, be - 2 * n))
+
+
+def _u2_times(u2, mantissa: float, exponent: int) -> complex:
+    """u^2 of :func:`_scaled_terms` times mantissa 2^exponent; OverflowError past the doubles."""
+    re, (im, ie) = u2
+    return complex(math.ldexp(re * mantissa, exponent), math.ldexp(im * mantissa, ie + exponent))
 
 
 def _scaled_value(z: complex, exponent: int) -> complex:
@@ -291,7 +299,7 @@ def loop_integral(model: SeparableModel, k: float) -> complex:
     """
     u2, _, (vm, ve), _ = _scaled_terms(model, k, 1.0)
     try:
-        return _scaled_value(u2 * vm, ve)
+        return _u2_times(u2, vm, ve)
     except OverflowError:
         raise Overflow(f"the bubble integral overflows a double at k = {k}") from None
 
@@ -317,21 +325,27 @@ def separable_tmatrix(
     Overflow
         If the amplitude is not a finite double.
     """
-    u2, (qm, qe), (vm, ve), (pm, pe) = _scaled_terms(model, k, model.coupling)
+    (re, (im, ie)), (qm, qe), (vm, ve), (pm, pe) = _scaled_terms(model, k, model.coupling)
     v = math.ldexp(vm, min(ve, 64))  # V itself where |V| <= 1; vm = 0 at zero coupling
-    if abs(v) <= 1.0:
-        den = 1.0 - u2 * v  # 1 - c I
-        pole, num, exponent = abs(den), -qm, qe
-    else:
+    # the denominator d = real + i dm 2^de keeps the exponent of its imaginary part
+    # apart, and f = num 2^exponent / d = num (real - i dm 2^de) / |d|^2 2^exponent
+    if abs(v) <= 1.0:  # d = 1 - c I = 1 - u^2 V
+        real, dm, de, num, exponent, w = 1.0 - re * v, -im * vm, ie + ve, -qm, qe, 1.0
+    else:  # d = (1 - c I) / -V = u^2 - W
         w = math.ldexp(1.0 / vm, -ve)
-        den = u2 - w  # (1 - c I) / -V
-        pole, num, exponent = abs(den) / abs(w) if w else math.inf, pm, pe
+        real, dm, de, num, exponent = re - w, im, ie, pm, pe
+    size = math.hypot(real, math.ldexp(dm, de))  # |d|
+    pole = size / abs(w) if w else math.inf  # |1 - c I|
     if pole <= tol.tol_zero:
         raise PoleAtEnergy(f"T-matrix pole at k = {k}: |1 - coupling*I| = {pole:.3e}")
     try:
-        return _scaled_value(num / den, exponent)
+        amplitude = complex(math.ldexp(num * (real / size) / size, exponent),
+                            math.ldexp(-num * (dm / size) / size, exponent + de))
     except OverflowError:
-        raise Overflow(f"the exact amplitude overflows a double at coupling {model.coupling}") from None
+        amplitude = complex(math.inf)
+    if not cmath.isfinite(amplitude):
+        raise Overflow(f"the exact amplitude overflows a double at coupling {model.coupling}")
+    return amplitude
 
 
 def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) -> complex:
@@ -348,9 +362,9 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
         raise InvalidArgument(f"order must be >= 1, got {order}")
     u2, (qm, qe), (vm, ve), _ = _scaled_terms(model, k, model.coupling)
     try:
-        x = u2 * math.ldexp(vm, ve)
+        x = _u2_times(u2, vm, ve)
     except OverflowError:  # c I is not a double; only order 1 can still be one
-        x = u2 * math.copysign(math.inf, vm)
+        x = complex(math.inf)
     # series = 1 + x + ... + x^(m-1) and power = x^m, from m = 1 up to m = order:
     # doubling m adds x^m times the series, a set bit then adds x^(2m)
     series, power = complex(1.0), x

@@ -339,13 +339,17 @@ class TestLoopIntegral:
         with pytest.raises(ValueError):
             gg.loop_integral(model, k)
 
-    # (1.0000001, 1.0) cancels all but 7 digits of k^2 - beta^2
-    @pytest.mark.parametrize(("k", "beta"), [(1e300, 1.0), (1e80, 1.0), (1.0, 1.2e77), (1.0, 1e-100),
-                                             (1.0000001, 1.0)])
-    def test_extreme_scales_match_exact_reference(self, k, beta):
-        model = gg.SeparableModel(coupling=0.1, beta=beta, mass=1.0)
+    # (1.0000001, 1.0) cancels all but 7 digits of k^2 - beta^2; in the last
+    # two, beta / k and k / beta are below 2^-1022, so the smaller of the two
+    # scaled momenta is 0 or subnormal
+    @pytest.mark.parametrize(("k", "beta", "mass"), [
+        (1e300, 1.0, 1.0), (1e80, 1.0, 1.0), (1.0, 1.2e77, 1.0), (1.0, 1e-100, 1.0), (1.0000001, 1.0, 1.0),
+        (1e100, 1e-250, 1.0), (1e-270, 1e50, 1e300),
+    ])
+    def test_extreme_scales_match_exact_reference(self, k, beta, mass):
+        model = gg.SeparableModel(coupling=0.1, beta=beta, mass=mass)
         value = gg.loop_integral(model, k)
-        re, im = separable_reference(0.1, beta, 1.0, k)["loop"]
+        re, im = separable_reference(0.1, beta, mass, k)["loop"]
         assert_near_reference(value.real, re)
         assert_near_reference(value.imag, im)
 
@@ -492,6 +496,20 @@ class TestSeparableModel:
         value = gg.separable_born_amplitude(model, k, 1)
         assert_near_reference(value.real, re)
         assert value.imag == 0.0
+
+    @pytest.mark.parametrize(("coupling", "beta", "mass", "k"), [
+        (1.0, 1e-300, 1.0, 1e20), (0.1, 1e50, 1e300, 1e-270), (1.0, 1e-10, 1.0, 1e-320),
+    ])
+    def test_imaginary_parts_where_a_scaled_momentum_leaves_the_normals(self, coupling, beta, mass, k):
+        # beta / k or k / beta is below 2^-1022, so the smaller scaled momentum
+        # is subnormal; each part of the order-2 Born and exact amplitudes is a
+        # normal double and keeps its digits
+        model = gg.SeparableModel(coupling=coupling, beta=beta, mass=mass)
+        ref = separable_reference(coupling, beta, mass, k)
+        for value, (re, im) in ((gg.separable_born_amplitude(model, k, 2), ref["born_amplitude"]),
+                                (gg.separable_tmatrix(model, k), ref["amplitude"])):
+            assert_near_reference(value.real, re)
+            assert_near_reference(value.imag, im)
 
     def test_pole_guard(self):
         # No real coupling puts a pole exactly on the real axis, so the
