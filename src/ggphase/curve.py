@@ -420,12 +420,7 @@ def _null_segment(
     if not np.all(x[1:] > x[:-1]):
         raise InvalidArgument("params must be strictly increasing")
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
-        span_gram = span.conj() @ span.T
-        a, b, g = span_gram[0, 0].real, span_gram[1, 1].real, abs(span_gram[0, 1])
-        # every row has |c|^2 >= 1/2, so each norm c^* G c is at least half the least
-        # eigenvalue of G, det G / tr G or more; 4 (dim + 10) eps tr G bounds the rounding
-        if not (a * b - g * g) / (a + b) > 2.0 * tol.tol_zero + 4 * (A.dim + 10) * 2.0**-52 * (a + b):
-            _refuse_vanishing_norms(_kernels.sandwiches(_kernels.bra_rows(coeffs, span_gram), coeffs).real, tol)
+        _refuse_vanishing_norms(_kernels.sandwiches(_kernels.bra_rows(coeffs, span.conj() @ span.T), coeffs).real, tol)
     return x, coeffs, span, gram
 
 

@@ -643,9 +643,8 @@ class TestHolonomyErrors:
            offset=st.sampled_from([0.3, 1e-5, 1e-6, 1e-7, 1e-9]), spread=st.sampled_from([0.0, 1e-9, 1e-7, 1.0]))
     @settings(max_examples=300, deadline=None)
     def test_param_curve_accepts_every_null_segment(self, seed, dim, count, tau, scale, offset, spread):
-        # the ParamCurve checks a segment skips (finite arrays, shapes, M >= 3),
-        # and the norm check it skips where the span's Gram matrix bounds every
-        # norm away from tol_zero, cannot fail on what _null_segment returns.
+        # the ParamCurve checks a segment skips (finite arrays, shapes, M >= 3)
+        # cannot fail on what _null_segment returns, which also runs its norm check.
         # Under a negative definite O the chord through A and B = mu A (spread 0)
         # passes through zero `offset` sample steps past the middle sample.
         rng = rng_for(seed)
