@@ -22,7 +22,11 @@ stencils (<psi_0|O|psi_1> - <psi_0|O|psi_0>) / h and
 (<psi_L|O|psi_L> - <psi_L|O|psi_{L-1}>) / h at the two ends. The weights divide
 in sequence and never multiply two steps together, so grids with steps far
 above 1 or far below it neither overflow nor underflow. No derivative array of
-the states is ever formed.
+the states is ever formed. :func:`stencil_weights` forms the weights of a grid
+and :func:`stencil` applies them to any links: :func:`connection_terms` feeds
+it the sandwiches of a curve, and the holonomies the closed-form links of a
+null segment, whose denominators are real, so that b <psi_l|O|psi_l> drops
+out of Im(num).
 
 :func:`fsum` is the one correctly rounded sum, math.fsum's value to the bit.
 From _EXACT_SUM_MIN entries it is R. Neal's exponent-binned exact sum
@@ -45,6 +49,8 @@ __all__ = [
     "bra_rows",
     "sandwiches",
     "chain_link_amplitudes",
+    "stencil_weights",
+    "stencil",
     "connection_terms",
 ]
 
@@ -108,29 +114,46 @@ def chain_link_amplitudes(states: np.ndarray, obs: np.ndarray | None) -> np.ndar
         return sandwiches(bra_rows(states, obs), np.concatenate((states[1:], states[:1])))
 
 
+def stencil_weights(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The steps h of a grid and the weights a, b, c of its interior stencil
+    (module docstring), each divided in sequence."""
+    h = np.diff(params)
+    h1, h2 = h[:-1], h[1:]
+    total = h1 + h2
+    return h, -(h2 / total) / h1, (h2 - h1) / h1 / h2, (h1 / total) / h2
+
+
+def stencil(weights: tuple, bwd: np.ndarray, den: np.ndarray | None, fwd: np.ndarray) -> np.ndarray:
+    """Connection numerators from the links fwd[l] = <psi_l|O|psi_{l+1}> and
+    bwd[l] = <psi_{l+1}|O|psi_l> and the denominators den[l] = <psi_l|O|psi_l>,
+    by the stencils of the module docstring with the :func:`stencil_weights`
+    of the grid. A den of None drops the b den term, as in the imaginary
+    part of a numerator whose denominators are real."""
+    h, a, b, c = weights
+    num = np.empty(h.shape[0] + 1, np.result_type(bwd, fwd))
+    np.multiply(a, bwd[:-1], out=num[1:-1])
+    first, last = fwd[0], -bwd[-1]
+    if den is not None:
+        num[1:-1] += b * den[1:-1]
+        first, last = fwd[0] - den[0], den[-1] - bwd[-1]
+    num[1:-1] += c * fwd[1:]
+    num[0], num[-1] = first / h[0], last / h[-1]
+    return num
+
+
 def connection_terms(
     params: np.ndarray, states: np.ndarray, obs: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Connection numerators <psi|obs|D psi> and denominators <psi|obs|psi>
-    along a discretized curve, by the stencils of the module docstring from
-    the three link sandwiches; obs None is the identity. The rows may be
-    coefficients over a basis, with obs the Gram matrix <b_k|O|b_m> of its rows.
+    along a discretized curve, by the :func:`stencil` of the three link
+    sandwiches; obs None is the identity. The rows may be coefficients over
+    a basis, with obs the Gram matrix <b_k|O|b_m> of its rows.
     """
     params = np.asarray(params, dtype=np.float64)
     states = np.asarray(states, dtype=np.complex128)
-    h = np.diff(params)
-    h1, h2 = h[:-1], h[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan terms: the caller reports them
         bra = bra_rows(states, obs)
         den = sandwiches(bra, states)
         fwd = sandwiches(bra[:-1], states[1:])  # <psi_l|O|psi_{l+1}>, l = 0 .. M-2
-        bwd = sandwiches(bra[1:], states[:-1])  # <psi_l|O|psi_{l-1}>, l = 1 .. M-1
-        num = np.empty_like(den)
-        num[1:-1] = (
-            (-(h2 / (h1 + h2)) / h1) * bwd[:-1]
-            + ((h2 - h1) / h1 / h2) * den[1:-1]
-            + ((h1 / (h1 + h2)) / h2) * fwd[1:]
-        )
-        num[0] = (fwd[0] - den[0]) / h[0]
-        num[-1] = (den[-1] - bwd[-1]) / h[-1]
-    return num, den
+        bwd = sandwiches(bra[1:], states[:-1])  # <psi_{l+1}|O|psi_l>, l = 0 .. M-2
+        return stencil(stencil_weights(params), bwd, den, fwd), den

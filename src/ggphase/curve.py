@@ -3,21 +3,31 @@ phases, null-curve construction, and holonomy loop integrals.
 
 A curve is stored as parameter samples plus one state per sample, never as a
 closure, so it can be serialized and replayed. Null curves lie in span{A, B}:
-they are stored as (M, 2) coefficients over [A; B], the kernel runs on those
-with the 2x2 Gram matrix <b_k|O|b_m> in place of O, and their (M, dim)
-``states`` are formed only when read. The connection along a curve is
-A_O(s) = Im(<psi|O|d_s psi> / <psi|O|psi>), sampled with second-order central
-differences (first-order one-sided at the two ends) and integrated with the
-trapezoid rule. The continuous phase adds the endpoint term
-Arg(<psi(L)|O|psi(0)> / <psi(L)|psi(L)>) to that integral. An observable of
-None is the identity.
+:func:`o_null_curve` and :func:`geodesic_null_curve` return them as (M, 2)
+coefficients over [A; B], the kernel runs on those with the 2x2 Gram matrix
+<b_k|O|b_m> in place of O, and their (M, dim) ``states`` are formed only when
+read. The connection along a curve is A_O(s) = Im(<psi|O|d_s psi> / <psi|O|psi>),
+sampled with second-order central differences (first-order one-sided at the
+two ends) and integrated with the trapezoid rule. The continuous phase adds
+the endpoint term Arg(<psi(L)|O|psi(0)> / <psi(L)|psi(L)>) to that integral.
+An observable of None is the identity.
 
-:func:`connection_samples` is the one path to the connection: it runs the
-kernel once per curve and returns the samples with their integral and their
-smallest denominator. :func:`curve_phase` takes such a result to reuse it.
-The holonomies use its array half, :func:`_sample_connection`, on the
-samples, coefficients and Gram matrix of each null segment, which is built
-and checked once and never wrapped in a :class:`ParamCurve`.
+:func:`connection_samples` is the one path to the connection of a
+:class:`ParamCurve`: it runs the kernel once per curve and returns the
+samples with their integral and their smallest denominator. :func:`curve_phase`
+takes such a result to reuse it.
+
+The holonomies close their loops with O null segments (N. Mukunda and
+R. Simon, Ann. Phys. 228, 205 (1993)) and never form a segment's
+coefficients or states, nor run the kernel on it. With r = (1 - f, f),
+f = x / tau, D = diag(1, e^{i theta}) and G the Gram matrix <b_j|O|b_k> of
+[A; B], the segment's state is n = e^{-i theta f} r D [A; B], so
+<n_l|O|n_m> = e^{-i theta (f_m - f_l)} r_l^T P r_m with P = D^* G D, which
+theta = Arg G10 makes real up to rounding. On (M,) real arrays,
+<n|O|n> = r^T Re(P) r, the norms are the same form of <b_j|b_k>, and the
+forward link is e^{-i theta df} (r_l^T Re(P) r_{l+1} + i Im(P01) df), the
+backward link its conjugate. Their imaginary parts feed the kernel's stencil
+and the tail shared with :func:`connection_samples`, :func:`_sample_connection`.
 
 Null curves make the phase a pure loop integral: along them the connection
 integral alone reproduces the relative phase of the endpoints, so closing an
@@ -26,8 +36,10 @@ open curve with one contributes no extra phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,17 +203,19 @@ def connection_samples(
     if basis is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan reaches the checks below
             obs = _kernels.bra_rows(basis, obs) @ basis.T
-    return _sample_connection(curve.params, curve.coeffs, obs, tol)
+    num, den = _kernels.connection_terms(curve.params, curve.coeffs, obs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _sample_connection
+        values = np.divide(num, den).imag
+    return _sample_connection(curve.params, values, np.abs(den), tol)
 
 
 def _sample_connection(
-    params: np.ndarray, rows: np.ndarray, obs: np.ndarray | None, tol: ToleranceConfig
+    params: np.ndarray, values: np.ndarray, moduli: np.ndarray, tol: ToleranceConfig
 ) -> ConnectionSamples:
-    """The array half of :func:`connection_samples`: the connection of a
-    curve given as its parameter samples and rows, under the (dim, dim)
-    operator of its states, or the Gram matrix of its basis, or None."""
-    num, den = _kernels.connection_terms(params, rows, obs)
-    moduli = np.abs(den)
+    """The tail of :func:`connection_samples`, shared with the null segments
+    of the holonomies: from the values Im(num / den) at the samples and the
+    moduli |den| of their denominators, the interior check, the endpoint
+    extrapolation, the integral and its overflow check."""
     singular = moduli <= tol.tol_zero
     m = params.shape[0]
     interior_bad = np.flatnonzero(singular[1 : m - 1])
@@ -213,19 +227,18 @@ def _sample_connection(
             sample_index=l,
         )
     extrapolated = []
-    # an interior vanishing denominator has raised, so only an endpoint can
-    # divide by zero here, and its value is extrapolated; a non-finite
-    # integral is refused below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = np.divide(num, den).imag
+    # an interior vanishing denominator has raised, so only an endpoint
+    # divided by zero, and its value is extrapolated; a non-finite integral
+    # is refused below
+    with np.errstate(invalid="ignore", over="ignore"):
         for end, first, second in ((0, 1, 2), (m - 1, m - 2, m - 3)):
             if not singular[end]:
                 continue
             extrapolated.append(end)
             p = params
-            if singular[first]:
+            if singular[second]:
                 # both ends singular on an M=3 curve: only the middle sample remains
-                values[end] = values[second]
+                values[end] = values[first]
             else:
                 slope = (values[second] - values[first]) / (p[second] - p[first])
                 values[end] = values[first] + slope * (p[end] - p[first])
@@ -234,9 +247,8 @@ def _sample_connection(
     values.setflags(write=False)
     if not math.isfinite(integral):
         raise Overflow(f"the connection integral is {integral}: the connection overflows a double")
-    return ConnectionSamples(
-        params, values, integral, float(moduli[~singular].min()), tuple(sorted(extrapolated))
-    )
+    direct = moduli[int(singular[0]) : m - int(singular[-1])]  # only an endpoint can be singular here
+    return ConnectionSamples(params, values, integral, float(direct.min()), tuple(sorted(extrapolated)))
 
 
 def curve_phase(
@@ -357,26 +369,85 @@ def o_null_curve(
         either at a sample or as a sign change between adjacent samples,
         naming the nearest sample.
     """
-    x, coeffs, span, _ = _null_segment(A, B, O, tau, M, tol)
-    return ParamCurve(x, coeffs, tol=tol, basis=span)
+    segment = _null_segment(A, B, O, tau, M, tol)
+    grid = segment.grid
+    return ParamCurve(grid.x, _null_coefficients(grid.f, segment.theta), tol=tol, basis=segment.span)
+
+
+def _null_coefficients(frac: np.ndarray, theta: float) -> np.ndarray:
+    """The (M, 2) coefficients e^{-i theta f} (1 - f, f e^{i theta}) of a null curve over [A; B]."""
+    gauge = np.exp(-1j * theta * frac)
+    return np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
+
+
+class _NullGrid:
+    """The samples x = linspace(0, tau, M) of a null segment and f = x / tau,
+    with the products g^2, g f, f^2 of g = 1 - f from which each quadratic
+    form r^T P r, r = (g, f), of the segment is summed. What its connection
+    adds is built on first use. The segments of one holonomy share a grid."""
+
+    def __init__(self, tau: float, M: int):
+        self.x = np.linspace(0.0, tau, M)
+        self.f = self.x / tau
+        g = 1.0 - self.f
+        self.products = (g * g, g * self.f, self.f * self.f)
+        self.increasing = bool(np.all(self.x[1:] > self.x[:-1]))
+
+    def quadratic(self, form: tuple[float, float, float]) -> np.ndarray:
+        """P00 g^2 + (P01 + P10) g f + P11 f^2 at every sample."""
+        (p00, cross, p11), (gg, gf, ff) = form, self.products
+        return p00 * gg + cross * gf + p11 * ff
+
+    @functools.cached_property
+    def steps(self) -> tuple:
+        """The stencil weights of x; the steps df of f, as df_0 plus the
+        exact differences df - df_0 (Sterbenz: every step lies within a
+        factor 2 of df_0); and df^2."""
+        weights = _kernels.stencil_weights(self.x)
+        df = np.diff(self.f)
+        return weights, df, float(df[0]), df - df[0], df * df
+
+
+class _NullSegment(NamedTuple):
+    """A checked null segment: its grid, span [A; B] and theta, the real form
+    (P00, P01 + P10, P11) and the Im P01 of the Hermitian part of
+    P = D^* G D, and its denominators den = <n|O|n>."""
+
+    grid: _NullGrid
+    span: np.ndarray
+    theta: float
+    form: tuple[float, float, float]
+    skew: float
+    den: np.ndarray
+
+
+def _hermitian_form(gram: np.ndarray, theta: float) -> tuple[tuple[float, float, float], float]:
+    """For P = D^* G D with D = diag(1, e^{i theta}), the real form
+    (P00, P01 + P10, P11) and Im P01 of the Hermitian part of P. With theta
+    = Arg G10, P is real up to rounding, and Im P01 is that rounding."""
+    (g00, g01), (g10, g11) = gram.tolist()
+    rot = complex(math.cos(theta), math.sin(theta))
+    p01, p10 = g01 * rot, g10 * rot.conjugate()
+    return (g00.real, p01.real + p10.real, g11.real), 0.5 * (p01.imag - p10.imag)
 
 
 def _null_segment(
-    A: StateVector, B: StateVector, O: Observable | None, tau: float, M: int, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every check of :func:`o_null_curve`, and its samples x, its (M, 2)
-    coefficients over span = [A; B] and the Gram matrix <b_k|O|b_m> of that
-    span, ready for :func:`_sample_connection`. The samples are finite and
-    the coefficients bounded by 1, so of the checks a :class:`ParamCurve`
-    makes only two can fail; they are made here, in its order: increasing
-    samples (a small tau fails it) and nonvanishing norms."""
+    A: StateVector, B: StateVector, O: Observable | None, tau: float, M: int, tol: ToleranceConfig,
+    grid: _NullGrid | None = None,
+) -> _NullSegment:
+    """Every check of :func:`o_null_curve`, made in its order on the real
+    quadratics of the module docstring: <n|O|n> = r^T Re(P) r, and the norms
+    are the same form of the Gram matrix <b_j|b_k>. Coefficients and states
+    are formed only where a part of A or B is past DBL_MAX / 4. The samples
+    are finite and |r| <= 1, so of the checks a :class:`ParamCurve` makes only
+    two can fail; they are made here, in its order: increasing samples (a
+    small tau fails it) and nonvanishing norms. A given grid must be the one
+    of tau and M."""
     if integer("M", M) < 3:
         raise InvalidArgument(f"M must be >= 3, got {M}")
     finite_number("tau", tau, positive=True)
     if A.dim != B.dim:
         raise InvalidArgument(f"state dims differ: {A.dim} vs {B.dim}")
-    # n(x) = c_A(x) A + c_B(x) B is stored as its (M, 2) coefficients over
-    # [A; B], and <n|O|n> = c^* G c from the 2x2 Gram matrix G = [A;B]^* O [A;B]^T
     obs = observable_entries(O, A.dim)
     span = np.stack((A.components, B.components))
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan ones are reported below
@@ -384,44 +455,70 @@ def _null_segment(
         link = complex(gram[1, 0])  # <B|O|A>
         modulus = float(np.abs(link))  # abs(link) would raise OverflowError past the doubles
         theta = principal_arg(link / B.norm_sq)
-        x = np.linspace(0.0, tau, M)
-        frac = x / tau
-        gauge = np.exp(-1j * theta * frac)
-        coeffs = np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
-        den = _kernels.sandwiches(_kernels.bra_rows(coeffs, gram), coeffs).real
+        if grid is None:
+            grid = _NullGrid(tau, M)
+        form, skew = _hermitian_form(gram, theta)
+        den = grid.quadratic(form)
         # |c_A|, |c_B| <= 1 bound each part of a state by 2 sqrt(2) max|parts of
         # A, B|; only past DBL_MAX / 4 are the states formed and checked
         finite = (np.abs(span.view(np.float64)).max() < np.finfo(np.float64).max / 4
-                  or np.isfinite((coeffs @ span).view(np.float64)).all())
+                  or np.isfinite((_null_coefficients(grid.f, theta) @ span).view(np.float64)).all())
     if not (np.isfinite(den).all() and finite):
         raise Overflow("null curve undefined: <n|O|n> or a curve state n overflows a double")
     if modulus <= tol.tol_zero:
         raise UndefinedPhase(
             f"null curve undefined: |<A|O|B>| = {modulus:.3e} <= tol_zero"
         )
-    interior_bad = np.flatnonzero(np.abs(den[1 : M - 1]) <= tol.tol_zero)
-    if interior_bad.size:
-        l = int(interior_bad[0]) + 1
-        raise SingularConnection(
-            f"<n|O|n> vanishes at interior sample {l} of the null interpolation",
-            sample_index=l,
-        )
-    # a sign change between samples means the interpolation crossed a zero
-    # that the grid did not land on; integrating through it would be silent
-    # garbage, so report the sample nearest the crossing instead
-    crossings = np.flatnonzero(np.sign(den[:-1]) * np.sign(den[1:]) < 0.0)
-    if crossings.size:
-        i = int(crossings[0])
-        l = i if abs(den[i]) < abs(den[i + 1]) else i + 1
-        raise SingularConnection(
-            f"<n|O|n> changes sign between samples {i} and {i + 1} of the null interpolation",
-            sample_index=l,
-        )
-    if not np.all(x[1:] > x[:-1]):
+    # a den of one sign bounded away from zero has neither an interior zero nor a crossing
+    if not (den.min() > tol.tol_zero or den.max() < -tol.tol_zero):
+        interior_bad = np.flatnonzero(np.abs(den[1 : M - 1]) <= tol.tol_zero)
+        if interior_bad.size:
+            l = int(interior_bad[0]) + 1
+            raise SingularConnection(
+                f"<n|O|n> vanishes at interior sample {l} of the null interpolation",
+                sample_index=l,
+            )
+        # a sign change between samples means the interpolation crossed a zero
+        # that the grid did not land on; integrating through it would be silent
+        # garbage, so report the sample nearest the crossing instead
+        crossings = np.flatnonzero(np.sign(den[:-1]) * np.sign(den[1:]) < 0.0)
+        if crossings.size:
+            i = int(crossings[0])
+            l = i if abs(den[i]) < abs(den[i + 1]) else i + 1
+            raise SingularConnection(
+                f"<n|O|n> changes sign between samples {i} and {i + 1} of the null interpolation",
+                sample_index=l,
+            )
+    if not grid.increasing:
         raise InvalidArgument("params must be strictly increasing")
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
-        _refuse_vanishing_norms(_kernels.sandwiches(_kernels.bra_rows(coeffs, span.conj() @ span.T), coeffs).real, tol)
-    return x, coeffs, span, gram
+        _refuse_vanishing_norms(grid.quadratic(_hermitian_form(span.conj() @ span.T, theta)[0]), tol)
+    return _NullSegment(grid, span, theta, form, skew, den)
+
+
+def _segment_samples(segment: _NullSegment, tol: ToleranceConfig) -> ConnectionSamples:
+    """The connection of a checked null segment, from its closed-form links.
+
+    As r_{l+1} = r_l + df_l (-1, 1), the real form of the link is
+    (den_l + den_{l+1} - kappa df_l^2) / 2 with kappa = P00 - P01 - P10 + P11,
+    so Im <n_l|O|n_{l+1}> = cos(theta df_l) Im P01 df_l - sin(theta df_l)
+    (den_l + den_{l+1} - kappa df_l^2) / 2. Every df_l - df_0 is a few units
+    of 2^-53, so sin(theta df_l) = sin(theta df_0) + theta cos(theta df_0)
+    (df_l - df_0) and cos(theta df_l) = cos(theta df_0) hold to far below a
+    rounding of the link. The denominators are real, so the stencil of
+    these imaginary parts, without its b den term, is Im(num).
+    """
+    grid, den, theta = segment.grid, segment.den, segment.theta
+    (p00, cross, p11), skew = segment.form, segment.skew
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _sample_connection
+        weights, df, step, offsets, squares = grid.steps
+        sin, cos = math.sin(theta * step), math.cos(theta * step)
+        links = den[:-1] + den[1:]
+        links -= (p00 - cross + p11) * squares
+        links *= (-0.5 * sin) - (0.5 * theta * cos) * offsets
+        links += (skew * cos) * df
+        values = _kernels.stencil(weights, -links, None, links) / den
+    return _sample_connection(grid.x, values, np.abs(den), tol)
 
 
 def loop_holonomy(
@@ -441,9 +538,9 @@ def loop_holonomy(
         Propagated from the closing-curve construction or the sampling.
     """
     M = open_curve.sample_count
-    x, coeffs, _, gram = _null_segment(open_curve.state(-1), open_curve.state(0), O, 1.0, M, tol)
+    closing = _null_segment(open_curve.state(-1), open_curve.state(0), O, 1.0, M, tol)
     open_part = connection_samples(open_curve, O, tol)
-    closing_part = _sample_connection(x, coeffs, gram, tol)
+    closing_part = _segment_samples(closing, tol)
     value = wrap_angle(open_part.integral + closing_part.integral)
     min_mod = min(open_part.min_modulus, closing_part.min_modulus)
     return PhaseResult(value, min_mod, 2 * M)
@@ -465,9 +562,11 @@ def triangle_holonomy(
     vertices, M = (psi1, psi2, psi3), integer("M", M)
     total = 0.0
     min_mod = math.inf
+    grid = None  # built by the first segment, once M is checked
     for a in range(3):
-        x, coeffs, _, gram = _null_segment(vertices[a], vertices[(a + 1) % 3], O, 1.0, M, tol)
-        samples = _sample_connection(x, coeffs, gram, tol)
+        segment = _null_segment(vertices[a], vertices[(a + 1) % 3], O, 1.0, M, tol, grid)
+        grid = segment.grid
+        samples = _segment_samples(segment, tol)
         total += samples.integral
         min_mod = min(min_mod, samples.min_modulus)
     return PhaseResult(wrap_angle(total), min_mod, 3 * M)

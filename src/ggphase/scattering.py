@@ -278,9 +278,32 @@ def _u2_times(u2, mantissa: float, exponent: int) -> complex:
     return complex(math.ldexp(re * mantissa, exponent), math.ldexp(im * mantissa, ie + exponent))
 
 
-def _scaled_value(z: complex, exponent: int) -> complex:
-    """z 2^exponent, rounded once per part; OverflowError past the doubles."""
-    return complex(math.ldexp(z.real, exponent), math.ldexp(z.imag, exponent))
+_ZERO_EXPONENT = -(1 << 62)  # the exponent of a zero in a scaled real, below every other
+
+
+def _scaled_real(value: float, exponent: int) -> tuple[float, int]:
+    """value 2^exponent as a scaled real (m, e) = m 2^e, 1/2 <= |m| < 1 or m a signed zero."""
+    m, shift = math.frexp(value)
+    return (m, exponent + shift) if m else (m, _ZERO_EXPONENT)
+
+
+def _scaled_real_sum(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
+    """a + b of two scaled reals, added at the larger exponent."""
+    top = max(a[1], b[1])
+    return _scaled_real(math.ldexp(a[0], a[1] - top) + math.ldexp(b[0], b[1] - top), top)
+
+
+def _scaled_sum(z: tuple, w: tuple) -> tuple:
+    """z + w of two complex numbers held as (real, imaginary) pairs of scaled reals."""
+    return _scaled_real_sum(z[0], w[0]), _scaled_real_sum(z[1], w[1])
+
+
+def _scaled_product(z: tuple, w: tuple) -> tuple:
+    """z w of two complex numbers held as (real, imaginary) pairs of scaled
+    reals, each part summed as a Python complex product sums it."""
+    (a, b), (c, d) = z, w
+    ac, bd, ad, bc = (_scaled_real(p[0] * q[0], p[1] + q[1]) for p, q in ((a, c), (b, d), (a, d), (b, c)))
+    return _scaled_real_sum(ac, (-bd[0], bd[1])), _scaled_real_sum(ad, bc)
 
 
 def loop_integral(model: SeparableModel, k: float) -> complex:
@@ -356,24 +379,29 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
     :func:`_scaled_terms`; the deviation from the exact amplitude is
     O(c^(order+1)). The geometric sum doubles over the bits of order, so it
     costs O(log order) products. Raises InvalidArgument if order < 1,
-    Overflow if the series or the amplitude overflows a double.
+    Overflow if the amplitude overflows a double.
     """
     if integer("order", order) < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
     u2, (qm, qe), (vm, ve), _ = _scaled_terms(model, k, model.coupling)
-    try:
-        x = _u2_times(u2, vm, ve)
-    except OverflowError:  # c I is not a double; only order 1 can still be one
-        x = complex(math.inf)
+    # x = c I = u^2 V, the series and the powers of x hold each part as a
+    # scaled real, so none of them leaves the doubles before the prefactor
+    # scales the sum, and each part keeps its digits however far below the
+    # other it lies; every scaling is by a power of two, so where the plain
+    # complex sum stays normal it has the same bits
+    re, (im, ie) = u2
+    x = (_scaled_real(re * vm, ve), _scaled_real(im * vm, ie + ve))
     # series = 1 + x + ... + x^(m-1) and power = x^m, from m = 1 up to m = order:
     # doubling m adds x^m times the series, a set bit then adds x^(2m)
-    series, power = complex(1.0), x
+    series, power = (_scaled_real(1.0, 0), _scaled_real(0.0, 0)), x
     for bit in bin(order)[3:]:
-        series, power = series + power * series, power * power
+        series, power = _scaled_sum(series, _scaled_product(power, series)), _scaled_product(power, power)
         if bit == "1":
-            series, power = series + power, power * x
+            series, power = _scaled_sum(series, power), _scaled_product(power, x)
+    (sm, se), (tm, te) = series
+    scaled = -qm * complex(sm, tm)
     try:
-        amplitude = _scaled_value(-qm * series, qe)
+        amplitude = complex(math.ldexp(scaled.real, qe + se), math.ldexp(scaled.imag, qe + te))
     except OverflowError:
         amplitude = complex(math.inf)
     if not cmath.isfinite(amplitude):

@@ -191,6 +191,44 @@ def null_curve_oracle(a: StateVector, b: StateVector, obs: Observable, tau: floa
     return states, None
 
 
+def null_segment_connection_oracle(a, b, entries, theta: float, x, frac, rows, digits: int = 50) -> np.ndarray:
+    """Connection values Im(num / den) at the given rows of the null curve
+    e^{-i theta f} ((1 - f) A + f e^{i theta} B) on the samples x, f, by the
+    stencil of the connection kernel evaluated in mpmath at `digits` decimal
+    digits: states, sandwiches with O and weights from the exact steps of x
+    are all formed from the same doubles the program holds, so the only
+    error left in the program's values is its own rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        a, b = ([mpmath.mpc(complex(z)) for z in v] for v in (a, b))
+        op = [[mpmath.mpc(complex(z)) for z in row] for row in entries]
+        t = mpmath.mpf(float(theta))
+
+        def state(j):
+            f = mpmath.mpf(float(frac[j]))
+            gauge = mpmath.exp(-1j * t * f)
+            return [gauge * ((1 - f) * p + f * mpmath.exp(1j * t) * q) for p, q in zip(a, b)]
+
+        def sandwich(u, v):
+            return mpmath.fsum(mpmath.conj(u[i]) * op[i][k] * v[k] for i in range(len(u)) for k in range(len(v)))
+
+        values, last = [], len(x) - 1
+        for l in rows:
+            psi = state(l)
+            den = sandwich(psi, psi)
+            step = [mpmath.mpf(float(x[j + 1])) - mpmath.mpf(float(x[j])) for j in (l - 1, l) if 0 <= j < last]
+            if l == 0:
+                num = (sandwich(psi, state(1)) - den) / step[0]
+            elif l == last:
+                num = (den - sandwich(psi, state(l - 1))) / step[0]
+            else:
+                h1, h2 = step
+                num = (-(h2 / (h1 + h2)) / h1 * sandwich(psi, state(l - 1)) + (h2 - h1) / h1 / h2 * den
+                       + (h1 / (h1 + h2)) / h2 * sandwich(psi, state(l + 1)))
+            values.append(float(mpmath.im(num / den)))
+    return np.array(values)
+
+
 def smooth_two_level_path(rng: np.random.Generator, count: int, x_safe: bool = False):
     """Seeded smooth (theta, phi) path sampled on a uniform grid.
 

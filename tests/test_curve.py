@@ -15,6 +15,7 @@ from conftest import (
     chain_arg_oracle,
     connection_value_oracle,
     null_curve_oracle,
+    null_segment_connection_oracle,
     random_hermitian,
     random_positive_definite,
     random_state,
@@ -45,8 +46,9 @@ from ggphase import (
     wrapped_distance,
 )
 from ggphase import _kernels
+from ggphase import curve as curve_module
 from ggphase.cli import main
-from ggphase.curve import _null_segment
+from ggphase.curve import _null_segment, _segment_samples
 
 X = Observable([[0.0, 1.0], [1.0, 0.0]])
 
@@ -470,16 +472,19 @@ class TestNullCurvesStayInTheirSpan:
                 yield a, b, obs, float(rng.uniform(0.5, 2.0))
 
     @staticmethod
-    def assert_dense_agrees(curve, obs):
-        dense = ParamCurve(curve.params, curve.states)
-        got, want = connection_samples(curve, obs), connection_samples(dense, obs)
+    def assert_samples_agree(got, want):
         assert got.integral == pytest.approx(want.integral, rel=1e-12, abs=0.0)
         assert got.min_modulus == pytest.approx(want.min_modulus, rel=1e-12, abs=0.0)
         assert got.extrapolated == want.extrapolated
         # each sample's stencil weights ~1/h amplify last-bit differences of
         # its three sandwiches; the trapezoid integral averages them out
-        h = float(np.diff(curve.params).min())
+        h = float(np.diff(want.params).min())
         np.testing.assert_allclose(got.values, want.values, rtol=0.0, atol=16 * np.finfo(float).eps / h)
+
+    @classmethod
+    def assert_dense_agrees(cls, curve, obs):
+        dense = ParamCurve(curve.params, curve.states)
+        cls.assert_samples_agree(connection_samples(curve, obs), connection_samples(dense, obs))
         got_phase, want_phase = curve_phase(curve, obs), curve_phase(dense, obs)
         assert wrapped_distance(got_phase.value, want_phase.value) <= 1e-12
 
@@ -515,6 +520,55 @@ class TestNullCurvesStayInTheirSpan:
         finally:
             tracemalloc.stop()
         assert peak < count * 16 * np.dtype(complex).itemsize
+
+
+class TestNullSegmentClosedForm:
+    """The holonomies sample each null segment's connection from the closed
+    form of its links (curve._segment_samples), never from the kernel."""
+
+    def test_values_are_within_four_ulp_of_the_discrete_stencil(self):
+        count, dim = 20001, 3
+        rows = [*range(7), *range(count // 2 - 3, count // 2 + 4), *range(count - 7, count)]
+        rng = rng_for(2100)
+        definite = random_positive_definite(rng, dim)
+        for obs in (None, definite, Observable(-definite.entries)):
+            a, b = random_state(rng, dim), random_state(rng, dim)
+            segment = _null_segment(a, b, obs, 1.0, count, DEFAULT_TOLS)
+            got = _segment_samples(segment, DEFAULT_TOLS).values[rows]
+            entries = np.eye(dim) if obs is None else obs.entries
+            want = null_segment_connection_oracle(a.components, b.components, entries, segment.theta,
+                                                  segment.grid.x, segment.grid.f, rows)
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want)), (got - want) / want
+
+    @staticmethod
+    def cases():
+        for seed in range(8):
+            rng = rng_for(2200 + seed)
+            dim = int(rng.integers(3, 6))
+            a, b = random_state(rng, dim, normalize=True), random_state(rng, dim, normalize=True)
+            definite = random_positive_definite(rng, dim)
+            # indefinite, yet <n|O|n> = <n|definite|n> > 0: the negative
+            # direction w is orthogonal to A and B
+            w = np.linalg.svd(np.stack((a.components, b.components)).conj())[2][-1].conj()
+            indefinite = definite.entries - 5 * np.abs(definite.entries).sum() * np.outer(w, w.conj())
+            tau = float(rng.uniform(0.5, 2.0))
+            for obs in (None, definite, Observable(-definite.entries), Observable(indefinite)):
+                yield a, b, obs, tau
+        # orthogonal endpoints: <n|O|n> vanishes at both ends, which are extrapolated
+        yield StateVector([1.0, 0.0]), StateVector([0.0, 1.0]), X, 1.0
+        swap = Observable([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
+        yield StateVector([0.6, 0.0, 0.0]), StateVector([0.0, 0.8j, 0.0]), swap, 1.7
+
+    @pytest.mark.parametrize("count", [3, 401, 20001])
+    def test_samples_match_the_kernel_on_the_o_null_curve(self, count):
+        # at count 3 the orthogonal endpoints leave only the middle sample
+        extrapolated = 0
+        for a, b, obs, tau in self.cases():
+            got = _segment_samples(_null_segment(a, b, obs, tau, count, DEFAULT_TOLS), DEFAULT_TOLS)
+            want = connection_samples(o_null_curve(a, b, obs, tau=tau, M=count), obs)
+            TestNullCurvesStayInTheirSpan.assert_samples_agree(got, want)
+            extrapolated += got.extrapolated == (0, count - 1)
+        assert extrapolated == 2
 
 
 class TestHolonomy:
@@ -644,7 +698,8 @@ class TestHolonomyErrors:
     @settings(max_examples=300, deadline=None)
     def test_param_curve_accepts_every_null_segment(self, seed, dim, count, tau, scale, offset, spread):
         # the ParamCurve checks a segment skips (finite arrays, shapes, M >= 3)
-        # cannot fail on what _null_segment returns, which also runs its norm check.
+        # cannot fail on a segment _null_segment accepts, which also runs its
+        # closed-form norm check: o_null_curve builds the ParamCurve of that segment.
         # Under a negative definite O the chord through A and B = mu A (spread 0)
         # passes through zero `offset` sample steps past the middle sample.
         rng = rng_for(seed)
@@ -653,12 +708,13 @@ class TestHolonomyErrors:
         b = (1.0 / f0 - 1.0) * a + spread * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
         obs = scale * random_positive_definite(rng, dim).entries
         obs = Observable(0.5 * (obs + obs.conj().T))
+        a, b = StateVector(a), StateVector(b)
         try:
-            x, coeffs, span, _ = _null_segment(StateVector(a), StateVector(b), obs, tau, count, DEFAULT_TOLS)
+            segment = _null_segment(a, b, obs, tau, count, DEFAULT_TOLS)
         except (DomainError, InvalidArgument):  # the kept checks: a small tau, or a vanishing norm
             return
-        curve = ParamCurve(x, coeffs, basis=span)
-        assert np.array_equal(curve.params, x) and np.array_equal(curve.coeffs, coeffs)
+        curve = o_null_curve(a, b, obs, tau=tau, M=count)
+        assert np.array_equal(curve.params, segment.grid.x) and curve.coeffs.shape == (count, 2)
 
 
 class TestConnectionEvaluatedOncePerCurve:
@@ -673,6 +729,19 @@ class TestConnectionEvaluatedOncePerCurve:
             return original(params, states, obs)
 
         monkeypatch.setattr(_kernels, "connection_terms", counting)
+        return seen
+
+    @pytest.fixture
+    def closed_form_segments(self, monkeypatch):
+        """Record the denominators of every closed-form null-segment connection."""
+        seen = []
+        original = curve_module._segment_samples
+
+        def counting(segment, tol):
+            seen.append(segment.den)
+            return original(segment, tol)
+
+        monkeypatch.setattr(curve_module, "_segment_samples", counting)
         return seen
 
     @staticmethod
@@ -708,17 +777,19 @@ class TestConnectionEvaluatedOncePerCurve:
         assert main(argv) == 0
         assert len(kernel_curves) == 1
 
-    def test_loop_holonomy(self, kernel_curves):
+    def test_loop_holonomy(self, kernel_curves, closed_form_segments):
+        # the open curve runs the kernel, the closing segment its closed form
         loop_holonomy(great_circle_curve(201, 0.5, start=0.4, stop=2.2), X)
-        assert len(kernel_curves) == 2
-        assert self.distinct(kernel_curves) == 2
+        assert len(kernel_curves) == 1
+        assert len(closed_form_segments) == 1
 
-    def test_triangle_holonomy(self, kernel_curves):
+    def test_triangle_holonomy(self, kernel_curves, closed_form_segments):
         states = [
             bloch_state(0.0, 0.0),
             bloch_state(math.pi / 2, math.pi / 3),
             bloch_state(math.pi, 0.0),
         ]
         triangle_holonomy(states[0], states[1], states[2], X, M=101)
-        assert len(kernel_curves) == 3
-        assert self.distinct(kernel_curves) == 3
+        assert len(kernel_curves) == 0
+        assert len(closed_form_segments) == 3
+        assert self.distinct(closed_form_segments) == 3

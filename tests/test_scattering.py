@@ -511,6 +511,20 @@ class TestSeparableModel:
             assert_near_reference(value.real, re)
             assert_near_reference(value.imag, im)
 
+    @pytest.mark.parametrize(("coupling", "beta", "mass", "k", "order"), [
+        (-9.93e39, 1.6e-193, 1.8e204, 1.1e168, 4),
+        (-5.314135885550604e143, 2.111462481708858e-286, 9.981937865621398e-275, 0.06857135006114048, 3),
+        (-7.324263889668035e210, 1.375206572947531e-89, 2.337881341649533e192, 5.149391537740732e183, 6),
+    ])
+    def test_born_amplitude_where_a_power_of_c_i_leaves_the_doubles(self, coupling, beta, mass, k, order):
+        # c I, or one of its powers up to order - 1, is past the doubles,
+        # while -Q (1 + c I + ... + (c I)^(order-1)) is a double
+        model = gg.SeparableModel(coupling=coupling, beta=beta, mass=mass)
+        re, im = separable_reference(coupling, beta, mass, k, born_order=order)["born_amplitude"]
+        value = gg.separable_born_amplitude(model, k, order)
+        assert_near_reference(value.real, re, abs(re) + abs(im))
+        assert_near_reference(value.imag, im, abs(re) + abs(im))
+
     def test_pole_guard(self):
         # No real coupling puts a pole exactly on the real axis, so the
         # guard is exercised by widening the zero tolerance past |1 - cI|.
