@@ -36,7 +36,6 @@ open curve with one contributes no extra phase.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -370,8 +369,7 @@ def o_null_curve(
         naming the nearest sample.
     """
     segment = _null_segment(A, B, O, tau, M, tol)
-    grid = segment.grid
-    return ParamCurve(grid.x, _null_coefficients(grid.f, segment.theta), tol=tol, basis=segment.span)
+    return ParamCurve(segment.x, _null_coefficients(segment.frac, segment.theta), tol=tol, basis=segment.span)
 
 
 def _null_coefficients(frac: np.ndarray, theta: float) -> np.ndarray:
@@ -380,45 +378,24 @@ def _null_coefficients(frac: np.ndarray, theta: float) -> np.ndarray:
     return np.stack((gauge * (1.0 - frac), gauge * frac * np.exp(1j * theta)), axis=1)
 
 
-class _NullGrid:
-    """The samples x = linspace(0, tau, M) of a null segment and f = x / tau,
-    with the products g^2, g f, f^2 of g = 1 - f from which each quadratic
-    form r^T P r, r = (g, f), of the segment is summed. What its connection
-    adds is built on first use. The segments of one holonomy share a grid."""
-
-    def __init__(self, tau: float, M: int):
-        self.x = np.linspace(0.0, tau, M)
-        self.f = self.x / tau
-        g = 1.0 - self.f
-        self.products = (g * g, g * self.f, self.f * self.f)
-        self.increasing = bool(np.all(self.x[1:] > self.x[:-1]))
-
-    def quadratic(self, form: tuple[float, float, float]) -> np.ndarray:
-        """P00 g^2 + (P01 + P10) g f + P11 f^2 at every sample."""
-        (p00, cross, p11), (gg, gf, ff) = form, self.products
-        return p00 * gg + cross * gf + p11 * ff
-
-    @functools.cached_property
-    def steps(self) -> tuple:
-        """The stencil weights of x; the steps df of f, as df_0 plus the
-        exact differences df - df_0 (Sterbenz: every step lies within a
-        factor 2 of df_0); and df^2."""
-        weights = _kernels.stencil_weights(self.x)
-        df = np.diff(self.f)
-        return weights, df, float(df[0]), df - df[0], df * df
-
-
 class _NullSegment(NamedTuple):
-    """A checked null segment: its grid, span [A; B] and theta, the real form
-    (P00, P01 + P10, P11) and the Im P01 of the Hermitian part of
-    P = D^* G D, and its denominators den = <n|O|n>."""
+    """A checked null segment: its samples x and f = x / tau, span [A; B] and
+    theta, the real form (P00, P01 + P10, P11) and the Im P01 of the
+    Hermitian part of P = D^* G D, and its denominators den = <n|O|n>."""
 
-    grid: _NullGrid
+    x: np.ndarray
+    frac: np.ndarray
     span: np.ndarray
     theta: float
     form: tuple[float, float, float]
     skew: float
     den: np.ndarray
+
+
+def _quadratic(form: tuple[float, float, float], products: tuple) -> np.ndarray:
+    """P00 g^2 + (P01 + P10) g f + P11 f^2 from the products (g^2, g f, f^2) at every sample."""
+    (p00, cross, p11), (gg, gf, ff) = form, products
+    return p00 * gg + cross * gf + p11 * ff
 
 
 def _hermitian_form(gram: np.ndarray, theta: float) -> tuple[tuple[float, float, float], float]:
@@ -432,8 +409,7 @@ def _hermitian_form(gram: np.ndarray, theta: float) -> tuple[tuple[float, float,
 
 
 def _null_segment(
-    A: StateVector, B: StateVector, O: Observable | None, tau: float, M: int, tol: ToleranceConfig,
-    grid: _NullGrid | None = None,
+    A: StateVector, B: StateVector, O: Observable | None, tau: float, M: int, tol: ToleranceConfig
 ) -> _NullSegment:
     """Every check of :func:`o_null_curve`, made in its order on the real
     quadratics of the module docstring: <n|O|n> = r^T Re(P) r, and the norms
@@ -441,8 +417,7 @@ def _null_segment(
     are formed only where a part of A or B is past DBL_MAX / 4. The samples
     are finite and |r| <= 1, so of the checks a :class:`ParamCurve` makes only
     two can fail; they are made here, in its order: increasing samples (a
-    small tau fails it) and nonvanishing norms. A given grid must be the one
-    of tau and M."""
+    small tau fails it) and nonvanishing norms."""
     if integer("M", M) < 3:
         raise InvalidArgument(f"M must be >= 3, got {M}")
     finite_number("tau", tau, positive=True)
@@ -455,45 +430,45 @@ def _null_segment(
         link = complex(gram[1, 0])  # <B|O|A>
         modulus = float(np.abs(link))  # abs(link) would raise OverflowError past the doubles
         theta = principal_arg(link / B.norm_sq)
-        if grid is None:
-            grid = _NullGrid(tau, M)
+        x = np.linspace(0.0, tau, M)
+        frac = x / tau
+        rest = 1.0 - frac
+        products = (rest * rest, rest * frac, frac * frac)
         form, skew = _hermitian_form(gram, theta)
-        den = grid.quadratic(form)
+        den = _quadratic(form, products)
         # |c_A|, |c_B| <= 1 bound each part of a state by 2 sqrt(2) max|parts of
         # A, B|; only past DBL_MAX / 4 are the states formed and checked
         finite = (np.abs(span.view(np.float64)).max() < np.finfo(np.float64).max / 4
-                  or np.isfinite((_null_coefficients(grid.f, theta) @ span).view(np.float64)).all())
+                  or np.isfinite((_null_coefficients(frac, theta) @ span).view(np.float64)).all())
     if not (np.isfinite(den).all() and finite):
         raise Overflow("null curve undefined: <n|O|n> or a curve state n overflows a double")
     if modulus <= tol.tol_zero:
         raise UndefinedPhase(
             f"null curve undefined: |<A|O|B>| = {modulus:.3e} <= tol_zero"
         )
-    # a den of one sign bounded away from zero has neither an interior zero nor a crossing
-    if not (den.min() > tol.tol_zero or den.max() < -tol.tol_zero):
-        interior_bad = np.flatnonzero(np.abs(den[1 : M - 1]) <= tol.tol_zero)
-        if interior_bad.size:
-            l = int(interior_bad[0]) + 1
-            raise SingularConnection(
-                f"<n|O|n> vanishes at interior sample {l} of the null interpolation",
-                sample_index=l,
-            )
-        # a sign change between samples means the interpolation crossed a zero
-        # that the grid did not land on; integrating through it would be silent
-        # garbage, so report the sample nearest the crossing instead
-        crossings = np.flatnonzero(np.sign(den[:-1]) * np.sign(den[1:]) < 0.0)
-        if crossings.size:
-            i = int(crossings[0])
-            l = i if abs(den[i]) < abs(den[i + 1]) else i + 1
-            raise SingularConnection(
-                f"<n|O|n> changes sign between samples {i} and {i + 1} of the null interpolation",
-                sample_index=l,
-            )
-    if not grid.increasing:
+    interior_bad = np.flatnonzero(np.abs(den[1 : M - 1]) <= tol.tol_zero)
+    if interior_bad.size:
+        l = int(interior_bad[0]) + 1
+        raise SingularConnection(
+            f"<n|O|n> vanishes at interior sample {l} of the null interpolation",
+            sample_index=l,
+        )
+    # a sign change between samples means the interpolation crossed a zero
+    # that the grid did not land on; integrating through it would be silent
+    # garbage, so report the sample nearest the crossing instead
+    crossings = np.flatnonzero(np.sign(den[:-1]) * np.sign(den[1:]) < 0.0)
+    if crossings.size:
+        i = int(crossings[0])
+        l = i if abs(den[i]) < abs(den[i + 1]) else i + 1
+        raise SingularConnection(
+            f"<n|O|n> changes sign between samples {i} and {i + 1} of the null interpolation",
+            sample_index=l,
+        )
+    if not np.all(x[1:] > x[:-1]):
         raise InvalidArgument("params must be strictly increasing")
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
-        _refuse_vanishing_norms(grid.quadratic(_hermitian_form(span.conj() @ span.T, theta)[0]), tol)
-    return _NullSegment(grid, span, theta, form, skew, den)
+        _refuse_vanishing_norms(_quadratic(_hermitian_form(span.conj() @ span.T, theta)[0], products), tol)
+    return _NullSegment(x, frac, span, theta, form, skew, den)
 
 
 def _segment_samples(segment: _NullSegment, tol: ToleranceConfig) -> ConnectionSamples:
@@ -502,23 +477,20 @@ def _segment_samples(segment: _NullSegment, tol: ToleranceConfig) -> ConnectionS
     As r_{l+1} = r_l + df_l (-1, 1), the real form of the link is
     (den_l + den_{l+1} - kappa df_l^2) / 2 with kappa = P00 - P01 - P10 + P11,
     so Im <n_l|O|n_{l+1}> = cos(theta df_l) Im P01 df_l - sin(theta df_l)
-    (den_l + den_{l+1} - kappa df_l^2) / 2. Every df_l - df_0 is a few units
-    of 2^-53, so sin(theta df_l) = sin(theta df_0) + theta cos(theta df_0)
-    (df_l - df_0) and cos(theta df_l) = cos(theta df_0) hold to far below a
-    rounding of the link. The denominators are real, so the stencil of
-    these imaginary parts, without its b den term, is Im(num).
+    (den_l + den_{l+1} - kappa df_l^2) / 2. The denominators are real, so the
+    stencil of these imaginary parts, without its b den term, is Im(num).
     """
-    grid, den, theta = segment.grid, segment.den, segment.theta
+    den, theta = segment.den, segment.theta
     (p00, cross, p11), skew = segment.form, segment.skew
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _sample_connection
-        weights, df, step, offsets, squares = grid.steps
-        sin, cos = math.sin(theta * step), math.cos(theta * step)
+        df = np.diff(segment.frac)
+        phase = theta * df
         links = den[:-1] + den[1:]
-        links -= (p00 - cross + p11) * squares
-        links *= (-0.5 * sin) - (0.5 * theta * cos) * offsets
-        links += (skew * cos) * df
-        values = _kernels.stencil(weights, -links, None, links) / den
-    return _sample_connection(grid.x, values, np.abs(den), tol)
+        links -= (p00 - cross + p11) * (df * df)
+        links *= -0.5 * np.sin(phase)
+        links += skew * np.cos(phase) * df
+        values = _kernels.stencil(_kernels.stencil_weights(segment.x), -links, None, links) / den
+    return _sample_connection(segment.x, values, np.abs(den), tol)
 
 
 def loop_holonomy(
@@ -562,10 +534,8 @@ def triangle_holonomy(
     vertices, M = (psi1, psi2, psi3), integer("M", M)
     total = 0.0
     min_mod = math.inf
-    grid = None  # built by the first segment, once M is checked
     for a in range(3):
-        segment = _null_segment(vertices[a], vertices[(a + 1) % 3], O, 1.0, M, tol, grid)
-        grid = segment.grid
+        segment = _null_segment(vertices[a], vertices[(a + 1) % 3], O, 1.0, M, tol)
         samples = _segment_samples(segment, tol)
         total += samples.integral
         min_mod = min(min_mod, samples.min_modulus)

@@ -537,7 +537,7 @@ class TestNullSegmentClosedForm:
             got = _segment_samples(segment, DEFAULT_TOLS).values[rows]
             entries = np.eye(dim) if obs is None else obs.entries
             want = null_segment_connection_oracle(a.components, b.components, entries, segment.theta,
-                                                  segment.grid.x, segment.grid.f, rows)
+                                                  segment.x, segment.frac, rows)
             assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want)), (got - want) / want
 
     @staticmethod
@@ -714,7 +714,7 @@ class TestHolonomyErrors:
         except (DomainError, InvalidArgument):  # the kept checks: a small tau, or a vanishing norm
             return
         curve = o_null_curve(a, b, obs, tau=tau, M=count)
-        assert np.array_equal(curve.params, segment.grid.x) and curve.coeffs.shape == (count, 2)
+        assert np.array_equal(curve.params, segment.x) and curve.coeffs.shape == (count, 2)
 
 
 class TestConnectionEvaluatedOncePerCurve:
