@@ -10,7 +10,6 @@ epsilon -> 0+ limit in closed form (principal value plus on-shell pole term).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -252,58 +251,62 @@ def triple_product_phases(
 
 # Separable continuum model ------------------------------------------------
 
+def _part(mantissa: float, exponent: int) -> tuple[float, int]:
+    """mantissa 2^exponent as (m, e) with 1/2 <= |m| < 1, or (m, 0) for a signed zero m."""
+    m, shift = math.frexp(mantissa)
+    return m, exponent + shift if m else 0
+
+
+def _sum(p: tuple[float, int], q: tuple[float, int]) -> tuple[float, int]:
+    """p + q of two (mantissa, exponent) parts, added at the larger exponent of a nonzero part."""
+    top = max(p[1] if p[0] else q[1], q[1] if q[0] else p[1])
+    return math.ldexp(p[0], p[1] - top) + math.ldexp(q[0], q[1] - top), top
+
+
+class _Scaled:
+    """A complex number whose real and imaginary parts are each a (mantissa,
+    exponent) pair, so that neither over- or underflows and each keeps its
+    digits however far below the other it lies. Its sums and products are
+    Python's complex ones scaled by powers of two, so they have the same bits
+    wherever that arithmetic stays normal; complex() of it raises
+    OverflowError past the doubles."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: tuple[float, int], imag: tuple[float, int] = (0.0, 0)):
+        self.real, self.imag = _part(*real), _part(*imag)
+
+    def __add__(self, other: _Scaled) -> _Scaled:
+        return _Scaled(_sum(self.real, other.real), _sum(self.imag, other.imag))
+
+    def __mul__(self, other: _Scaled) -> _Scaled:
+        (a, b), (c, d) = (self.real, self.imag), (other.real, other.imag)
+        ac, bd, ad, bc = ((p[0] * q[0], p[1] + q[1]) for p, q in ((a, c), (b, d), (a, d), (b, c)))
+        return _Scaled(_sum(ac, (-bd[0], bd[1])), _sum(ad, bc))
+
+    def __complex__(self) -> complex:
+        return complex(math.ldexp(*self.real), math.ldexp(*self.imag))
+
+
 def _scaled_terms(model: SeparableModel, k: float, coupling: float):
-    """The separable model's pieces at on-shell momentum k with k and beta
-    scaled by s = 2^n, the power of two just above max(k, beta), and the
-    powers of two of k, beta, m, c (the given coupling) and s carried apart
-    as ints, so that none of them over- or underflows: u^2 = ((k - i beta) / s)^2
-    as its real part and the (mantissa, exponent) pair of its imaginary part
-    -2 k beta / s^2, which keeps its digits where k / s or beta / s leaves the
-    normal doubles, and Q = 2 g / r^4, the real V = c I / u^2 and
-    P = 2 beta / s^2 as (mantissa, exponent) pairs, with g = 2 pi^2 m c and
-    r = hypot(k, beta). Then c I = u^2 V and -Q is the first Born term.
+    """The separable model's pieces at on-shell momentum k, with c the given
+    coupling: u^2 = ((k - i beta) / s)^2, the first Born term -Q = -2 g / r^4,
+    V = c I / u^2 and P = 2 beta / s^2, each a _Scaled value, with
+    g = 2 pi^2 m c, r = hypot(k, beta) and s = 2^n the power of two just above
+    max(k, beta). The powers of two of k, beta, m, c and s go to the
+    exponents, so none of the pieces over- or underflows, and the imaginary
+    part -2 k beta / s^2 of u^2 keeps its digits where k / s or beta / s
+    leaves the normal doubles. Then c I = u^2 V.
     """
     finite_number("on-shell momentum", k, positive=True)
     (km, ke), (bm, be), (mm, me), (cm, ce) = (math.frexp(x) for x in (k, model.beta, model.mass, coupling))
     n = max(ke, be)
     a, b = math.ldexp(km, ke - n), math.ldexp(bm, be - n)  # both < 1, the larger >= 1/2
     rho4 = (a * a + b * b) ** 2  # (r / s)^4, in [1/16, 4)
-    return (((a - b) * (a + b), (-2.0 * km * bm, ke + be - 2 * n)), (4.0 * math.pi**2 * mm * cm / rho4, me + ce - 4 * n),
-            (2.0 * math.pi**2 * mm * cm / (bm * rho4), me + ce - be - 2 * n), (2.0 * bm, be - 2 * n))
-
-
-def _u2_times(u2, mantissa: float, exponent: int) -> complex:
-    """u^2 of :func:`_scaled_terms` times mantissa 2^exponent; OverflowError past the doubles."""
-    re, (im, ie) = u2
-    return complex(math.ldexp(re * mantissa, exponent), math.ldexp(im * mantissa, ie + exponent))
-
-
-_ZERO_EXPONENT = -(1 << 62)  # the exponent of a zero in a scaled real, below every other
-
-
-def _scaled_real(value: float, exponent: int) -> tuple[float, int]:
-    """value 2^exponent as a scaled real (m, e) = m 2^e, 1/2 <= |m| < 1 or m a signed zero."""
-    m, shift = math.frexp(value)
-    return (m, exponent + shift) if m else (m, _ZERO_EXPONENT)
-
-
-def _scaled_real_sum(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
-    """a + b of two scaled reals, added at the larger exponent."""
-    top = max(a[1], b[1])
-    return _scaled_real(math.ldexp(a[0], a[1] - top) + math.ldexp(b[0], b[1] - top), top)
-
-
-def _scaled_sum(z: tuple, w: tuple) -> tuple:
-    """z + w of two complex numbers held as (real, imaginary) pairs of scaled reals."""
-    return _scaled_real_sum(z[0], w[0]), _scaled_real_sum(z[1], w[1])
-
-
-def _scaled_product(z: tuple, w: tuple) -> tuple:
-    """z w of two complex numbers held as (real, imaginary) pairs of scaled
-    reals, each part summed as a Python complex product sums it."""
-    (a, b), (c, d) = z, w
-    ac, bd, ad, bc = (_scaled_real(p[0] * q[0], p[1] + q[1]) for p, q in ((a, c), (b, d), (a, d), (b, c)))
-    return _scaled_real_sum(ac, (-bd[0], bd[1])), _scaled_real_sum(ad, bc)
+    return (_Scaled(((a - b) * (a + b), 0), (-2.0 * km * bm, ke + be - 2 * n)),
+            _Scaled((-4.0 * math.pi**2 * mm * cm / rho4, me + ce - 4 * n)),
+            _Scaled((2.0 * math.pi**2 * mm * cm / (bm * rho4), me + ce - be - 2 * n)),
+            _Scaled((2.0 * bm, be - 2 * n)))
 
 
 def loop_integral(model: SeparableModel, k: float) -> complex:
@@ -320,9 +323,9 @@ def loop_integral(model: SeparableModel, k: float) -> complex:
     That is u^2 V of :func:`_scaled_terms` at unit coupling, which is how it
     is formed; Overflow where it is not a double.
     """
-    u2, _, (vm, ve), _ = _scaled_terms(model, k, 1.0)
+    u2, _, v, _ = _scaled_terms(model, k, 1.0)
     try:
-        return _u2_times(u2, vm, ve)
+        return complex(u2 * v)
     except OverflowError:
         raise Overflow(f"the bubble integral overflows a double at k = {k}") from None
 
@@ -348,27 +351,23 @@ def separable_tmatrix(
     Overflow
         If the amplitude is not a finite double.
     """
-    (re, (im, ie)), (qm, qe), (vm, ve), (pm, pe) = _scaled_terms(model, k, model.coupling)
-    v = math.ldexp(vm, min(ve, 64))  # V itself where |V| <= 1; vm = 0 at zero coupling
-    # the denominator d = real + i dm 2^de keeps the exponent of its imaginary part
-    # apart, and f = num 2^exponent / d = num (real - i dm 2^de) / |d|^2 2^exponent
-    if abs(v) <= 1.0:  # d = 1 - c I = 1 - u^2 V
-        real, dm, de, num, exponent, w = 1.0 - re * v, -im * vm, ie + ve, -qm, qe, 1.0
+    u2, first, v, p = _scaled_terms(model, k, model.coupling)
+    vm, ve = v.real
+    if abs(math.ldexp(vm, min(ve, 2))) <= 1.0:  # d = 1 - c I = 1 - u^2 V
+        d, num, w = _Scaled((1.0, 0)) + u2 * _Scaled((-vm, ve)), first, 1.0
     else:  # d = (1 - c I) / -V = u^2 - W
-        w = math.ldexp(1.0 / vm, -ve)
-        real, dm, de, num, exponent = re - w, im, ie, pm, pe
-    size = math.hypot(real, math.ldexp(dm, de))  # |d|
+        d, num, w = u2 + _Scaled((-1.0 / vm, -ve)), p, math.ldexp(1.0 / vm, -ve)
+    z = complex(d)  # each part of d is below 2 in size
+    size = math.hypot(z.real, z.imag)  # |d|
     pole = size / abs(w) if w else math.inf  # |1 - c I|
     if pole <= tol.tol_zero:
         raise PoleAtEnergy(f"T-matrix pole at k = {k}: |1 - coupling*I| = {pole:.3e}")
+    # f = num / d = num conj(d) / |d|^2, each part divided by |d| twice
+    (nm, ne), (dr, dre), (di, die) = num.real, d.real, d.imag
     try:
-        amplitude = complex(math.ldexp(num * (real / size) / size, exponent),
-                            math.ldexp(-num * (dm / size) / size, exponent + de))
+        return complex(_Scaled((nm * (dr / size) / size, ne + dre), (-nm * (di / size) / size, ne + die)))
     except OverflowError:
-        amplitude = complex(math.inf)
-    if not cmath.isfinite(amplitude):
-        raise Overflow(f"the exact amplitude overflows a double at coupling {model.coupling}")
-    return amplitude
+        raise Overflow(f"the exact amplitude overflows a double at coupling {model.coupling}") from None
 
 
 def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) -> complex:
@@ -383,30 +382,20 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
     """
     if integer("order", order) < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
-    u2, (qm, qe), (vm, ve), _ = _scaled_terms(model, k, model.coupling)
-    # x = c I = u^2 V, the series and the powers of x hold each part as a
-    # scaled real, so none of them leaves the doubles before the prefactor
-    # scales the sum, and each part keeps its digits however far below the
-    # other it lies; every scaling is by a power of two, so where the plain
-    # complex sum stays normal it has the same bits
-    re, (im, ie) = u2
-    x = (_scaled_real(re * vm, ve), _scaled_real(im * vm, ie + ve))
+    u2, first, v, _ = _scaled_terms(model, k, model.coupling)
+    x = u2 * v
     # series = 1 + x + ... + x^(m-1) and power = x^m, from m = 1 up to m = order:
     # doubling m adds x^m times the series, a set bit then adds x^(2m)
-    series, power = (_scaled_real(1.0, 0), _scaled_real(0.0, 0)), x
+    series, power = _Scaled((1.0, 0)), x
     for bit in bin(order)[3:]:
-        series, power = _scaled_sum(series, _scaled_product(power, series)), _scaled_product(power, power)
+        series, power = series + power * series, power * power
         if bit == "1":
-            series, power = _scaled_sum(series, power), _scaled_product(power, x)
-    (sm, se), (tm, te) = series
-    scaled = -qm * complex(sm, tm)
+            series, power = series + power, power * x
     try:
-        amplitude = complex(math.ldexp(scaled.real, qe + se), math.ldexp(scaled.imag, qe + te))
+        return complex(first * series)
     except OverflowError:
-        amplitude = complex(math.inf)
-    if not cmath.isfinite(amplitude):
-        raise Overflow(f"the order-{order} Born amplitude overflows a double at coupling {model.coupling}")
-    return amplitude
+        raise Overflow(f"the order-{order} Born amplitude overflows a double "
+                       f"at coupling {model.coupling}") from None
 
 
 def optical_theorem_residual(
