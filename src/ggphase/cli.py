@@ -46,6 +46,7 @@ from .phase import generalized_phase_chain
 from .scattering import (
     GridModel,
     SeparableModel,
+    _born_error,
     born_forward_amplitude,
     lippmann_schwinger_solve,
     optical_theorem_residual,
@@ -295,7 +296,7 @@ def _run_scatter_separable(args: dict, tol: ToleranceConfig):
         "born_order": born_order,
         "born_amplitude": born,
         "born_optical_residual": born_residual,
-        "born_error": abs(exact - born),
+        "born_error": _born_error(model, k, born_order, exact),
     }
     return results, {}, Table(k=[k], amplitude=[exact], optical_residual=[residual])
 

@@ -284,6 +284,9 @@ class _Scaled:
         ac, bd, ad, bc = ((p[0] * q[0], p[1] + q[1]) for p, q in ((a, c), (b, d), (a, d), (b, c)))
         return _Scaled(_sum(ac, (-bd[0], bd[1])), _sum(ad, bc))
 
+    def conjugate(self) -> _Scaled:
+        return _Scaled(self.real, (-self.imag[0], self.imag[1]))
+
     def __complex__(self) -> complex:
         return complex(math.ldexp(*self.real), math.ldexp(*self.imag))
 
@@ -370,16 +373,9 @@ def separable_tmatrix(
         raise Overflow(f"the exact amplitude overflows a double at coupling {model.coupling}") from None
 
 
-def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) -> complex:
-    """Born series of the separable amplitude truncated at the given power.
-
-    Sums -4 pi^2 m chi(k)^2 * (c + c^2 I + ... + c^order I^(order-1)), that
-    is -Q (1 + x + ... + x^(order-1)) with x = c I, from the pieces of
-    :func:`_scaled_terms`; the deviation from the exact amplitude is
-    O(c^(order+1)). The geometric sum doubles over the bits of order, so it
-    costs O(log order) products. Raises InvalidArgument if order < 1,
-    Overflow if the amplitude overflows a double.
-    """
+def _born_series(model: SeparableModel, k: float, order: int) -> tuple[_Scaled, _Scaled, _Scaled]:
+    """-Q, 1 + x + ... + x^(order-1) and x^order for x = c I, by doubling over
+    the bits of order in O(log order) products; InvalidArgument if order < 1."""
     if integer("order", order) < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
     u2, first, v, _ = _scaled_terms(model, k, model.coupling)
@@ -391,11 +387,35 @@ def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) ->
         series, power = series + power * series, power * power
         if bit == "1":
             series, power = series + power, power * x
+    return first, series, power
+
+
+def separable_born_amplitude(model: SeparableModel, k: float, order: int = 2) -> complex:
+    """Born series of the separable amplitude truncated at the given power.
+
+    Sums -4 pi^2 m chi(k)^2 * (c + c^2 I + ... + c^order I^(order-1)), that
+    is -Q (1 + x + ... + x^(order-1)) with x = c I, by :func:`_born_series`;
+    the deviation from the exact amplitude is O(c^(order+1)). Raises
+    InvalidArgument if order < 1, Overflow if the amplitude overflows a
+    double.
+    """
+    first, series, _ = _born_series(model, k, order)
     try:
         return complex(first * series)
     except OverflowError:
         raise Overflow(f"the order-{order} Born amplitude overflows a double "
                        f"at coupling {model.coupling}") from None
+
+
+def _born_error(model: SeparableModel, k: float, order: int, amplitude: complex) -> float:
+    """|f - f_n| of the exact amplitude f and its order-n Born truncation f_n,
+    formed as |f x^n| with x = c I, since f_n = f (1 - x^n): no two nearly
+    equal amplitudes are subtracted. Overflow where it is not a double."""
+    power = _born_series(model, k, order)[2]
+    try:
+        return abs(complex(power * _Scaled((amplitude.real, 0), (amplitude.imag, 0))))
+    except OverflowError:
+        raise Overflow(f"the order-{order} Born error overflows a double at coupling {model.coupling}") from None
 
 
 def optical_theorem_residual(
@@ -404,21 +424,28 @@ def optical_theorem_residual(
     born_order: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOLS,
 ) -> float:
-    """|Im f(k) - k |f(k)|^2| for the exact or Born-truncated amplitude,
-    formed as |f| |Im f / |f| - k |f|| so that |f|^2 never overflows alone.
+    """|Im f(k) - k |f(k)|^2| for the exact or Born-truncated amplitude.
 
     The rank-1 amplitude is isotropic, so the total cross section is
     4 pi |f|^2 and unitarity demands Im f = k |f|^2. The exact T-matrix
-    satisfies this to roundoff; a Born truncation at order n
-    violates it at O(coupling^(n+1)). Raises Overflow if the residual
-    overflows a double.
+    satisfies this to roundoff; its residual is formed as
+    |f| |Im f / |f| - k |f||, so that |f|^2 never overflows alone. A Born
+    truncation f_n = -Q S, S = 1 + x + ... + x^(n-1), violates it at
+    O(coupling^(n+1)). As k Q = -Im x and S (1 - x) = 1 - x^n, its residual
+    is |Im(conj(f_n) x^n)|, which is how it is formed: the difference of
+    Im f_n and k |f_n|^2 would cancel all but the digits of the truncation.
+    Raises Overflow if the residual overflows a double.
     """
     if born_order is None:
         f = separable_tmatrix(model, k, tol=tol)
+        modulus = math.hypot(f.real, f.imag)  # inf where abs(f) would raise
+        residual = modulus * abs(f.imag / modulus - k * modulus) if modulus else 0.0
     else:
-        f = separable_born_amplitude(model, k, order=born_order)
-    modulus = math.hypot(f.real, f.imag)  # inf where abs(f) would raise
-    residual = modulus * abs(f.imag / modulus - k * modulus) if modulus else 0.0
+        first, series, power = _born_series(model, k, born_order)
+        try:
+            residual = abs(math.ldexp(*((first * series).conjugate() * power).imag))
+        except OverflowError:
+            residual = math.inf
     if not math.isfinite(residual):
         source = "exact" if born_order is None else f"order-{born_order} Born"
         raise Overflow(f"the optical residual of the {source} amplitude overflows "

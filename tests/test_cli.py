@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import ggphase as gg
 from conftest import (
+    assert_near_reference,
     assert_separable_report_near_reference,
     located_vector_oracle,
     random_hermitian,
@@ -936,9 +937,7 @@ class TestScatter:
         assert complex(results["amplitude"]["re"], results["amplitude"]["im"]) == exact
         assert results["optical_residual"] < 1e-14
         assert results["born_order"] == 2
-        assert results["born_error"] == abs(
-            exact - gg.separable_born_amplitude(model, 0.5, 2)
-        )
+        assert_near_reference(results["born_error"], separable_reference(-0.1, 1.0, 1.0, 0.5)["born_error"])
 
     def test_separable_bad_momentum(self, capsys):
         code, out, err = invoke(
@@ -979,6 +978,27 @@ class TestScatter:
         assert_separable_report_near_reference(
             json.loads(out)["results"], separable_reference(0.1, float(beta), 1.0, float(k))
         )
+
+    @pytest.mark.parametrize("coupling", [1e-1, -1e-2, 1e-3, -1e-4, 1e-5, -1e-6, 1e-7, -1e-8])
+    def test_separable_born_fields_keep_their_digits_at_small_coupling(self, capsys, coupling):
+        # born_error and the Born residual are the truncation's size and its
+        # unitarity defect, both O(coupling^(order+1)): taken as differences of
+        # the rounded amplitudes they kept no digit at coupling 1e-8, order 4.
+        # Each is held to its own size here, the residual also where its two
+        # terms Im f and k |f|^2 are about coupling^-order times larger.
+        rng = rng_for(19)
+        for _ in range(3):
+            beta, mass, k = (float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(3))
+            for order in range(1, 9):
+                code, out, err = invoke(
+                    capsys, "scatter", "separable", "--coupling", repr(coupling), "--beta", repr(beta),
+                    "--mass", repr(mass), "--k", repr(k), "--born-order", str(order),
+                )
+                assert (code, err) == (0, "")
+                results = json.loads(out)["results"]
+                ref = separable_reference(coupling, beta, mass, k, born_order=order)
+                assert_separable_report_near_reference(results, ref)
+                assert_near_reference(results["born_optical_residual"], ref["born_optical_residual"])
 
     def test_separable_high_born_order_is_the_exact_amplitude(self, capsys):
         # |coupling * I| is about 0.32, so 10**9 terms are the geometric limit.
