@@ -9,9 +9,13 @@ exact amplitude against a frozen regression number.
 
 import cmath
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ggphase as gg
 from ggphase import PoleAtEnergy, SingularKernel
@@ -532,6 +536,45 @@ class TestSeparableModel:
         wide = gg.ToleranceConfig(tol_zero=1.5)
         with pytest.raises(PoleAtEnergy):
             gg.separable_tmatrix(model, 0.5, tol=wide)
+
+
+# a scale drawn log-uniform over 1e-300..1e300
+LOG_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+LARGEST_DOUBLE = Fraction(sys.float_info.max)
+
+
+class TestSeparableAcrossTheDoubles:
+    @given(coupling=LOG_SCALE, negative=st.booleans(), beta=LOG_SCALE, mass=LOG_SCALE, k=LOG_SCALE,
+           order=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_value_or_the_error_the_reference_calls_for(self, coupling, negative, beta, mass, k, order):
+        # Each function returns the exact-rational reference's value, or raises
+        # Overflow where that value is past the largest double (either is
+        # accepted within one ulp of it), or PoleAtEnergy where |1 - c I| is
+        # at most tol_zero.
+        coupling = -coupling if negative else coupling
+        model = gg.SeparableModel(coupling=coupling, beta=beta, mass=mass)
+        ref = separable_reference(coupling, beta, mass, k, born_order=order)
+        c, (loop_re, loop_im) = Fraction(coupling), ref["loop"]
+        pole = (1 - c * loop_re) ** 2 + (c * loop_im) ** 2 <= Fraction(gg.DEFAULT_TOLS.tol_zero) ** 2
+        ulp = Fraction(math.ulp(sys.float_info.max))
+        for call, (re, im), may_pole in (
+            (lambda: gg.loop_integral(model, k), ref["loop"], False),
+            (lambda: gg.separable_tmatrix(model, k), ref["amplitude"], pole),
+            (lambda: gg.separable_born_amplitude(model, k, order), ref["born_amplitude"], False),
+        ):
+            top = max(abs(re), abs(im))
+            try:
+                value = call()
+            except PoleAtEnergy:
+                assert may_pole
+                continue
+            except gg.Overflow:
+                assert top >= LARGEST_DOUBLE - ulp
+                continue
+            assert top <= LARGEST_DOUBLE + ulp
+            assert_near_reference(value.real, re, abs(re) + abs(im))
+            assert_near_reference(value.imag, im, abs(re) + abs(im))
 
 
 class TestOpticalTheorem:
