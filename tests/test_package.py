@@ -7,7 +7,10 @@ against the installed package, where no PYTHONPATH points at src/.
 
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,20 +41,38 @@ def test_star_import_gives_every_name():
     assert set(ggphase.__all__) <= set(namespace)
 
 
-def test_every_name_the_benchmark_tracer_patches_exists():
-    # perfbench/tracer.py imports only the standard library at load time; it
-    # looks each traced name up with a bare getattr, so a deleted or renamed
-    # name breaks the traced benchmark run
+def _tracer_names() -> list[tuple[str, str]]:
+    """(module, name) of every callable perfbench/tracer.py patches; the
+    tracer imports only the standard library at load time."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     names = [(modname, fname) for modname, fnames in tracer.FUNCTIONS.values() for fname in fnames]
     names += [(modname, cname) for modname, cnames in tracer.CONSTRUCTORS.values() for cname in cnames]
-    names += list(tracer.COUNTED.values())
-    missing = [f"{modname}.{name}" for modname, name in names
+    return names + list(tracer.COUNTED.values())
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # the tracer looks each traced name up with a bare getattr, so a deleted
+    # or renamed name breaks the traced benchmark run
+    missing = [f"{modname}.{name}" for modname, name in _tracer_names()
                if not hasattr(importlib.import_module(modname), name)]
     assert not missing
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_tracer_patches():
+    # Tracer.install lists the loaded ggphase modules right after
+    # `import ggphase.cli`, and patches a traced function only in those. A
+    # module that import leaves unloaded keeps its spans unrecorded, and the
+    # traced run still reads correct. The fresh interpreter imports this
+    # ggphase, installed or not.
+    wanted = {modname for modname, _ in _tracer_names() if modname.startswith("ggphase")}
+    program = "import sys, ggphase.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ggphase.__file__).resolve().parents[1])}
+    loaded = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert sorted(wanted - set(loaded)) == []
 
 
 def test_exit_status_follows_the_error_class():
