@@ -667,16 +667,32 @@ class TestHolonomyErrors:
         assert error == (SingularConnection, "<n|O|n> vanishes at interior sample 5 of the null interpolation", 5)
 
     def test_open_connection_comes_before_the_closing_connection(self):
-        # at 1e306 the closing segment's stencil terms pass the doubles, so its
-        # connection alone raises Overflow; with an open curve singular at
-        # its interior sample 1000 the open connection's error comes first
+        # at 1e306 the open curve's stencil terms pass the doubles, so its own
+        # connection raises Overflow, while the closing segment's closed form
+        # gives 0.0; an open curve singular at its interior sample 1000
+        # raises that first
         big = Observable(1e306 * np.diag([1.0, -1.0, 1.0]))
-        closing_only = raised(lambda: loop_holonomy(
+        open_only = raised(lambda: loop_holonomy(
             polyline_curve([[1, 0.1, 0], [1, 0.05, 0.05], [1, 0, 0.1]], 2001), big))
-        assert closing_only == (Overflow, "the connection integral is nan: the connection overflows a double", None)
-        both = raised(lambda: loop_holonomy(polyline_curve([[1, 0.1, 0], [1, 1, 0], [1, 0, 0.1]], 2001), big))
-        assert both == (SingularConnection, "connection denominator vanishes at interior sample 1000 "
-                        "(|<psi|O|psi>| = 0.000e+00)", 1000)
+        assert open_only == (Overflow, "the connection integral is nan: the connection overflows a double", None)
+        singular = (SingularConnection, "connection denominator vanishes at interior sample 1000 "
+                    "(|<psi|O|psi>| = 0.000e+00)", 1000)
+        assert raised(lambda: loop_holonomy(polyline_curve([[1, 0.1, 0], [1, 1, 0], [1, 0, 0.1]], 2001), big)) == singular
+        # From A = x (-0.9, 0, sqrt(0.19)) to B = (x, 0, 0), x = sqrt(95), the
+        # closing segment has theta = pi and <n|O|n> between 9.0e307 and
+        # 9.5e307, so the sum of two neighbouring values in its links passes
+        # the doubles and its closed form alone raises Overflow. Over
+        # parameters spanning 2e4 the open curves' stencil terms stay doubles;
+        # the one singular at its interior sample 1000 raises first.
+        x = math.sqrt(95.0)
+        a, b = [-0.9 * x, 0, math.sqrt(0.19) * x], [x, 0, 0]
+
+        def open_curve(middle):
+            return reparametrize(polyline_curve([b, middle, a], 2001), np.linspace(0.0, 2e4, 2001))
+
+        closing_only = raised(lambda: loop_holonomy(open_curve([0.2 * x, 0, 0.99 * x]), big))
+        assert closing_only == (Overflow, "the connection integral is -inf: the connection overflows a double", None)
+        assert raised(lambda: loop_holonomy(open_curve([x, x, 0]), big)) == singular
 
     def test_vanishing_norm_of_a_closing_state_is_still_checked(self):
         # psi(0) = (1 + 2e-7) psi(L) under O = -1e8: the closing state is
