@@ -984,8 +984,8 @@ class TestScatter:
         # born_error and the Born residual are the truncation's size and its
         # unitarity defect, both O(coupling^(order+1)): taken as differences of
         # the rounded amplitudes they kept no digit at coupling 1e-8, order 4.
-        # Each is held to its own size here, the residual also where its two
-        # terms Im f and k |f|^2 are about coupling^-order times larger.
+        # Each is held to 1e-12 of its own size, the residual too, although
+        # Im f_n and k |f_n|^2 are about coupling^(1 - order) times larger.
         rng = rng_for(19)
         for _ in range(3):
             beta, mass, k = (float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(3))
