@@ -24,9 +24,8 @@ in sequence and never multiply two steps together, so grids with steps far
 above 1 or far below it neither overflow nor underflow. No derivative array of
 the states is ever formed. :func:`stencil_weights` forms the weights of a grid
 and :func:`stencil` applies them to any links: :func:`connection_terms` feeds
-it the sandwiches of a curve, and the holonomies the closed-form links of a
-null segment, whose denominators are real, so that b <psi_l|O|psi_l> drops
-out of Im(num).
+it the sandwiches of a curve, and a null segment its closed-form links, each
+over its own row's real denominator, so that b drops out of Im(num / den).
 
 :func:`fsum` is the one correctly rounded sum, math.fsum's value to the bit.
 From _EXACT_SUM_MIN entries it is R. Neal's exponent-binned exact sum
@@ -127,8 +126,8 @@ def stencil(weights: tuple, bwd: np.ndarray, den: np.ndarray | None, fwd: np.nda
     """Connection numerators from the links fwd[l] = <psi_l|O|psi_{l+1}> and
     bwd[l] = <psi_{l+1}|O|psi_l> and the denominators den[l] = <psi_l|O|psi_l>,
     by the stencils of the module docstring with the :func:`stencil_weights`
-    of the grid. A den of None drops the b den term, as in the imaginary
-    part of a numerator whose denominators are real."""
+    of the grid. A den of None drops the b den term, as for links already
+    divided by real denominators, whose b term is real."""
     h, a, b, c = weights
     num = np.empty(h.shape[0] + 1, np.result_type(bwd, fwd))
     np.multiply(a, bwd[:-1], out=num[1:-1])
@@ -146,9 +145,7 @@ def connection_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Connection numerators <psi|obs|D psi> and denominators <psi|obs|psi>
     along a discretized curve, by the :func:`stencil` of the three link
-    sandwiches; obs None is the identity. The rows may be coefficients over
-    a basis, with obs the Gram matrix <b_k|O|b_m> of its rows.
-    """
+    sandwiches; obs None is the identity."""
     params = np.asarray(params, dtype=np.float64)
     states = np.asarray(states, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan terms: the caller reports them

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _io
 from ._io import InputError, Table
-from .curve import ParamCurve, connection_samples, curve_phase, o_null_curve
+from .curve import ParamCurve, _null_segment, _segment_samples, connection_samples, curve_phase
 from .dynamics import TwoLevelParams, projective_cycle_amplitude, two_level_phase
 from .errors import DomainError, InvalidArgument
 from .hilbert import (
@@ -39,6 +39,7 @@ from .hilbert import (
     ToleranceConfig,
     matrix_element,
     principal_arg,
+    wrap_angle,
     wrapped_distance,
 )
 from .perturbation import EigenSystem, energy_shift, third_order_phase_terms
@@ -168,24 +169,25 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
     samples_count, tau = args["samples"], args["tau"]
     if samples_count < 3:
         raise InputError(f"argument 'samples' must be at least 3, got {samples_count}")
-    if samples_count > np.iinfo(np.intp).max // (16 * a.dim):  # no (M, dim) complex array
+    if samples_count > np.iinfo(np.intp).max // 8:  # no (M,) float64 array
         raise InputError(f"argument 'samples' is too large for one array, got {samples_count}")
     try:
-        curve = o_null_curve(a, b, obs, tau=tau, M=samples_count, tol=tol)
-        samples = connection_samples(curve, obs, tol)
-        res = curve_phase(curve, obs, tol, samples=samples)
+        segment = _null_segment(a, b, obs, tau, samples_count, tol)
+        samples = _segment_samples(segment, tol)
     except MemoryError:
         raise InputError(f"argument 'samples' is too large for the memory available, got {samples_count}") from None
+    # n(0) = A and n(tau) = B, so the endpoint term Arg(<B|O|A> / <B|B>) is theta
+    value = wrap_angle(segment.theta + samples.integral)
     expected = principal_arg(matrix_element(a, obs, b) / b.norm_sq)
     results = {
-        "curve_phase": res.value,
+        "curve_phase": value,
         "connection_integral": samples.integral,
         "expected_integral": expected,
-        "sample_count": curve.sample_count,
+        "sample_count": samples_count,
     }
     diagnostics = {
-        "nullity_residual": abs(res.value),
-        "min_link_modulus": res.min_link_modulus,
+        "nullity_residual": abs(value),
+        "min_link_modulus": min(segment.modulus, samples.min_modulus),
         "extrapolated_samples": list(samples.extrapolated),
     }
     return results, diagnostics, Table(s=samples.params, a_o=samples.values)

@@ -2,15 +2,12 @@
 phases, null-curve construction, and holonomy loop integrals.
 
 A curve is stored as parameter samples plus one state per sample, never as a
-closure, so it can be serialized and replayed. Null curves lie in span{A, B}:
-:func:`o_null_curve` and :func:`geodesic_null_curve` return them as (M, 2)
-coefficients over [A; B], the kernel runs on those with the 2x2 Gram matrix
-<b_k|O|b_m> in place of O, and their (M, dim) ``states`` are formed only when
-read. The connection along a curve is A_O(s) = Im(<psi|O|d_s psi> / <psi|O|psi>),
-sampled with second-order central differences (first-order one-sided at the
-two ends) and integrated with the trapezoid rule. The continuous phase adds
-the endpoint term Arg(<psi(L)|O|psi(0)> / <psi(L)|psi(L)>) to that integral.
-An observable of None is the identity.
+closure, so it can be serialized and replayed. The connection along a curve
+is A_O(s) = Im(<psi|O|d_s psi> / <psi|O|psi>), sampled with second-order
+central differences (first-order one-sided at the two ends) and integrated
+with the trapezoid rule. The continuous phase adds the endpoint term
+Arg(<psi(L)|O|psi(0)> / <psi(L)|psi(L)>) to that integral. An observable of
+None is the identity.
 
 :func:`connection_samples` is the one path to the connection of a
 :class:`ParamCurve`: it runs the kernel once per curve and returns the
@@ -18,16 +15,17 @@ samples with their integral and their smallest denominator. :func:`curve_phase`
 takes such a result to reuse it.
 
 The holonomies close their loops with O null segments (N. Mukunda and
-R. Simon, Ann. Phys. 228, 205 (1993)) and never form a segment's
-coefficients or states, nor run the kernel on it. With r = (1 - f, f),
-f = x / tau, D = diag(1, e^{i theta}) and G the Gram matrix <b_j|O|b_k> of
-[A; B], the segment's state is n = e^{-i theta f} r D [A; B], so
+R. Simon, Ann. Phys. 228, 205 (1993)), and the ``null-curve`` command
+samples one; neither forms a segment's coefficients or states, nor runs the
+kernel on it. With r = (1 - f, f), f = x / tau, D = diag(1, e^{i theta}) and
+G the Gram matrix <b_j|O|b_k> of [A; B], the segment's state is n = e^{-i theta f} r D [A; B], so
 <n_l|O|n_m> = e^{-i theta (f_m - f_l)} r_l^T P r_m with P = D^* G D, which
 theta = Arg G10 makes real up to rounding. On (M,) real arrays,
 <n|O|n> = r^T Re(P) r, the norms are the same form of <b_j|b_k>, and the
 forward link is e^{-i theta df} (r_l^T Re(P) r_{l+1} + i Im(P01) df), the
-backward link its conjugate. Their imaginary parts feed the kernel's stencil
-and the tail shared with :func:`connection_samples`, :func:`_sample_connection`.
+backward link its conjugate. Their imaginary parts, each divided by its own
+row's <n|O|n>, feed the kernel's stencil and the tail shared with
+:func:`connection_samples`, :func:`_sample_connection`.
 
 Null curves make the phase a pure loop integral: along them the connection
 integral alone reproduces the relative phase of the endpoints, so closing an
@@ -85,54 +83,37 @@ class ParamCurve:
     ----------
     params : array_like of float
         Strictly increasing parameter samples s_0 < ... < s_{M-1}, M >= 3.
-    states : array_like of complex, shape (M, dim), or (M, r) with a basis
-        One nonzero state per sample, or its coefficients over ``basis``.
-    basis : array_like of complex, shape (r, dim), optional
-        State l is ``states[l] @ basis``; None is the identity.
+    states : array_like of complex, shape (M, dim)
+        One nonzero state per sample.
     """
 
-    __slots__ = ("_params", "_coeffs", "_basis")
+    __slots__ = ("_params", "_states")
 
-    def __init__(self, params, states, tol: ToleranceConfig = DEFAULT_TOLS, basis=None):
+    def __init__(self, params, states, tol: ToleranceConfig = DEFAULT_TOLS):
         p = finite_array(params, 1, "params", np.float64)
         s = finite_array(states, 2, "states")
-        b = None if basis is None else finite_array(basis, 2, "basis")
         if p.shape[0] != s.shape[0]:
             raise InvalidArgument(
                 f"params shape {p.shape} and states shape {s.shape} are inconsistent"
             )
-        if b is not None and b.shape[0] != s.shape[1]:
-            raise InvalidArgument(f"basis shape {b.shape} does not match coefficients shape {s.shape}")
         if p.shape[0] < 3:
             raise InvalidArgument(f"curve needs at least 3 samples, got {p.shape[0]}")
         if not np.all(p[1:] > p[:-1]):
             raise InvalidArgument("params must be strictly increasing")
-        parts = s.view(np.float64)  # (M, 2 r): real and imaginary parts
+        parts = s.view(np.float64)  # (M, 2 dim): real and imaginary parts
         with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
-            norms = (np.einsum("ld,ld->l", parts, parts) if b is None  # else c^* (b^* b^T) c
-                     else _kernels.sandwiches(_kernels.bra_rows(s, b.conj() @ b.T), s).real)
+            norms = np.einsum("ld,ld->l", parts, parts)
         _refuse_vanishing_norms(norms, tol)
         self._params = p
-        self._coeffs = s
-        self._basis = b
+        self._states = s
 
     @property
     def params(self) -> np.ndarray:
         return self._params
 
     @property
-    def coeffs(self) -> np.ndarray:
-        """The stored rows: the states themselves, or their coefficients over :attr:`basis`."""
-        return self._coeffs
-
-    @property
-    def basis(self) -> np.ndarray | None:
-        return self._basis
-
-    @property
     def states(self) -> np.ndarray:
-        """The (M, dim) states; formed on each read when the curve has a basis."""
-        return self._coeffs if self._basis is None else self._coeffs @ self._basis
+        return self._states
 
     @property
     def sample_count(self) -> int:
@@ -140,16 +121,14 @@ class ParamCurve:
 
     @property
     def dim(self) -> int:
-        return (self._coeffs if self._basis is None else self._basis).shape[1]
+        return self._states.shape[1]
 
     def row(self, index: int) -> np.ndarray:
-        """The state at one sample, without forming the others; a negative
-        index counts from the end."""
+        """The state at one sample; a negative index counts from the end."""
         m = self.sample_count
         if not -m <= integer("sample index", index) < m:
             raise InvalidArgument(f"sample index {index} out of range for {m} samples")
-        c = self._coeffs[index]
-        return c if self._basis is None else c @ self._basis
+        return self._states[index]
 
     def state(self, index: int) -> StateVector:
         return StateVector(self.row(index))
@@ -197,12 +176,7 @@ def connection_samples(
     Overflow
         If the integral is not finite.
     """
-    # over a basis, <n_l|O|n_m> = c_l^* G c_m with the Gram matrix G = <b_k|O|b_m>
-    obs, basis = observable_entries(O, curve.dim), curve.basis
-    if basis is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan reaches the checks below
-            obs = _kernels.bra_rows(basis, obs) @ basis.T
-    num, den = _kernels.connection_terms(curve.params, curve.coeffs, obs)
+    num, den = _kernels.connection_terms(curve.params, curve.states, observable_entries(O, curve.dim))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _sample_connection
         values = np.divide(num, den).imag
     return _sample_connection(curve.params, values, np.abs(den), tol)
@@ -303,7 +277,7 @@ def geodesic_null_curve(
     eps(x) = (e^{i theta x/tau} / sin tau) (sin(tau - x) A + e^{-i theta} sin(x) B),
     which starts at A, ends at B, and carries zero total phase: the identity
     connection integral along it equals Arg<A|B> and cancels the endpoint
-    term exactly. The curve is returned over the basis [A; B].
+    term exactly.
 
     Parameters
     ----------
@@ -333,7 +307,7 @@ def geodesic_null_curve(
     x = np.linspace(0.0, tau, M)
     gauge = np.exp(1j * theta * x / tau) / math.sin(tau)
     coeffs = np.stack((gauge * np.sin(tau - x), gauge * np.exp(-1j * theta) * np.sin(x)), axis=1)
-    return ParamCurve(x, coeffs, tol=tol, basis=np.stack((A.components, B.components)))
+    return ParamCurve(x, coeffs @ np.stack((A.components, B.components)), tol=tol)
 
 
 def o_null_curve(
@@ -350,7 +324,7 @@ def o_null_curve(
     n(x) = e^{-i theta x/tau} ((1 - x/tau) A + (x/tau) e^{i theta} B).
     Along it the generalized connection is constant, its integral equals
     Arg(<A|O|B> / <B|B>), and curve_phase(result, O) vanishes up to
-    discretization error. The curve is returned over the basis [A; B].
+    discretization error.
 
     The denominator <n|O|n> may vanish exactly at the endpoints when A and B
     are orthogonal (it stays bounded away from zero in the interior for
@@ -369,7 +343,7 @@ def o_null_curve(
         naming the nearest sample.
     """
     segment = _null_segment(A, B, O, tau, M, tol)
-    return ParamCurve(segment.x, _null_coefficients(segment.frac, segment.theta), tol=tol, basis=segment.span)
+    return ParamCurve(segment.x, _null_coefficients(segment.frac, segment.theta) @ segment.span, tol=tol)
 
 
 def _null_coefficients(frac: np.ndarray, theta: float) -> np.ndarray:
@@ -381,7 +355,8 @@ def _null_coefficients(frac: np.ndarray, theta: float) -> np.ndarray:
 class _NullSegment(NamedTuple):
     """A checked null segment: its samples x and f = x / tau, span [A; B] and
     theta, the real form (P00, P01 + P10, P11) and the Im P01 of the
-    Hermitian part of P = D^* G D, and its denominators den = <n|O|n>."""
+    Hermitian part of P = D^* G D, its denominators den = <n|O|n>, and
+    |<B|O|A>|, the modulus of its endpoint link."""
 
     x: np.ndarray
     frac: np.ndarray
@@ -390,6 +365,7 @@ class _NullSegment(NamedTuple):
     form: tuple[float, float, float]
     skew: float
     den: np.ndarray
+    modulus: float
 
 
 def _quadratic(form: tuple[float, float, float], products: tuple) -> np.ndarray:
@@ -468,28 +444,28 @@ def _null_segment(
         raise InvalidArgument("params must be strictly increasing")
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the doubles does not vanish
         _refuse_vanishing_norms(_quadratic(_hermitian_form(span.conj() @ span.T, theta)[0], products), tol)
-    return _NullSegment(x, frac, span, theta, form, skew, den)
+    return _NullSegment(x, frac, span, theta, form, skew, den, modulus)
 
 
 def _segment_samples(segment: _NullSegment, tol: ToleranceConfig) -> ConnectionSamples:
     """The connection of a checked null segment, from its closed-form links.
 
-    As r_{l+1} = r_l + df_l (-1, 1), the real form of the link is
-    (den_l + den_{l+1} - kappa df_l^2) / 2 with kappa = P00 - P01 - P10 + P11,
-    so Im <n_l|O|n_{l+1}> = cos(theta df_l) Im P01 df_l - sin(theta df_l)
-    (den_l + den_{l+1} - kappa df_l^2) / 2. The denominators are real, so the
-    stencil of these imaginary parts, without its b den term, is Im(num).
+    Im <n_l|O|n_{l+1}> = cos(theta df_l) Im P01 df_l - sin(theta df_l)
+    r_l^T Re(P) r_{l+1}, and the backward link is its conjugate. The form
+    is taken between the two samples: forming it from den_l + den_{l+1}
+    cancels where den spans many orders of magnitude. Each link is divided
+    by its own row's den before the stencil, so no stencil term passes the
+    doubles where the connection is a double. The denominators are real, so
+    the stencil of these quotients, without its b den term, is Im(num / den).
     """
-    den, theta = segment.den, segment.theta
-    (p00, cross, p11), skew = segment.form, segment.skew
+    den, frac = segment.den, segment.frac
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _sample_connection
-        df = np.diff(segment.frac)
-        phase = theta * df
-        links = den[:-1] + den[1:]
-        links -= (p00 - cross + p11) * (df * df)
-        links *= -0.5 * np.sin(phase)
-        links += skew * np.cos(phase) * df
-        values = _kernels.stencil(_kernels.stencil_weights(segment.x), -links, None, links) / den
+        df = np.diff(frac)
+        phase = segment.theta * df
+        rest = 1.0 - frac
+        ends = (rest[:-1] * rest[1:], 0.5 * (rest[:-1] * frac[1:] + frac[:-1] * rest[1:]), frac[:-1] * frac[1:])
+        links = segment.skew * np.cos(phase) * df - np.sin(phase) * _quadratic(segment.form, ends)
+        values = _kernels.stencil(_kernels.stencil_weights(segment.x), -links / den[1:], None, links / den[:-1])
     return _sample_connection(segment.x, values, np.abs(den), tol)
 
 
@@ -549,9 +525,9 @@ def gauge_transform(curve: ParamCurve, offsets) -> ParamCurve:
         raise InvalidArgument(
             f"offsets length {lam.shape} does not match sample count {curve.sample_count}"
         )
-    return ParamCurve(curve.params, np.exp(1j * lam)[:, None] * curve.coeffs, basis=curve.basis)
+    return ParamCurve(curve.params, np.exp(1j * lam)[:, None] * curve.states)
 
 
 def reparametrize(curve: ParamCurve, new_params) -> ParamCurve:
     """Replace the parameter grid, keeping the states; phases are invariant in the continuum."""
-    return ParamCurve(new_params, curve.coeffs, basis=curve.basis)
+    return ParamCurve(new_params, curve.states)

@@ -30,7 +30,10 @@ from conftest import (
     assert_near_reference,
     assert_separable_report_near_reference,
     located_vector_oracle,
+    outputs_under_both_dispatches,
     random_hermitian,
+    random_positive_definite,
+    random_state,
     rng_for,
     separable_exact_is_a_double,
     separable_reference,
@@ -543,6 +546,23 @@ class TestCurve:
         assert f"{curve}.states: rows have unequal lengths" in err
 
 
+# The report without its wall_time_s, then the CSV, of a 20001-sample
+# null-curve job on each input directory under root.
+NULL_CURVE_OUTPUTS = """
+import json, pathlib
+from ggphase.cli import main
+for job in sorted(pathlib.Path({root!r}).iterdir()):
+    report, table = job / "report.json", job / "table.csv"
+    argv = ["null-curve", "--a", str(job / "a.json"), "--b", str(job / "b.json"), "--observable",
+            str(job / "o.json"), "--samples", "20001", "--output", str(report), "--csv", str(table)]
+    assert main(argv) == 0
+    payload = json.loads(report.read_text())
+    del payload["wall_time_s"]
+    print(json.dumps(payload))
+    print(table.read_text())
+"""
+
+
 class TestNullCurve:
     def test_identity_null_curve(self, capsys, tmp_path):
         a = write_json(tmp_path / "a.json", [1, 0])
@@ -669,6 +689,29 @@ class TestNullCurve:
         code, out, _ = invoke(capsys, "null-curve", "--a", a, "--b", b, "--identity")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "UndefinedPhase"
+
+    def test_connection_past_the_stencil_terms_is_a_double(self, capsys, tmp_path):
+        # at 1e306 the kernel's stencil terms a <n_l|O|n_{l-1}> and
+        # c <n_l|O|n_{l+1}> pass the doubles and meet as inf - inf; theta = 0,
+        # and the segment's own links make its connection 0.0
+        a = write_json(tmp_path / "a.json", [1, 0, 0.1])
+        b = write_json(tmp_path / "b.json", [1, 0.1, 0])
+        obs = write_json(tmp_path / "o.json", (1e306 * np.diag([1.0, -1.0, 1.0])).tolist())
+        code, out, _ = invoke(capsys, "null-curve", "--a", a, "--b", b, "--observable", obs, "--samples", "2001")
+        assert code == 0
+        assert json.loads(out)["results"]["connection_integral"] == 0.0
+
+    def test_output_does_not_depend_on_simd_dispatch(self, tmp_path):
+        rng = rng_for(5)
+        for j in range(6):
+            job = tmp_path / f"job{j}"
+            job.mkdir()
+            write_json(job / "a.json", cvec(random_state(rng, 16).components))
+            write_json(job / "b.json", cvec(random_state(rng, 16).components))
+            write_json(job / "o.json", cmat(random_positive_definite(rng, 16).entries))
+        default, reduced = outputs_under_both_dispatches(NULL_CURVE_OUTPUTS.format(root=str(tmp_path)))
+        assert default.count("connection_integral") == 6
+        assert default == reduced
 
 
 class TestCycle:

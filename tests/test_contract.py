@@ -103,7 +103,7 @@ def _finite(value) -> bool:
     """Whether every number a result carries is finite."""
     if dataclasses.is_dataclass(value):
         return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
-    for attr in ("components", "entries", "coeffs", "energies"):
+    for attr in ("components", "entries", "states", "energies"):
         if hasattr(value, attr):
             return _finite(getattr(value, attr))
     return bool(np.isfinite(np.asarray(value, dtype=np.complex128)).all())

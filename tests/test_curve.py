@@ -46,6 +46,7 @@ from ggphase import (
     wrapped_distance,
 )
 from ggphase import _kernels
+from ggphase import cli as cli_module
 from ggphase import curve as curve_module
 from ggphase.cli import main
 from ggphase.curve import _null_segment, _segment_samples
@@ -85,47 +86,6 @@ class TestParamCurve:
         curve = great_circle_curve(11, 0.3)
         st = curve.state(4)
         np.testing.assert_allclose(st.components, curve.states[4])
-
-
-class TestCurveOverABasis:
-    """A curve stored as (M, r) coefficients over an (r, dim) basis."""
-
-    @staticmethod
-    def spanned(rng, count=21, dim=4):
-        basis = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
-        coeffs = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
-        return ParamCurve(np.linspace(0.0, 1.0, count), coeffs, basis=basis), coeffs, basis
-
-    def test_states_are_formed_from_the_coefficients(self):
-        curve, coeffs, basis = self.spanned(rng_for(1800))
-        assert (curve.dim, curve.sample_count) == (4, 21)
-        np.testing.assert_array_equal(curve.coeffs, coeffs)
-        np.testing.assert_array_equal(curve.states, coeffs @ basis)
-        np.testing.assert_array_equal(curve.row(-1), coeffs[-1] @ basis)
-        np.testing.assert_array_equal(curve.state(3).components, coeffs[3] @ basis)
-
-    def test_gauge_and_reparametrization_keep_the_basis(self):
-        curve, coeffs, basis = self.spanned(rng_for(1801))
-        lam = np.linspace(0.0, 2.0, 21)
-        gauged = gauge_transform(curve, lam)
-        np.testing.assert_array_equal(gauged.basis, basis)
-        np.testing.assert_array_equal(gauged.coeffs, np.exp(1j * lam)[:, None] * coeffs)
-        moved = reparametrize(curve, np.linspace(0.0, 1.0, 21) ** 2 + np.arange(21))
-        assert moved.basis is curve.basis and moved.coeffs is curve.coeffs
-
-    def test_basis_and_coefficients_must_agree(self):
-        with pytest.raises(ValueError, match="basis shape"):
-            ParamCurve([0.0, 0.5, 1.0], np.ones((3, 2)), basis=np.ones((3, 4)))
-
-    def test_non_finite_basis_is_refused(self):
-        with pytest.raises(ValueError, match="basis must have finite entries"):
-            ParamCurve([0.0, 0.5, 1.0], np.ones((3, 2)), basis=[[1.0, 0.0], [np.inf, 0.0]])
-
-    def test_vanishing_state_is_named(self):
-        # the middle coefficients cancel the two basis rows
-        coeffs = [[1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]
-        with pytest.raises(ValueError, match="sample 1 has vanishing norm"):
-            ParamCurve([0.0, 0.5, 1.0], coeffs, basis=[[0.6, 0.8j], [0.6, 0.8j]])
 
 
 class TestConnectionSamples:
@@ -459,17 +419,8 @@ class TestONullCurve:
 
 
 class TestNullCurvesStayInTheirSpan:
-    """The null curves are stored as (M, 2) coefficients over [A; B], and their
-    connection is the one the same states give as a dense curve."""
-
-    @staticmethod
-    def pairs():
-        for seed in range(12):
-            rng = rng_for(1900 + seed)
-            dim = int(rng.integers(2, 6))
-            a, b = random_state(rng, dim, normalize=True), random_state(rng, dim, normalize=True)
-            for obs in (None, random_positive_definite(rng, dim)):
-                yield a, b, obs, float(rng.uniform(0.5, 2.0))
+    """The holonomies sample each null segment from real (M,) arrays over its
+    span [A; B], never from its (M, dim) states."""
 
     @staticmethod
     def assert_samples_agree(got, want):
@@ -480,33 +431,6 @@ class TestNullCurvesStayInTheirSpan:
         # its three sandwiches; the trapezoid integral averages them out
         h = float(np.diff(want.params).min())
         np.testing.assert_allclose(got.values, want.values, rtol=0.0, atol=16 * np.finfo(float).eps / h)
-
-    @classmethod
-    def assert_dense_agrees(cls, curve, obs):
-        dense = ParamCurve(curve.params, curve.states)
-        cls.assert_samples_agree(connection_samples(curve, obs), connection_samples(dense, obs))
-        got_phase, want_phase = curve_phase(curve, obs), curve_phase(dense, obs)
-        assert wrapped_distance(got_phase.value, want_phase.value) <= 1e-12
-
-    @pytest.mark.parametrize("count", [3, 401, 20001])
-    def test_o_null_curve_matches_its_dense_states(self, count):
-        for a, b, obs, tau in self.pairs():
-            curve = o_null_curve(a, b, obs, tau=tau, M=count)
-            assert curve.coeffs.shape == (count, 2)
-            np.testing.assert_array_equal(curve.basis, [a.components, b.components])
-            self.assert_dense_agrees(curve, obs)
-
-    @pytest.mark.parametrize("count", [3, 401, 20001])
-    def test_geodesic_null_curve_matches_its_dense_states(self, count):
-        for a, b, obs, tau in self.pairs():
-            curve = geodesic_null_curve(a, b, tau=min(tau, 3.0), M=count)
-            assert curve.coeffs.shape == (count, 2)
-            self.assert_dense_agrees(curve, obs)
-
-    def test_orthogonal_endpoints_extrapolate_alike(self):
-        curve = o_null_curve(StateVector([1.0, 0.0]), StateVector([0.0, 1.0]), X, M=401)
-        self.assert_dense_agrees(curve, X)
-        assert connection_samples(curve, X).extrapolated == (0, 400)
 
     def test_triangle_never_holds_an_m_by_dim_array(self):
         rng = rng_for(1950)
@@ -523,8 +447,9 @@ class TestNullCurvesStayInTheirSpan:
 
 
 class TestNullSegmentClosedForm:
-    """The holonomies sample each null segment's connection from the closed
-    form of its links (curve._segment_samples), never from the kernel."""
+    """The holonomies and the null-curve job sample each null segment's
+    connection from the closed form of its links (curve._segment_samples),
+    never from the kernel."""
 
     def test_values_are_within_four_ulp_of_the_discrete_stencil(self):
         count, dim = 20001, 3
@@ -680,19 +605,25 @@ class TestHolonomyErrors:
         assert raised(lambda: loop_holonomy(polyline_curve([[1, 0.1, 0], [1, 1, 0], [1, 0, 0.1]], 2001), big)) == singular
         # From A = x (-0.9, 0, sqrt(0.19)) to B = (x, 0, 0), x = sqrt(95), the
         # closing segment has theta = pi and <n|O|n> between 9.0e307 and
-        # 9.5e307, so the sum of two neighbouring values in its links passes
-        # the doubles and its closed form alone raises Overflow. Over
-        # parameters spanning 2e4 the open curves' stencil terms stay doubles;
-        # the one singular at its interior sample 1000 raises first.
+        # 9.5e307: the sum of two neighbouring values passes the doubles, but
+        # each link is taken over its own row's <n|O|n>, so the loop is the
+        # open curve's phase. The closing samples are about -sin(pi df) / df,
+        # 1.3e-6 from -pi at df = 1/2000. Over parameters spanning 2e4 the
+        # open curve's stencil terms stay doubles.
         x = math.sqrt(95.0)
         a, b = [-0.9 * x, 0, math.sqrt(0.19) * x], [x, 0, 0]
-
-        def open_curve(middle):
-            return reparametrize(polyline_curve([b, middle, a], 2001), np.linspace(0.0, 2e4, 2001))
-
-        closing_only = raised(lambda: loop_holonomy(open_curve([0.2 * x, 0, 0.99 * x]), big))
-        assert closing_only == (Overflow, "the connection integral is -inf: the connection overflows a double", None)
-        assert raised(lambda: loop_holonomy(open_curve([x, x, 0]), big)) == singular
+        curve = reparametrize(polyline_curve([b, [0.2 * x, 0, 0.99 * x], a], 2001), np.linspace(0.0, 2e4, 2001))
+        assert wrapped_distance(loop_holonomy(curve, big).value, curve_phase(curve, big).value) < 2e-6
+        # From (1, 0), where <n|O|n> = 2e-12, to (0, i), the closing segment's
+        # first sample is Im <n_0|O|n_1> / (h <n_0|O|n_0>), about 4e308 in exact
+        # arithmetic: the closing connection alone leaves the doubles, while
+        # the open curves' is -5e296, or singular at interior sample 1000.
+        skew = Observable([[2e-12, 1e300], [1e300, 1.0]])
+        closing_only = raised(lambda: loop_holonomy(polyline_curve([[0, 1j], [1, 1], [1, 0]], 2001), skew))
+        assert closing_only == (Overflow, "the connection integral is inf: the connection overflows a double", None)
+        singular = (SingularConnection, "connection denominator vanishes at interior sample 1000 "
+                    "(|<psi|O|psi>| = 3.069e-24)", 1000)
+        assert raised(lambda: loop_holonomy(polyline_curve([[0, 1j], [1, -1e-312], [1, 0]], 2001), skew)) == singular
 
     def test_vanishing_norm_of_a_closing_state_is_still_checked(self):
         # psi(0) = (1 + 2e-7) psi(L) under O = -1e8: the closing state is
@@ -730,7 +661,7 @@ class TestHolonomyErrors:
         except (DomainError, InvalidArgument):  # the kept checks: a small tau, or a vanishing norm
             return
         curve = o_null_curve(a, b, obs, tau=tau, M=count)
-        assert np.array_equal(curve.params, segment.x) and curve.coeffs.shape == (count, 2)
+        assert np.array_equal(curve.params, segment.x) and curve.states.shape[0] == count
 
 
 class TestConnectionEvaluatedOncePerCurve:
@@ -757,7 +688,8 @@ class TestConnectionEvaluatedOncePerCurve:
             seen.append(segment.den)
             return original(segment, tol)
 
-        monkeypatch.setattr(curve_module, "_segment_samples", counting)
+        for module in (curve_module, cli_module):  # the null-curve job imports it by name
+            monkeypatch.setattr(module, "_segment_samples", counting)
         return seen
 
     @staticmethod
@@ -785,13 +717,14 @@ class TestConnectionEvaluatedOncePerCurve:
         assert main(["curve", "--curve", str(job), "--identity", "--output", str(out)]) == 0
         assert len(kernel_curves) == 1
 
-    def test_cli_null_curve_job(self, kernel_curves, tmp_path):
+    def test_cli_null_curve_job(self, kernel_curves, closed_form_segments, tmp_path):
         (tmp_path / "a.json").write_text("[1, 0]")
         (tmp_path / "b.json").write_text('[{"re": 0, "im": 0.6}, 0.8]')
         argv = ["null-curve", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
                 "--identity", "--output", str(tmp_path / "report.json")]
         assert main(argv) == 0
-        assert len(kernel_curves) == 1
+        assert len(kernel_curves) == 0
+        assert len(closed_form_segments) == 1
 
     def test_loop_holonomy(self, kernel_curves, closed_form_segments):
         # the open curve runs the kernel, the closing segment its closed form
