@@ -595,6 +595,33 @@ class TestNullCurve:
         reported = json.loads(out)["results"]["connection_integral"]
         assert reported == csv_trapezoid(out_csv)
 
+    @pytest.mark.parametrize("count", [3, 401, 20001])
+    def test_report_matches_the_library_null_curve(self, capsys, tmp_path, count):
+        # the job samples the closed form; the library's o_null_curve holds
+        # the dense states and runs the kernel on them
+        for seed in range(4):
+            rng = rng_for(2300 + seed)
+            dim = int(rng.integers(2, 6))
+            a, b = random_state(rng, dim), random_state(rng, dim)
+            tau = float(rng.uniform(0.5, 2.0))
+            argv = ["null-curve", "--a", write_json(tmp_path / "a.json", cvec(a.components)),
+                    "--b", write_json(tmp_path / "b.json", cvec(b.components)),
+                    "--samples", str(count), "--tau", repr(tau)]
+            for obs in (None, random_positive_definite(rng, dim)):
+                flag = ["--identity"] if obs is None else [
+                    "--observable", write_json(tmp_path / "o.json", cmat(obs.entries))]
+                code, out, _ = invoke(capsys, *argv, *flag)
+                assert code == 0
+                payload = json.loads(out)
+                results, diagnostics = payload["results"], payload["diagnostics"]
+                curve = gg.o_null_curve(a, b, obs, tau=tau, M=count)
+                samples = gg.connection_samples(curve, obs)
+                want = gg.curve_phase(curve, obs, samples=samples)
+                assert gg.wrapped_distance(results["curve_phase"], want.value) <= 1e-12
+                assert results["connection_integral"] == pytest.approx(samples.integral, rel=1e-12, abs=0.0)
+                assert diagnostics["min_link_modulus"] == pytest.approx(want.min_link_modulus, rel=1e-12, abs=0.0)
+                assert diagnostics["extrapolated_samples"] == list(samples.extrapolated)
+
     def test_zero_tau_is_rejected(self, capsys, tmp_path):
         # tau = 0 is not a usable parameter length and must never fall back
         # to the default tau = 1

@@ -1,5 +1,6 @@
 """Discretized curves, the generalized connection, and null-curve holonomy."""
 
+import cmath
 import json
 import math
 import tracemalloc
@@ -50,6 +51,7 @@ from ggphase import cli as cli_module
 from ggphase import curve as curve_module
 from ggphase.cli import main
 from ggphase.curve import _null_segment, _segment_samples
+from ggphase.hilbert import wrap_angle
 
 X = Observable([[0.0, 1.0], [1.0, 0.0]])
 
@@ -419,8 +421,63 @@ class TestONullCurve:
 
 
 class TestNullCurvesStayInTheirSpan:
-    """The holonomies sample each null segment from real (M,) arrays over its
-    span [A; B], never from its (M, dim) states."""
+    """The null curves' states are their documented formulas over the span
+    [A; B]. The holonomies and the null-curve job sample each null segment
+    from real (M,) arrays over that span, never from its (M, dim) states, and
+    get the connection and phase of those dense states."""
+
+    @staticmethod
+    def pairs():
+        for seed in range(12):
+            rng = rng_for(1900 + seed)
+            dim = int(rng.integers(2, 6))
+            a, b = random_state(rng, dim, normalize=True), random_state(rng, dim, normalize=True)
+            for obs in (None, random_positive_definite(rng, dim)):
+                yield a, b, obs, float(rng.uniform(0.5, 2.0))
+
+    @classmethod
+    def assert_closed_form_agrees(cls, a, b, obs, tau, count):
+        curve = o_null_curve(a, b, obs, tau=tau, M=count)
+        segment = _null_segment(a, b, obs, tau, count, DEFAULT_TOLS)
+        np.testing.assert_array_equal(curve.params, segment.x)
+        samples = _segment_samples(segment, DEFAULT_TOLS)
+        cls.assert_samples_agree(samples, connection_samples(curve, obs))
+        # n(0) = A and n(tau) = B, so the null-curve job's endpoint term is theta
+        want = curve_phase(curve, obs)
+        assert wrapped_distance(wrap_angle(segment.theta + samples.integral), want.value) <= 1e-12
+        assert min(segment.modulus, samples.min_modulus) == pytest.approx(want.min_link_modulus, rel=1e-12, abs=0.0)
+        return curve
+
+    @pytest.mark.parametrize("count", [3, 401, 20001])
+    def test_o_null_curve_matches_its_dense_states(self, count):
+        for a, b, obs, tau in self.pairs():
+            curve = self.assert_closed_form_agrees(a, b, obs, tau, count)
+            entries = Observable(np.eye(a.dim)) if obs is None else obs
+            want, _ = null_curve_oracle(a, b, entries, tau, count)
+            # unit endpoints and |1 - f| + |f| = 1 keep every part below 1
+            np.testing.assert_allclose(curve.states, want, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("count", [3, 401, 20001])
+    def test_geodesic_null_curve_matches_its_dense_states(self, count):
+        for a, b, _, tau in self.pairs():
+            tau = min(tau, 3.0)
+            curve = geodesic_null_curve(a, b, tau=tau, M=count)
+            theta = cmath.phase(np.vdot(a.components, b.components))
+            x = np.linspace(0.0, tau, count)
+            want = (np.exp(1j * theta * x / tau) / math.sin(tau))[:, None] * (
+                np.sin(tau - x)[:, None] * a.components
+                + (cmath.exp(-1j * theta) * np.sin(x))[:, None] * b.components
+            )
+            np.testing.assert_allclose(curve.states, want, rtol=0.0, atol=8 * np.finfo(float).eps)
+            # the identity phase vanishes, and the integral is Arg<A|B>, to
+            # the stencil's second order: these pairs reach 7.1 h^2
+            h2 = (tau / (count - 1)) ** 2
+            assert abs(curve_phase(curve, None).value) <= 10 * h2
+            assert abs(connection_samples(curve, None).integral - theta) <= 10 * h2
+
+    def test_orthogonal_endpoints_extrapolate_alike(self):
+        curve = self.assert_closed_form_agrees(StateVector([1.0, 0.0]), StateVector([0.0, 1.0]), X, 1.0, 401)
+        assert connection_samples(curve, X).extrapolated == (0, 400)
 
     @staticmethod
     def assert_samples_agree(got, want):
