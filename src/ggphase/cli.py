@@ -121,7 +121,10 @@ def _grid_model_from_file(path: str, tol: ToleranceConfig) -> GridModel:
             raise InputError(
                 f'{path}.momenta[{i}]: expected an object with keys "label" and "energy"'
             )
-        labels.append(str(entry["label"]))
+        label = entry["label"]
+        if not isinstance(label, str):
+            raise InputError(f"{path}.momenta[{i}].label: expected a string, got {label!r}")
+        labels.append(label)
         energies.append(_io.parse_real(entry["energy"], f"{path}.momenta[{i}].energy"))
     mass = _io.parse_real(data["mass"], f"{path}.mass")
     epsilon = _io.parse_real(data["epsilon"], f"{path}.epsilon")
@@ -225,7 +228,7 @@ def _run_two_level(args: dict, tol: ToleranceConfig):
 def _run_perturb(args: dict, tol: ToleranceConfig):
     h0_path = args["h0"]
     with _naming(h0_path):
-        system = EigenSystem.standard(_io.parse_real_list(_io.load_json_file(h0_path), h0_path))
+        system = EigenSystem(_io.parse_real_list(_io.load_json_file(h0_path), h0_path))
     potential = _observable_from_file(args["v"], tol)
     n = args["level"]
     shift = energy_shift(system, potential, n, args["coupling"])

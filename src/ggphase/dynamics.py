@@ -26,6 +26,7 @@ from .hilbert import (
     integer,
     orthonormality_defect,
     principal_arg,
+    product_arg,
     wrap_angle,
 )
 
@@ -131,7 +132,9 @@ def projective_cycle_amplitude(
     For small epsilon each off-diagonal factor is -i*epsilon*<.|H|.> to
     leading order, so extracted_phase = wrap(Arg(amplitude) + 3*pi/2) tends
     to limit_phase = Arg(<b0|H|b2><b2|H|b1><b1|H|b0>) linearly in epsilon.
-    Both products take their links from the chain b0 -> b2 -> b1.
+    Both take their links from the chain b0 -> b2 -> b1, and limit_phase is
+    its chain phase, the wrapped sum of the H links' Args: it exists where
+    their product leaves the doubles.
 
     Raises
     ------
@@ -141,8 +144,7 @@ def projective_cycle_amplitude(
         If any of the three H links vanishes; the limit phase then does not
         exist.
     Overflow
-        If the spectrum of epsilon H, or the product of the H links,
-        exceeds a double.
+        If the spectrum of epsilon H exceeds a double.
     """
     if len(basis) != 3:
         raise InvalidArgument(f"cycle needs exactly 3 basis states, got {len(basis)}")
@@ -169,12 +171,7 @@ def projective_cycle_amplitude(
     )
     amplitude = complex(u_links[0] * u_links[1] * u_links[2])
     extracted = wrap_angle(principal_arg(amplitude) + 1.5 * math.pi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_product = complex(h_links[0] * h_links[1] * h_links[2])
-    if not cmath.isfinite(h_product):
-        raise Overflow("the product of the three H links overflows a double")
-    limit = principal_arg(h_product)
-    return CycleResult(amplitude, extracted, epsilon, limit)
+    return CycleResult(amplitude, extracted, epsilon, product_arg(h_links))
 
 
 def two_level_phase(

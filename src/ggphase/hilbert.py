@@ -129,6 +129,14 @@ def principal_arg(z: complex) -> float:
     return wrap_angle(math.atan2(z.imag, z.real))  # cmath.phase raises when the Arg underflows
 
 
+def product_arg(amps: np.ndarray) -> float:
+    """Arg of the product of a complex array's entries, in (-pi, pi], without
+    forming the product, which may leave the doubles: the wrapped math.fsum
+    of each entry's Arg by math.atan2, as principal_arg takes it (np.angle's
+    SIMD arctan2 moves the last bit with the CPU's dispatch target)."""
+    return wrap_angle(math.fsum(map(math.atan2, amps.imag.tolist(), amps.real.tolist())))
+
+
 class StateVector:
     """A finite-dimensional complex ray representative.
 

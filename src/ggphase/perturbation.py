@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .hilbert import (
     finite_array,
     finite_number,
     integer,
-    orthonormality_defect,
 )
 
 __all__ = [
@@ -44,32 +42,26 @@ _GAP_TOL = 1e-8
 
 
 class EigenSystem:
-    """A nondegenerate reference spectrum with its orthonormal eigenbasis.
+    """A nondegenerate reference spectrum: level k lives on the k-th
+    coordinate axis, so V is given in the eigenbasis of H0.
 
     Parameters
     ----------
     energies : sequence of float
         Strictly ascending level energies.
-    basis : sequence of StateVector, or None
-        One orthonormal eigenvector per energy, in the same order. None is
-        the standard basis: level k lives on the k-th coordinate axis.
 
-    A level spacing at or below 1e-8 raises DegenerateSpectrum.
+    A level spacing at or below 1e-8 raises DegenerateSpectrum. A problem
+    posed in another orthonormal eigenbasis, level k on the k-th column of a
+    unitary B, is this one with V replaced by the symmetrised B^H V B, and
+    its perturbed state maps back as B @ state.components.
     """
 
-    __slots__ = ("_energies", "_basis")
+    __slots__ = ("_energies",)
 
-    def __init__(
-        self,
-        energies,
-        basis: Sequence[StateVector] | None,
-        tol: ToleranceConfig = DEFAULT_TOLS,
-    ):
+    def __init__(self, energies):
         e = finite_array(energies, 1, "energies", np.float64)
         if e.shape[0] < 2:
             raise InvalidArgument(f"need at least 2 levels, got shape {e.shape}")
-        if basis is not None and len(basis) != e.shape[0]:
-            raise InvalidArgument(f"{len(basis)} basis states for {e.shape[0]} energies")
         with np.errstate(over="ignore"):  # a gap past the doubles is inf, and large enough
             gaps = np.diff(e)
         if np.any(gaps <= 0.0):
@@ -79,41 +71,18 @@ class EigenSystem:
             raise DegenerateSpectrum(
                 f"levels {k} and {k + 1} are separated by {gaps.min():.3e} <= {_GAP_TOL:g}"
             )
-        if basis is not None:
-            basis = np.stack([b.components for b in basis])
-            gram_defect = orthonormality_defect(basis)
-            if gram_defect > tol.tol_herm:
-                raise InvalidArgument(
-                    f"basis is not orthonormal: max |<b_a|b_b> - delta_ab| = {gram_defect:.3e}"
-                )
-            basis.setflags(write=False)
         self._energies = e
-        self._basis = basis
-
-    @classmethod
-    def standard(cls, energies) -> "EigenSystem":
-        """Diagonal reference: level k lives on the k-th coordinate axis."""
-        return cls(energies, None)
 
     @property
     def energies(self) -> np.ndarray:
         return self._energies
 
     @property
-    def basis_matrix(self) -> np.ndarray:
-        """Basis states stacked as rows, shape (levels, dim)."""
-        return np.eye(self.level_count, dtype=np.complex128) if self._basis is None else self._basis
-
-    @property
     def level_count(self) -> int:
         return self._energies.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.level_count if self._basis is None else self._basis.shape[1]
-
     def __repr__(self) -> str:
-        return f"EigenSystem(levels={self.level_count}, dim={self.dim})"
+        return f"EigenSystem(levels={self.level_count})"
 
 
 @dataclass(frozen=True)
@@ -190,22 +159,18 @@ def _closed_triples(first, middle, last, den, labels, tol: ToleranceConfig) -> P
 def _level_projection(
     sys: EigenSystem, V: Observable, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V in the eigenbasis, the levels k != n (ascending) and the gaps E_n - E_k.
+    """V symmetrized as W, the levels k != n (ascending) and the gaps E_n - E_k.
 
-    The projected V is symmetrized so W[l,k] == conj(W[k,l]) exactly, which
-    makes the double sums below real to the last bit instead of merely
-    within the hermiticity tolerance of the input.
+    W[l,k] == conj(W[k,l]) exactly makes the double sums below real to the
+    last bit, not merely within the hermiticity tolerance of the input.
     """
     if not 0 <= integer("level", n) < sys.level_count:
         raise InvalidArgument(f"level {n} out of range for {sys.level_count} levels")
-    if V.dim != sys.dim:
-        raise InvalidArgument(f"V dim {V.dim} does not match system dim {sys.dim}")
-    b = sys._basis
+    if V.dim != sys.level_count:
+        raise InvalidArgument(f"V dim {V.dim} does not match {sys.level_count} levels")
     others = np.delete(np.arange(sys.level_count), n)
+    m = V.entries + 0.0  # each -0.0 part read as +0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan reaches the report emitter
-        # the standard basis (None) takes V as it is, each -0.0 part read as
-        # +0.0, where the basis change's sums of zero products gave either sign
-        m = V.entries + 0.0 if b is None else b.conj() @ V.entries @ b.T
         return 0.5 * (m + m.conj().T), others, sys.energies[n] - sys.energies[others]
 
 
@@ -271,7 +236,7 @@ def perturbed_state(
             w[np.ix_(others, others)] * col[None, :] / np.multiply.outer(gaps, gaps)
         ).sum(axis=1) - w[n, n] * col / gaps**2
         coeff = coupling * first + coupling * (coupling * second)  # a zero term stays 0 where c^2 is inf
-        vec = sys.basis_matrix[n] + coeff @ sys.basis_matrix[others]
+    vec = np.insert(coeff, n, 1.0)  # e_n + sum_k coeff_k e_k
     if not np.isfinite(vec.view(np.float64)).all():
         raise Overflow(f"the level-{n} state at coupling {coupling} is not a finite double")
     return StateVector(vec)

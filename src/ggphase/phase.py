@@ -25,6 +25,7 @@ from .hilbert import (
     ToleranceConfig,
     observable_entries,
     principal_arg,
+    product_arg,
     relative_phase,
     weak_value,
     wrap_angle,
@@ -100,10 +101,7 @@ def generalized_phase_chain(
             f"|amplitude| = {moduli[l]:.3e} <= tol_zero",
             link_index=l,
         )
-    # each Arg by math.atan2, as principal_arg takes it: np.angle's SIMD
-    # arctan2 moves the last bit with the CPU's dispatch target
-    value = wrap_angle(math.fsum(map(math.atan2, amps.imag.tolist(), amps.real.tolist())))
-    return PhaseResult(value, min_modulus, len(states))
+    return PhaseResult(product_arg(amps), min_modulus, len(states))
 
 
 def bargmann_density_phase(

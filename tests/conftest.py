@@ -270,8 +270,7 @@ def _triple_row(k, l, triple, den, tol_zero):
 def third_order_rows_oracle(system, V: Observable, n: int, tol_zero: float) -> list[tuple]:
     """Rows (k, l, modulus, gamma_v, denominator) of the third-order table,
     one closed triple V_nk V_kl V_ln at a time in a Python double loop."""
-    b = np.asarray(system.basis_matrix)
-    m = b.conj() @ np.asarray(V.entries) @ b.T
+    m = np.asarray(V.entries)
     w = 0.5 * (m + m.conj().T)
     e = system.energies
     others = [k for k in range(system.level_count) if k != n]
@@ -516,7 +515,7 @@ def exact_survival(H0: Observable, V: Observable, i: int, t: float) -> complex:
 def seeded_problem(seed: int, dim: int, spread: float = 1.0):
     rng = rng_for(seed)
     energies = np.cumsum(rng.uniform(0.5, 1.5, size=dim)) * spread
-    return EigenSystem.standard(energies), random_hermitian(rng, dim)
+    return EigenSystem(energies), random_hermitian(rng, dim)
 
 
 def exact_shift(sys: EigenSystem, v: Observable, n: int, coupling: float) -> float:

@@ -768,6 +768,15 @@ class TestCycle:
             slopes.append(json.loads(out)["diagnostics"]["limit_gap"] / eps)
         assert max(slopes) <= 1.01 * min(slopes)
 
+    def test_h_links_past_the_doubles_in_product(self, capsys, tmp_path):
+        # each H link is about 1e110: their product leaves the doubles, the
+        # limit phase does not
+        m = 1e110 * np.array([[0.5, 1 + 1j, 2], [1 - 1j, -0.5, 1.5j], [2, -1.5j, 0]])
+        h = write_json(tmp_path / "h.json", cmat(m))
+        code, out, _ = invoke(capsys, "cycle", "--h", h, "--epsilon", "0.01")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["limit_phase"] == -2.356194490192345
+
     def test_two_dim_h_needs_explicit_basis(self, capsys, tmp_path, x_file):
         code, _, err = invoke(capsys, "cycle", "--h", x_file, "--epsilon", "0.01")
         assert code == 1
@@ -785,7 +794,7 @@ class TestPerturb:
             capsys, "perturb", "--h0", h0, "--v", v, "--level", "0", "--lambda", "0.1"
         )
         assert code == 0
-        system = gg.EigenSystem.standard([0.0, 1.1, 2.3])
+        system = gg.EigenSystem([0.0, 1.1, 2.3])
         shift = gg.energy_shift(system, gg.Observable(v_mat), 0, 0.1)
         table = gg.third_order_phase_terms(system, gg.Observable(v_mat), 0)
         report = json.loads(out)
@@ -936,6 +945,18 @@ class TestScatter:
         assert code == 1
         assert out == ""
         assert f"{grid_file}.{where}: expected a real number" in err
+
+    @pytest.mark.parametrize("label", [None, [1]], ids=["null", "array"])
+    def test_grid_label_must_be_a_string(self, capsys, grid_file, label):
+        # str() would make null the label "None" and [1] the label "[1]"
+        model = json.loads(pathlib.Path(grid_file).read_text())
+        model["momenta"][0]["label"] = label
+        pathlib.Path(grid_file).write_text(json.dumps(model))
+        code, out, err = invoke(
+            capsys, "scatter", "grid", "--model", grid_file, "--incoming", str(label)
+        )
+        assert (code, out) == (1, "")
+        assert f"{grid_file}.momenta[0].label: expected a string" in err
 
     def test_grid_unknown_incoming(self, capsys, grid_file):
         code, _, err = invoke(

@@ -53,7 +53,7 @@ from ggphase import (
 H = Observable(np.diag([1.0, 2.0, 4.0]))
 V = Observable([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]])
 E = [StateVector.basis_vector(3, k) for k in range(3)]
-SYSTEM = EigenSystem.standard([1.0, 2.0, 4.0])
+SYSTEM = EigenSystem([1.0, 2.0, 4.0])
 CURVE = ParamCurve([0.0, 1.0, 2.0], [[1.0, 0.0], [1.0, 0.1], [1.0, 0.2]])
 A, B = StateVector([1.0, 0.0]), StateVector([0.6, 0.8])
 MODEL = SeparableModel(-0.1, 1.0, 1.0)
@@ -72,8 +72,7 @@ ENTRY_POINTS = {
         H, [StateVector([x, 0.0, 0.0]), E[1], E[2]], 0.1),
     "f_mn": lambda x: f_mn(x, 2.0, 3.0, 1.0),
     "survival_amplitude": lambda x: survival_amplitude(H, V, 0, x),
-    "EigenSystem.energies": lambda x: EigenSystem([1.0, 2.0, x], None),
-    "EigenSystem.basis": lambda x: EigenSystem([1.0, 2.0], [StateVector([x, 0.0]), StateVector([0.0, 1.0])]),
+    "EigenSystem.energies": lambda x: EigenSystem([1.0, 2.0, x]),
     "energy_shift": lambda x: energy_shift(SYSTEM, V, 0, x),
     "perturbed_state": lambda x: perturbed_state(SYSTEM, V, 0, x),
     "GridModel.energies": lambda x: GridModel(["a", "b", "c"], [1.0, 2.0, x], 1.0, V),
@@ -206,7 +205,7 @@ REAL_ARRAY_ENTRY_POINTS = {
     "ParamCurve.params": lambda z: ParamCurve(z, [[1.0, 0.0]] * 3),
     "gauge_transform": lambda z: gauge_transform(CURVE, z),
     "reparametrize": lambda z: reparametrize(CURVE, z),
-    "EigenSystem.energies": lambda z: EigenSystem(z, None),
+    "EigenSystem.energies": lambda z: EigenSystem(z),
     "GridModel.energies": lambda z: GridModel(["a", "b", "c"], z, 1.0, V),
 }
 

@@ -175,7 +175,15 @@ class TestProjectiveCycle:
         basis = [StateVector(col) for col in q.T]
         res = projective_cycle_amplitude(h, basis, 1e-3)
         chain = generalized_phase_chain([basis[0], basis[2], basis[1]], h).value
-        assert wrapped_distance(res.limit_phase, chain) <= 1e-15
+        assert res.limit_phase == chain
+
+    def test_limit_phase_exists_where_the_link_product_overflows(self):
+        # each H link is about 1e110, so their product is past the doubles
+        h = Observable(1e110 * np.array([[0.5, 1 + 1j, 2], [1 - 1j, -0.5, 1.5j], [2, -1.5j, 0]]))
+        axes = self.axes(3)
+        res = projective_cycle_amplitude(h, axes, 1e-2)
+        assert res.limit_phase == generalized_phase_chain([axes[0], axes[2], axes[1]], h).value
+        assert res.limit_phase == -2.356194490192345
 
     @pytest.mark.parametrize(("zero", "named"), [
         ((0, 2), "<b0|H|b2>"), ((2, 1), "<b2|H|b1>"), ((1, 0), "<b1|H|b0>"),
