@@ -17,6 +17,7 @@ from conftest import (
 from ggphase import (
     DegenerateSpectrum,
     EigenSystem,
+    InvalidArgument,
     Observable,
     PhaseTermTable,
     ToleranceConfig,
@@ -38,6 +39,16 @@ def zeroed_problem(seed: int, dim: int):
     for a, b in rng.integers(0, dim, size=(dim, 2)):
         w[a, b] = w[b, a] = 0.0
     return sys, Observable(w)
+
+
+def rotated_problem(seed: int, dim: int):
+    """A seeded problem posed in a random unitary eigenbasis B (level k on
+    B's k-th column), brought to the axes by the recipe V -> B^H V B."""
+    rng = rng_for(seed)
+    b = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    energies = np.cumsum(rng.uniform(0.5, 1.5, size=dim))
+    v = random_hermitian(rng, dim)
+    return EigenSystem(energies), Observable(b.conj().T @ v.entries @ b)
 
 
 def perturbed_state_oracle(sys: EigenSystem, v: Observable, n: int, coupling: float) -> np.ndarray:
@@ -72,6 +83,32 @@ class TestEigenSystem:
     def test_rejects_near_degenerate(self):
         with pytest.raises(DegenerateSpectrum):
             EigenSystem([0.0, 1e-9])
+
+    @pytest.mark.parametrize("seed", [120, 121, 122])
+    def test_standard_basis_skips_the_basis_change_bit_for_bit(self, seed):
+        # the system takes V's entries directly; the recipe's dense basis
+        # change B^H V B with B the identity gives the same bits
+        system, v = seeded_problem(seed, 24)
+        b = np.eye(24, dtype=np.complex128)
+        changed = Observable(b.conj().T @ v.entries @ b)
+        for n in (0, 11, 23):
+            assert energy_shift(system, v, n, 0.1) == energy_shift(system, changed, n, 0.1)
+            got, want = (third_order_phase_terms(system, w, n) for w in (v, changed))
+            for column in ("k", "l", "modulus", "gamma_v", "denominator"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+            assert (perturbed_state(system, v, n, 0.1).components.tobytes()
+                    == perturbed_state(system, changed, n, 0.1).components.tobytes())
+
+    @pytest.mark.parametrize(
+        "call",
+        [energy_shift, perturbed_state, lambda s, v, n, c: third_order_phase_terms(s, v, n)],
+        ids=["energy_shift", "perturbed_state", "third_order_phase_terms"],
+    )
+    def test_v_of_another_dimension_is_refused(self, call):
+        system = EigenSystem([0.0, 1.0, 2.5])
+        for dim in (2, 4):
+            with pytest.raises(InvalidArgument, match=f"V dim {dim} does not match 3 levels"):
+                call(system, random_hermitian(rng_for(123), dim), 0, 0.1)
 
     def test_zero_diagonal_element_is_positive_zero(self):
         # V's -0.0 parts are read as +0.0, so order1 of a level whose V_nn is
@@ -129,6 +166,21 @@ class TestEnergyShift:
             0.2 * s.order1 + 0.04 * s.order2 + 0.008 * s.order3, abs=1e-15
         )
 
+    def test_basis_rotation_leaves_shift(self):
+        # the series depends on V only through its projection onto the
+        # eigenbasis: rotating both H0 and V by a unitary q puts level k on
+        # q's k-th column, and the recipe q^H (q V q^H) q must leave every order
+        rng = rng_for(116)
+        q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        system = EigenSystem([0.0, 1.3, 2.9])
+        v = random_hermitian(rng, 3)
+        v_rot = q @ v.entries @ q.conj().T
+        a = energy_shift(system, v, 1, 0.1)
+        b = energy_shift(system, Observable(q.conj().T @ v_rot @ q), 1, 0.1)
+        assert b.order1 == pytest.approx(a.order1, abs=1e-12)
+        assert b.order2 == pytest.approx(a.order2, abs=1e-12)
+        assert b.order3 == pytest.approx(a.order3, abs=1e-12)
+
     @pytest.mark.parametrize("s", [1e3, 1e4, 1e6])
     def test_third_order_scales_as_the_cube(self, s):
         # The reality check on the third-order double sum is relative to
@@ -164,7 +216,9 @@ class TestPerturbedState:
         overlap = state.components[1]
         assert overlap == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
-    @pytest.mark.parametrize("make,seed,dim,n", [(seeded_problem, 125, 9, 4)])
+    @pytest.mark.parametrize(
+        "make,seed,dim,n", [(seeded_problem, 125, 9, 4), (rotated_problem, 126, 7, 0)]
+    )
     def test_matches_loop_oracle(self, make, seed, dim, n):
         sys, v = make(seed, dim)
         for coupling in (0.3, -1.7):
@@ -280,6 +334,7 @@ class TestPhaseTermTable:
             (seeded_problem, 128, 12, 5, 1e-12),
             (zeroed_problem, 129, 10, 0, 1e-12),
             (zeroed_problem, 130, 11, 7, 0.05),
+            (rotated_problem, 131, 8, 3, 1e-12),
         ],
     )
     def test_matches_loop_oracle(self, make, seed, dim, n, tol_zero):
