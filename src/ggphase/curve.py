@@ -176,10 +176,8 @@ def connection_samples(
     Overflow
         If the integral is not finite.
     """
-    num, den = _kernels.connection_terms(curve.params, curve.states, observable_entries(O, curve.dim))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _sample_connection
-        values = np.divide(num, den).imag
-    return _sample_connection(curve.params, values, np.abs(den), tol)
+    terms = _kernels.connection_terms(curve.params, curve.states, observable_entries(O, curve.dim))
+    return _sample_connection(curve.params, *terms, tol)
 
 
 def _sample_connection(
@@ -454,9 +452,8 @@ def _segment_samples(segment: _NullSegment, tol: ToleranceConfig) -> ConnectionS
     r_l^T Re(P) r_{l+1}, and the backward link is its conjugate. The form
     is taken between the two samples: forming it from den_l + den_{l+1}
     cancels where den spans many orders of magnitude. Each link is divided
-    by its own row's den before the stencil, so no stencil term passes the
-    doubles where the connection is a double. The denominators are real, so
-    the stencil of these quotients, without its b den term, is Im(num / den).
+    by its own row's den and fed to the kernel's one stencil, as a curve's
+    link sandwiches are.
     """
     den, frac = segment.den, segment.frac
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _sample_connection
@@ -465,7 +462,7 @@ def _segment_samples(segment: _NullSegment, tol: ToleranceConfig) -> ConnectionS
         rest = 1.0 - frac
         ends = (rest[:-1] * rest[1:], 0.5 * (rest[:-1] * frac[1:] + frac[:-1] * rest[1:]), frac[:-1] * frac[1:])
         links = segment.skew * np.cos(phase) * df - np.sin(phase) * _quadratic(segment.form, ends)
-        values = _kernels.stencil(_kernels.stencil_weights(segment.x), -links / den[1:], None, links / den[:-1])
+        values = _kernels.stencil(segment.x, -links / den[1:], links / den[:-1])
     return _sample_connection(segment.x, values, np.abs(den), tol)
 
 

@@ -338,11 +338,6 @@ def f_mn(w1: float, w2: float, w3: float, t: float) -> complex:
     return complex(_ordered_exponential_integral([[w1, w2, w3]], t)[0])
 
 
-def _fsum_complex(terms: np.ndarray) -> complex:
-    """Correctly rounded sum of complex terms, real and imaginary parts apart."""
-    return complex(_kernels.fsum(terms.real.ravel()), _kernels.fsum(terms.imag.ravel()))
-
-
 def _third_order_integrals(energies: np.ndarray, i: int, f2: np.ndarray, t: float) -> np.ndarray:
     """f_mn(w_im, w_mn, w_ni, t) of every level pair (m, n) from the
     second-order values f2[m], whose nodes {0, x_m, 0}, x_m = i t w_im, lack
@@ -414,11 +409,11 @@ def survival_amplitude(
             amp += -1j * t * v[i, i]
         if order >= 2:
             f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), t)
-            amp -= _fsum_complex(_complex_product(_complex_product(v[i, :], v[:, i]), f2))
+            amp -= _kernels.fsum_complex(_complex_product(_complex_product(v[i, :], v[:, i]), f2))
         if order >= 3:
             f3 = _third_order_integrals(energies, i, f2, t)
             terms = _complex_product(_complex_product(v[i, :, None], v), v[None, :, i])
-            amp += 1j * _fsum_complex(_complex_product(terms, f3))
+            amp += 1j * _kernels.fsum_complex(_complex_product(terms, f3))
     if not cmath.isfinite(amp):
         raise Overflow(f"survival amplitude leaves the doubles at t = {t}")
     return amp

@@ -125,8 +125,7 @@ class PhaseTermTable:
 
     def reconstruct(self) -> complex:
         """Sum of modulus * exp(i gamma_v) / denominator over all rows."""
-        terms = self.modulus * np.exp(1j * self.gamma_v) / self.denominator
-        return complex(_kernels.fsum(terms.real), _kernels.fsum(terms.imag))
+        return _kernels.fsum_complex(self.modulus * np.exp(1j * self.gamma_v) / self.denominator)
 
 
 def _wrap_angles(a: np.ndarray) -> np.ndarray:

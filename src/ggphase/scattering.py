@@ -58,7 +58,10 @@ class GridModel:
     __slots__ = ("_labels", "_energies", "_mass", "_v", "_epsilon")
 
     def __init__(self, labels, energies, mass: float, V: Observable, greens_epsilon: float = 1e-6):
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(labels)
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise InvalidArgument(f"momentum label {i} must be a str, got {label!r}")
         if len(set(labels)) != len(labels):
             raise InvalidArgument("momentum labels must be distinct")
         e = finite_array(energies, 1, "energies", np.float64)

@@ -531,6 +531,19 @@ class TestCurve:
         reported = json.loads(out)["diagnostics"]["connection_integral"]
         assert reported == csv_trapezoid(out_csv)
 
+    def test_links_past_the_doubles_keep_the_phase(self, capsys, tmp_path):
+        # at 1e306 the stencil terms a <psi_l|O|psi_{l-1}> and
+        # c <psi_l|O|psi_{l+1}> pass the doubles, but each link over its own
+        # row's <psi|O|psi> does not
+        s = np.linspace(0.0, 1.0, 2001)
+        states = np.stack([np.ones_like(s), 0.3 * np.exp(2j * s), 0.2 * s * np.exp(-1j * s)], axis=1)
+        curve = write_json(tmp_path / "curve.json", {"params": s.tolist(), "states": [cvec(r) for r in states]})
+        obs = write_json(tmp_path / "o.json", (1e306 * np.diag([1.0, -1.0, 1.0])).tolist())
+        code, out, _ = invoke(capsys, "curve", "--curve", curve, "--observable", obs)
+        assert code == 0
+        want = gg.curve_phase(gg.ParamCurve(s, states), gg.Observable(np.diag([1.0, -1.0, 1.0])))
+        assert json.loads(out)["results"]["value"] == pytest.approx(want.value, rel=1e-12)
+
     def test_bad_curve_file_shape(self, capsys, tmp_path, x_file):
         curve = write_json(tmp_path / "curve.json", {"params": [0, 1]})
         code, _, err = invoke(capsys, "curve", "--curve", curve, "--observable", x_file)
@@ -718,9 +731,9 @@ class TestNullCurve:
         assert json.loads(out)["error"]["type"] == "UndefinedPhase"
 
     def test_connection_past_the_stencil_terms_is_a_double(self, capsys, tmp_path):
-        # at 1e306 the kernel's stencil terms a <n_l|O|n_{l-1}> and
-        # c <n_l|O|n_{l+1}> pass the doubles and meet as inf - inf; theta = 0,
-        # and the segment's own links make its connection 0.0
+        # at 1e306 the stencil terms a <n_l|O|n_{l-1}> and c <n_l|O|n_{l+1}>
+        # pass the doubles, but each link over its own row's <n|O|n> does
+        # not; theta = 0, and the segment's own links make its connection 0.0
         a = write_json(tmp_path / "a.json", [1, 0, 0.1])
         b = write_json(tmp_path / "b.json", [1, 0.1, 0])
         obs = write_json(tmp_path / "o.json", (1e306 * np.diag([1.0, -1.0, 1.0])).tolist())

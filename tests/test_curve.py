@@ -158,6 +158,19 @@ class TestConnectionSamples:
         assert samples.extrapolated == (0, 100)
         assert samples.min_modulus == pytest.approx(2 * 0.01 * 0.99, rel=1e-12)
 
+    def test_links_past_the_doubles_keep_the_connection(self):
+        # a_l <psi_l|O|psi_{l-1}>, with a_l = -1000 here, passes the doubles
+        # from 2^1015 O on this curve; each link over its own row's
+        # <psi|O|psi> stays a double, and a power of 2 scales both exactly
+        s = np.linspace(0.0, 1.0, 2001)
+        states = np.stack([np.ones_like(s), 0.3 * np.exp(2j * s), 0.2 * s * np.exp(-1j * s)], axis=1)
+        curve, obs = ParamCurve(s, states), np.diag([1.0, -1.0, 1.0])
+        want = connection_samples(curve, Observable(obs))
+        got = connection_samples(curve, Observable(2.0**1016 * obs))
+        assert want.integral == pytest.approx(-0.2092553956735928, rel=1e-12)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.integral, got.min_modulus) == (want.integral, 2.0**1016 * want.min_modulus)
+
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_integral_is_invariant_under_huge_and_tiny_parameter_scales(self, scale):
         s, theta, phi = smooth_two_level_path(rng_for(68), 201, x_safe=True)
@@ -655,14 +668,13 @@ class TestHolonomyErrors:
         assert error == (SingularConnection, "<n|O|n> vanishes at interior sample 5 of the null interpolation", 5)
 
     def test_open_connection_comes_before_the_closing_connection(self):
-        # at 1e306 the open curve's stencil terms pass the doubles, so its own
-        # connection raises Overflow, while the closing segment's closed form
-        # gives 0.0; an open curve singular at its interior sample 1000
-        # raises that first
+        # at 1e306 the stencil terms a <psi_l|O|psi_{l-1}> and
+        # c <psi_l|O|psi_{l+1}> pass the doubles, but each link over its own
+        # row's <psi|O|psi> does not, so the loop is the open curve's phase;
+        # an open curve singular at its interior sample 1000 raises that first
         big = Observable(1e306 * np.diag([1.0, -1.0, 1.0]))
-        open_only = raised(lambda: loop_holonomy(
-            polyline_curve([[1, 0.1, 0], [1, 0.05, 0.05], [1, 0, 0.1]], 2001), big))
-        assert open_only == (Overflow, "the connection integral is nan: the connection overflows a double", None)
+        curve = polyline_curve([[1, 0.1, 0], [1, 0.05, 0.05], [1, 0, 0.1]], 2001)
+        assert loop_holonomy(curve, big).value == curve_phase(curve, big).value
         singular = (SingularConnection, "connection denominator vanishes at interior sample 1000 "
                     "(|<psi|O|psi>| = 0.000e+00)", 1000)
         assert raised(lambda: loop_holonomy(polyline_curve([[1, 0.1, 0], [1, 1, 0], [1, 0, 0.1]], 2001), big)) == singular
@@ -671,8 +683,7 @@ class TestHolonomyErrors:
         # 9.5e307: the sum of two neighbouring values passes the doubles, but
         # each link is taken over its own row's <n|O|n>, so the loop is the
         # open curve's phase. The closing samples are about -sin(pi df) / df,
-        # 1.3e-6 from -pi at df = 1/2000. Over parameters spanning 2e4 the
-        # open curve's stencil terms stay doubles.
+        # 1.3e-6 from -pi at df = 1/2000.
         x = math.sqrt(95.0)
         a, b = [-0.9 * x, 0, math.sqrt(0.19) * x], [x, 0, 0]
         curve = reparametrize(polyline_curve([b, [0.2 * x, 0, 0.99 * x], a], 2001), np.linspace(0.0, 2e4, 2001))

@@ -44,44 +44,49 @@ class TestChainLinkAmplitudes:
         np.testing.assert_allclose(strided, direct, rtol=1e-13)
 
 
+def explicit_connection(psi, obs, dpsi) -> float:
+    """Im(<psi|O|d psi> / <psi|O|psi>) from an explicit derivative."""
+    return ((psi.conj() @ obs @ dpsi) / (psi.conj() @ obs @ psi)).imag
+
+
 class TestConnectionTerms:
     def test_uniform_grid_stencils(self):
         # One interior index checked against the explicit second-order
         # central difference, plus both one-sided endpoint stencils.
         params = np.linspace(0.0, 1.0, 11)
         states, obs = random_stack(17, 11, 3)
-        num, den = connection_terms(params, states, obs)
+        values, moduli = connection_terms(params, states, obs)
         h = 0.1
         d_mid = (states[6] - states[4]) / (2 * h)
         d_first = (states[1] - states[0]) / h
         d_last = (states[10] - states[9]) / h
-        assert num[5] == pytest.approx(states[5].conj() @ obs @ d_mid, rel=1e-12)
-        assert num[0] == pytest.approx(states[0].conj() @ obs @ d_first, rel=1e-12)
-        assert num[10] == pytest.approx(states[10].conj() @ obs @ d_last, rel=1e-12)
-        assert den[5] == pytest.approx(states[5].conj() @ obs @ states[5], rel=1e-12)
+        assert values[5] == pytest.approx(explicit_connection(states[5], obs, d_mid), rel=1e-12)
+        assert values[0] == pytest.approx(explicit_connection(states[0], obs, d_first), rel=1e-12)
+        assert values[10] == pytest.approx(explicit_connection(states[10], obs, d_last), rel=1e-12)
+        assert moduli[5] == pytest.approx(abs(states[5].conj() @ obs @ states[5]), rel=1e-12)
 
     def test_nonuniform_interior_stencil(self):
         params = np.array([0.0, 0.3, 1.0, 1.2])
         states, obs = random_stack(18, 4, 2)
-        num, _ = connection_terms(params, states, obs)
+        values, _ = connection_terms(params, states, obs)
         hm, hp = 0.3, 0.7
         d1 = (
             hm * hm * states[2]
             + (hp * hp - hm * hm) * states[1]
             - hp * hp * states[0]
         ) / (hp * hm * (hp + hm))
-        assert num[1] == pytest.approx(states[1].conj() @ obs @ d1, rel=1e-12)
+        assert values[1] == pytest.approx(explicit_connection(states[1], obs, d1), rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_steps_far_from_one_scale_the_numerators(self, scale):
         # A product of two steps would overflow (or underflow) here; the
-        # weights divide in sequence, so the numerators scale as 1 / scale.
+        # weights divide in sequence, so the values scale as 1 / scale.
         params = np.array([0.0, 0.3, 1.0, 1.2, 2.0])
         states, obs = random_stack(19, 5, 3)
-        num, den = connection_terms(params, states, obs)
-        scaled_num, scaled_den = connection_terms(params * scale, states, obs)
-        assert np.array_equal(scaled_den, den)
-        np.testing.assert_allclose(scaled_num * scale, num, rtol=1e-14)
+        values, moduli = connection_terms(params, states, obs)
+        scaled_values, scaled_moduli = connection_terms(params * scale, states, obs)
+        assert np.array_equal(scaled_moduli, moduli)
+        np.testing.assert_allclose(scaled_values * scale, values, rtol=1e-14)
 
 
 def random_grid(rng, count: int, uniform: bool) -> np.ndarray:
@@ -105,9 +110,10 @@ GRIDS = [
 
 
 class TestConnectionTermsAgainstGradient:
-    """The link-sandwich numerators against <psi|O| applied to numpy's own
-    derivative array. Both round differently by a few ulps of the largest
-    term, which is of order |psi|^2 |O| dim / (smallest step)."""
+    """The link-sandwich connection against <psi|O| applied to numpy's own
+    derivative array. The numerators round differently by a few ulps of the
+    largest term, which is of order |psi|^2 |O| dim / (smallest step), so
+    the values differ by that over each row's |<psi|O|psi>|."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(("label", "count", "dim", "uniform"), GRIDS, ids=[g[0] for g in GRIDS])
@@ -116,23 +122,26 @@ class TestConnectionTermsAgainstGradient:
         params = random_grid(rng, count, uniform)
         states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
         obs = random_hermitian(rng, dim).entries
-        num, den = connection_terms(params, states, obs)
+        values, moduli = connection_terms(params, states, obs)
         want_num, want_den = connection_terms_gradient_oracle(params, states, obs)
-        assert np.array_equal(den, want_den)
+        assert np.array_equal(moduli, np.abs(want_den))
         scale = np.max(np.abs(states)) ** 2 * np.max(np.abs(obs)) * dim / np.min(np.diff(params))
-        assert np.max(np.abs(num - want_num)) <= 1e-14 * scale
+        assert np.max(np.abs(values - (want_num / want_den).imag) * np.abs(want_den)) <= 1e-14 * scale
 
     def test_endpoint_stencils_are_first_order(self):
-        # A quadratic path: the one-sided end stencils miss its curvature by
-        # exactly h * psi'' / 2, which a second-order end stencil would not.
+        # The quadratic path psi = (1 + i s^2, 0), whose connection is
+        # Im(conj(psi) psi') / |psi|^2 = 2 s / (1 + s^4): the one-sided end
+        # stencils miss its curvature by exactly h psi'' / 2, which a
+        # second-order end stencil would not. A real path has zero connection.
         params = np.array([0.0, 0.5, 2.0, 2.25])
-        states = np.array([[1.0 + s * s, 0.0] for s in params], dtype=complex)
-        num, den = connection_terms(params, states, np.eye(2, dtype=complex))
-        assert num[0] == pytest.approx(states[0, 0] * (0.25 - 0.0) / 0.5, rel=1e-14)
-        assert num[-1] == pytest.approx(states[-1, 0] * (2.25**2 - 4.0) / 0.25, rel=1e-14)
-        # the interior stencil is exact on a quadratic: psi' = 2 s
-        assert num[1] == pytest.approx(states[1, 0] * 1.0, rel=1e-14)
-        assert num[2] == pytest.approx(states[2, 0] * 4.0, rel=1e-14)
+        states = np.array([[1.0 + 1j * s * s, 0.0] for s in params])
+        values, moduli = connection_terms(params, states, np.eye(2, dtype=complex))
+        assert np.array_equal(moduli, 1.0 + params**4)
+        assert values[0] == pytest.approx((0.25 - 0.0) / 0.5, rel=1e-14)
+        assert values[-1] == pytest.approx((2.25**2 - 4.0) / 0.25 / (1.0 + 2.25**4), rel=1e-14)
+        # the interior stencil is exact on a quadratic: psi' = 2 i s
+        assert values[1] == pytest.approx(1.0 / (1.0 + 0.5**4), rel=1e-14)
+        assert values[2] == pytest.approx(4.0 / (1.0 + 2.0**4), rel=1e-14)
 
 
 class TestChainLinksAgainstRoll:
@@ -163,8 +172,9 @@ class TestIdentityObservable:
 
 class TestOneArrayPerPass:
     def test_connection_terms_allocation_peak(self):
-        # a pass holds the (M, dim) bra rows, 5.12 MB here, plus (M,) rows
-        # of sandwiches and weights: no conjugated copy and no product array
+        # a pass holds the (M, dim) bra rows, 5.12 MB here, plus three (M,)
+        # rows of sandwiches, 6.08 MB in all: no conjugated copy, no product
+        # array, and the rows are released before the quotients are formed
         count, dim = 20001, 16
         states, obs = random_stack(31, count, dim)
         params = np.cumsum(rng_for(32).uniform(0.5, 1.5, size=count))
@@ -188,9 +198,9 @@ for count, dim in ((20001, 16), (2001, 2), (41, 7)):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     params = np.cumsum(rng.uniform(0.5, 1.5, size=count))
     for obs in (a + a.conj().T, None):
-        num, den = connection_terms(params, states, obs)
+        values, moduli = connection_terms(params, states, obs)
         links = chain_link_amplitudes(states, obs)
-        print(count, dim, obs is None, *(hashlib.sha256(x.tobytes()).hexdigest() for x in (num, den, links)))
+        print(count, dim, obs is None, *(hashlib.sha256(x.tobytes()).hexdigest() for x in (values, moduli, links)))
 """
 
 
@@ -250,6 +260,14 @@ class TestExactSum:
         big = np.finfo(np.float64).max
         for x in (np.resize([big, big, -big, -big], size), np.resize([big, -big, big], size)):
             assert same_double(_kernels.fsum(x), fsum_rule(x))
+
+    @pytest.mark.parametrize("shape", [(7,), (_kernels._EXACT_SUM_MIN,), (3, 5), (64, 64)])
+    def test_complex_sum_is_the_sum_of_each_part(self, shape):
+        # the one complex sum: each part of any shape by fsum's rule, apart
+        rng = rng_for(25)
+        z = (rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)) * np.exp2(rng.integers(-60, 60, shape))
+        got = _kernels.fsum_complex(z)
+        assert same_double(got.real, fsum_rule(z.real.ravel())) and same_double(got.imag, fsum_rule(z.imag.ravel()))
 
     @pytest.mark.parametrize("values", [[0.0], [-0.0], [1.0, -1.0], [math.inf], [-math.inf, math.inf], [math.nan]])
     def test_zeros_and_non_finite_entries(self, values):

@@ -57,6 +57,13 @@ class TestGridModel:
         with pytest.raises(ValueError):
             gg.GridModel(["a", "a"], [0.0, 1.0], 1.0, obs)
 
+    @pytest.mark.parametrize("label", [None, 1.5, [1]], ids=["none", "float", "list"])
+    def test_label_must_be_a_string(self, label):
+        obs = gg.Observable(np.eye(2))
+        with pytest.raises(gg.InvalidArgument) as err:
+            gg.GridModel(["a", label], [0.0, 1.0], 1.0, obs)
+        assert str(err.value) == f"momentum label 1 must be a str, got {label!r}"
+
     def test_energy_shape_mismatch(self):
         obs = gg.Observable(np.eye(2))
         with pytest.raises(ValueError):
