@@ -62,6 +62,17 @@ __all__ = ["main"]
 # Input loading ---------------------------------------------------------------
 
 
+_sweep_files: dict | None = None  # path -> decoded JSON, only while a sweep runs
+
+
+def _load_json(path: str):
+    """_io.load_json_file, read through _sweep_files, so a sweep loads each file once."""
+    files = {} if _sweep_files is None else _sweep_files
+    if path not in files:  # a file that fails to load is not kept
+        files[path] = _io.load_json_file(path)
+    return files[path]
+
+
 @contextlib.contextmanager
 def _naming(path: str):
     """An argument the library refuses while building from a file is that
@@ -74,11 +85,11 @@ def _naming(path: str):
 
 def _state_from_file(path: str) -> StateVector:
     with _naming(path):
-        return StateVector(_io.parse_vector(_io.load_json_file(path), path))
+        return StateVector(_io.parse_vector(_load_json(path), path))
 
 
 def _states_from_file(path: str) -> list[StateVector]:
-    data = _io.load_json_file(path)
+    data = _load_json(path)
     if not isinstance(data, list):
         raise InputError(f"{path}: expected an array of state vectors")
     rows = _io.complex_rows(data)
@@ -90,7 +101,7 @@ def _states_from_file(path: str) -> list[StateVector]:
 
 def _observable_from_file(path: str, tol: ToleranceConfig) -> Observable:
     with _naming(path):
-        return Observable(_io.parse_matrix(_io.load_json_file(path), path), tol=tol)
+        return Observable(_io.parse_matrix(_load_json(path), path), tol=tol)
 
 
 def _resolve_observable(args: dict, tol: ToleranceConfig) -> Observable | None:
@@ -98,7 +109,7 @@ def _resolve_observable(args: dict, tol: ToleranceConfig) -> Observable | None:
 
 
 def _curve_from_file(path: str, tol: ToleranceConfig) -> ParamCurve:
-    data = _io.load_json_file(path)
+    data = _load_json(path)
     if not isinstance(data, dict) or set(data) != {"params", "states"}:
         raise InputError(f'{path}: expected an object with keys "params" and "states"')
     params = _io.parse_real_list(data["params"], f"{path}.params")
@@ -108,7 +119,7 @@ def _curve_from_file(path: str, tol: ToleranceConfig) -> ParamCurve:
 
 
 def _grid_model_from_file(path: str, tol: ToleranceConfig) -> GridModel:
-    data = _io.load_json_file(path)
+    data = _load_json(path)
     required = {"momenta", "mass", "epsilon", "V"}
     if not isinstance(data, dict) or not required.issubset(data):
         raise InputError(f"{path}: expected an object with keys {sorted(required)}")
@@ -226,9 +237,8 @@ def _run_two_level(args: dict, tol: ToleranceConfig):
 
 
 def _run_perturb(args: dict, tol: ToleranceConfig):
-    h0_path = args["h0"]
-    with _naming(h0_path):
-        system = EigenSystem(_io.parse_real_list(_io.load_json_file(h0_path), h0_path))
+    with _naming(args["h0"]):
+        system = EigenSystem(_io.parse_real_list(_load_json(args["h0"]), args["h0"]))
     potential = _observable_from_file(args["v"], tol)
     n = args["level"]
     shift = energy_shift(system, potential, n, args["coupling"])
@@ -387,18 +397,22 @@ def _run_sweep(args: dict, tol: ToleranceConfig):
         raise InputError(
             f"sweep key {unknown[0]!r} is not a flag of {command!r}; expected one of {sorted(options)}"
         )
-    entries = []
-    rows = []
-    for value in values:
-        try:
-            (_, handler, *_), job = _parse_job(parser, _row_argv(command, options, {**base, param: value}))
-        except SystemExit:  # the parser has printed its usage and the offending flag
-            raise InputError(
-                f"{template_path}: the row {param}={value!r} is not a valid {command!r} command line"
-            ) from None
-        sub_results, _, _ = handler(job, tol)
-        entries.append({"value": value, "results": sub_results})
-        rows.append(_flatten_row(param, value, sub_results))
+    entries, rows = [], []
+    global _sweep_files
+    _sweep_files = {}
+    try:
+        for value in values:
+            try:
+                (_, handler, *_), job = _parse_job(parser, _row_argv(command, options, {**base, param: value}))
+            except SystemExit:  # the parser has printed its usage and the offending flag
+                raise InputError(
+                    f"{template_path}: the row {param}={value!r} is not a valid {command!r} command line"
+                ) from None
+            sub_results, _, _ = handler(job, tol)
+            entries.append({"value": value, "results": sub_results})
+            rows.append(_flatten_row(param, value, sub_results))
+    finally:
+        _sweep_files = None
     # Object columns keep each value's own type: --values 1 1.5 prints 1 and 1.5.
     table = Table(**{name: np.array([row[name] for row in rows], dtype=object) for name in rows[0]})
     results = {"command": command, "param": param, "rows": entries}

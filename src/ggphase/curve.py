@@ -7,7 +7,8 @@ is A_O(s) = Im(<psi|O|d_s psi> / <psi|O|psi>), sampled with second-order
 central differences (first-order one-sided at the two ends) and integrated
 with the trapezoid rule. The continuous phase adds the endpoint term
 Arg(<psi(L)|O|psi(0)> / <psi(L)|psi(L)>) to that integral. An observable of
-None is the identity.
+None is the identity. Up to the discretization error, the phase is unchanged
+by a smooth re-phasing of the states and by a monotone change of parameter.
 
 :func:`connection_samples` is the one path to the connection of a
 :class:`ParamCurve`: it runs the kernel once per curve and returns the
@@ -65,8 +66,6 @@ __all__ = [
     "o_null_curve",
     "loop_holonomy",
     "triangle_holonomy",
-    "gauge_transform",
-    "reparametrize",
 ]
 
 
@@ -514,17 +513,3 @@ def triangle_holonomy(
         min_mod = min(min_mod, samples.min_modulus)
     return PhaseResult(wrap_angle(total), min_mod, 3 * M)
 
-
-def gauge_transform(curve: ParamCurve, offsets) -> ParamCurve:
-    """Re-phase each sample: states[l] -> e^{i lambda_l} states[l]."""
-    lam = finite_array(offsets, 1, "offsets", np.float64)
-    if lam.shape != (curve.sample_count,):
-        raise InvalidArgument(
-            f"offsets length {lam.shape} does not match sample count {curve.sample_count}"
-        )
-    return ParamCurve(curve.params, np.exp(1j * lam)[:, None] * curve.states)
-
-
-def reparametrize(curve: ParamCurve, new_params) -> ParamCurve:
-    """Replace the parameter grid, keeping the states; phases are invariant in the continuum."""
-    return ParamCurve(new_params, curve.states)

@@ -33,9 +33,10 @@ __all__ = [
 
 def finite_number(name: str, value, positive: bool = False) -> float:
     """``value`` as a float; InvalidArgument unless it is a finite real number,
-    and > 0 when ``positive``. A string is refused, not parsed."""
+    and > 0 when ``positive``. A string is refused, not parsed, and a complex
+    number, numpy's included, is refused, not cast to its real part."""
     try:
-        x = math.nan if isinstance(value, (str, bytes)) else float(value)
+        x = math.nan if isinstance(value, (str, bytes, complex, np.complexfloating)) else float(value)
     except OverflowError:
         raise InvalidArgument(f"{name} must be a finite number, got an integer too large for a double") from None
     except (TypeError, ValueError):
@@ -210,10 +211,6 @@ class Observable:
         if deviation > tol.tol_herm:
             raise InvalidArgument(f"observable is not Hermitian (deviation {deviation:.3e})")
         self._entries = arr
-
-    @classmethod
-    def identity(cls, dim: int) -> "Observable":
-        return cls(np.eye(dim, dtype=np.complex128))
 
     @property
     def entries(self) -> np.ndarray:

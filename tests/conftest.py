@@ -23,7 +23,7 @@ from hypothesis import settings
 from scipy.integrate import quad
 
 import ggphase as gg
-from ggphase import EigenSystem, Observable, StateVector, wrap_angle
+from ggphase import EigenSystem, Observable, ParamCurve, StateVector, wrap_angle
 from ggphase._io import InputError
 
 # HYPOTHESIS_PROFILE=ci (set by the CI workflow) keeps slow shared runners from
@@ -252,6 +252,16 @@ def bloch_curve_arrays(s, theta, phi):
     states[:, 0] = np.cos(theta / 2.0)
     states[:, 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
     return np.asarray(s, dtype=float), states
+
+
+def gauge_transform(curve: ParamCurve, offsets) -> ParamCurve:
+    """The curve with each sample re-phased: states[l] -> e^{i lambda_l} states[l]."""
+    return ParamCurve(curve.params, np.exp(1j * np.asarray(offsets, dtype=float))[:, None] * curve.states)
+
+
+def reparametrize(curve: ParamCurve, new_params) -> ParamCurve:
+    """The same states on another parameter grid."""
+    return ParamCurve(new_params, curve.states)
 
 
 def table_pairs(table) -> list[tuple[int, int]]:

@@ -38,6 +38,7 @@ from conftest import (
     separable_exact_is_a_double,
     separable_reference,
 )
+from ggphase import _io
 from ggphase._io import InputError
 from ggphase.cli import _build_parser, _finite_float, _tolerance, main
 
@@ -1209,6 +1210,48 @@ class TestSweep:
         )
         assert (code, out) == (1, "")
         assert f'{template}: "command" must be a string, got {command!r}' in err
+
+    @staticmethod
+    def count_opens(monkeypatch) -> list:
+        """The paths _io opens from now on, in order."""
+        opened = []
+
+        def counted(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(_io, "open", counted, raising=False)
+        return opened
+
+    def test_a_sweep_opens_each_input_file_once(self, capsys, tmp_path, h3_file, monkeypatch):
+        template = write_json(tmp_path / "job.json", {"command": "cycle", "h": h3_file, "epsilon": 0.01})
+        opened = self.count_opens(monkeypatch)
+        code, out, _ = invoke(
+            capsys, "sweep", "--template", template, "--param", "epsilon", "--values", "1e-2", "5e-3", "2.5e-3"
+        )
+        assert code == 0
+        assert len(json.loads(out)["results"]["rows"]) == 3
+        assert opened == [template, h3_file]
+        # the rows' shared loads end with the sweep: a direct job opens its file again
+        assert invoke(capsys, "cycle", "--h", h3_file, "--epsilon", "0.01")[0] == 0
+        assert opened == [template, h3_file, h3_file]
+
+    @pytest.mark.parametrize(("content", "message"), [
+        ("{not json", "is not valid JSON"),
+        (json.dumps([[1, 2], [3, 4]]), "observable is not Hermitian"),
+    ], ids=["not-json", "not-hermitian"])
+    def test_a_bad_input_file_ends_the_sweep_on_its_first_row(self, capsys, tmp_path, monkeypatch,
+                                                              content, message):
+        h = tmp_path / "h.json"
+        h.write_text(content, encoding="utf-8")
+        direct = invoke(capsys, "cycle", "--h", str(h), "--epsilon", "0.01")
+        assert direct[:2] == (1, "") and message in direct[2]
+        template = write_json(tmp_path / "job.json", {"command": "cycle", "h": str(h), "epsilon": 0.01})
+        opened = self.count_opens(monkeypatch)
+        swept = invoke(capsys, "sweep", "--template", template, "--param", "epsilon", "--values", "1e-2", "5e-3")
+        # the first row's job fails as the direct job does, and the sweep ends there
+        assert swept == direct
+        assert opened == [template, str(h)]
 
 
 def sweep_jobs(d: pathlib.Path) -> dict:

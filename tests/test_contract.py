@@ -29,7 +29,6 @@ from ggphase import (
     energy_shift,
     evolve,
     f_mn,
-    gauge_transform,
     geodesic_null_curve,
     in_phase,
     lippmann_schwinger_solve,
@@ -40,7 +39,6 @@ from ggphase import (
     phase_via_weak_values,
     projective_cycle_amplitude,
     relative_phase,
-    reparametrize,
     separable_born_amplitude,
     survival_amplitude,
     third_order_phase_terms,
@@ -82,8 +80,6 @@ ENTRY_POINTS = {
     "loop_integral": lambda x: loop_integral(MODEL, x),
     "ParamCurve.params": lambda x: ParamCurve([0.0, 1.0, x], [[1.0, 0.0]] * 3),
     "ParamCurve.states": lambda x: ParamCurve([0.0, 1.0, 2.0], [[1.0, 0.0], [x, 0.0], [1.0, 0.0]]),
-    "gauge_transform": lambda x: gauge_transform(CURVE, [0.0, x, 0.0]),
-    "reparametrize": lambda x: reparametrize(CURVE, [0.0, 1.0, x]),
     "o_null_curve": lambda x: o_null_curve(A, B, None, tau=x, M=5),
     "geodesic_null_curve": lambda x: geodesic_null_curve(A, B, tau=x, M=5),
     "matrix_element": lambda x: matrix_element(StateVector([x, x]), Observable([[x, 0.0], [0.0, 1.0]]),
@@ -96,6 +92,15 @@ ENTRY_POINTS = {
 }
 
 BAD_NUMBERS = {"string": "one", "int past the doubles": 10**400, "nan": math.nan, "inf": math.inf}
+
+# The entry points above whose x is a real scalar argument, not an array entry,
+# and complex numbers for it: the last has a zero imaginary part.
+SCALAR_ENTRY_POINTS = ["ToleranceConfig", "TwoLevelParams", "evolve", "projective_cycle_amplitude.epsilon", "f_mn",
+                       "survival_amplitude", "energy_shift", "perturbed_state", "GridModel.mass",
+                       "GridModel.greens_epsilon", "SeparableModel", "loop_integral", "o_null_curve",
+                       "geodesic_null_curve"]
+COMPLEX_NUMBERS = {"complex": 0.3 + 1j, "numpy complex128": np.complex128(0.3 + 1j),
+                   "numpy complex64": np.complex64(0.3 + 1j), "numpy real complex": np.complex128(0.3)}
 
 
 def _finite(value) -> bool:
@@ -115,6 +120,13 @@ class TestArgumentContract:
     def test_a_bad_number_is_an_invalid_argument(self, entry, bad):
         with pytest.raises(InvalidArgument):
             ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("z", COMPLEX_NUMBERS.values(), ids=COMPLEX_NUMBERS.keys())
+    @pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+    def test_a_complex_number_for_a_real_scalar_is_refused(self, entry, z):
+        # float() of a numpy complex would warn and drop the imaginary part
+        with pytest.raises(InvalidArgument, match="must be a finite number"):
+            ENTRY_POINTS[entry](z)
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_huge_entries_stay_in_the_taxonomy(self, entry):
@@ -203,8 +215,6 @@ INDEX_ENTRY_POINTS = ["StateVector.basis_vector.index", "survival_amplitude.i", 
 # Each entry point with one real array argument given as a complex array.
 REAL_ARRAY_ENTRY_POINTS = {
     "ParamCurve.params": lambda z: ParamCurve(z, [[1.0, 0.0]] * 3),
-    "gauge_transform": lambda z: gauge_transform(CURVE, z),
-    "reparametrize": lambda z: reparametrize(CURVE, z),
     "EigenSystem.energies": lambda z: EigenSystem(z),
     "GridModel.energies": lambda z: GridModel(["a", "b", "c"], z, 1.0, V),
 }

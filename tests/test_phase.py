@@ -67,7 +67,7 @@ class TestChainAgainstOracle:
     def test_identity_reduction_matches_pancharatnam_oracle(self):
         rng = rng_for(77)
         states = random_chain(rng, 4, 5)
-        via_obs = generalized_phase_chain(states, Observable.identity(4)).value
+        via_obs = generalized_phase_chain(states, Observable(np.eye(4))).value
         via_none = generalized_phase_chain(states, None).value
         oracle = chain_arg_oracle(states, None)
         assert wrapped_distance(via_obs, oracle) < 1e-12
