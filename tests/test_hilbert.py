@@ -104,7 +104,9 @@ class TestObservable:
             obs.entries[0, 0] = 7.0
 
     def test_identity(self):
+        # a real matrix is held as complex entries
         ident = Observable(np.eye(4))
+        assert ident.entries.dtype == np.complex128
         np.testing.assert_array_equal(ident.entries, np.eye(4))
 
 
