@@ -165,11 +165,21 @@ def emit_json(obj) -> str:
     return "".join(out)
 
 
+def _csv_field(text: str) -> str:
+    """A header name or string cell by RFC 4180's minimal rule: quoted, its
+    quotes doubled, where it holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv_text(table: Table) -> str:
     """CSV text of a table, joined from the same cells as its JSON rows."""
     cells = table.cells("csv")
-    header = ",".join(f"{name}_{part}" if part else name for name, part in cells)
-    return "\n".join([header, *map(",".join, zip(*cells.values()))]) + "\n"
+    header = ",".join(_csv_field(f"{name}_{part}" if part else name) for name, part in cells)
+    columns = [list(map(_csv_field, texts)) if table.columns[name].dtype == object else texts
+               for (name, _), texts in cells.items()]
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def load_json_file(path: str):

@@ -2,8 +2,10 @@
 in, a deterministic JSON report (and optional CSV table) out.
 
 argparse is the one flag validator: each subparser names its handler
-(_add_common), and a handler reads typed, checked arguments. A sweep row is
-turned into the command line it stands for and parsed by the same parser.
+(_add_common), and a handler reads typed, checked arguments. Every job reads
+each input file once, through its own reader that ``main`` makes; a sweep row
+is turned into the command line it stands for, parsed by the same parser, and
+reads through its sweep's reader.
 ``main`` times the handler, then writes the report, or the error payload of a
 domain error, by one path: to --output, or to stdout without it.
 Exit status contract, decided by the exception's type alone: 0 on success,
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import re
 import sys
@@ -62,17 +65,6 @@ __all__ = ["main"]
 # Input loading ---------------------------------------------------------------
 
 
-_sweep_files: dict | None = None  # path -> decoded JSON, only while a sweep runs
-
-
-def _load_json(path: str):
-    """_io.load_json_file, read through _sweep_files, so a sweep loads each file once."""
-    files = {} if _sweep_files is None else _sweep_files
-    if path not in files:  # a file that fails to load is not kept
-        files[path] = _io.load_json_file(path)
-    return files[path]
-
-
 @contextlib.contextmanager
 def _naming(path: str):
     """An argument the library refuses while building from a file is that
@@ -83,13 +75,13 @@ def _naming(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _state_from_file(path: str) -> StateVector:
+def _state_from_file(read, path: str) -> StateVector:
     with _naming(path):
-        return StateVector(_io.parse_vector(_load_json(path), path))
+        return StateVector(_io.parse_vector(read(path), path))
 
 
-def _states_from_file(path: str) -> list[StateVector]:
-    data = _load_json(path)
+def _states_from_file(read, path: str) -> list[StateVector]:
+    data = read(path)
     if not isinstance(data, list):
         raise InputError(f"{path}: expected an array of state vectors")
     rows = _io.complex_rows(data)
@@ -99,17 +91,17 @@ def _states_from_file(path: str) -> list[StateVector]:
         return [StateVector(row) for row in rows]
 
 
-def _observable_from_file(path: str, tol: ToleranceConfig) -> Observable:
+def _observable_from_file(read, path: str, tol: ToleranceConfig) -> Observable:
     with _naming(path):
-        return Observable(_io.parse_matrix(_load_json(path), path), tol=tol)
+        return Observable(_io.parse_matrix(read(path), path), tol=tol)
 
 
-def _resolve_observable(args: dict, tol: ToleranceConfig) -> Observable | None:
-    return None if args["identity"] else _observable_from_file(args["observable"], tol)
+def _resolve_observable(read, args: dict, tol: ToleranceConfig) -> Observable | None:
+    return None if args["identity"] else _observable_from_file(read, args["observable"], tol)
 
 
-def _curve_from_file(path: str, tol: ToleranceConfig) -> ParamCurve:
-    data = _load_json(path)
+def _curve_from_file(read, path: str, tol: ToleranceConfig) -> ParamCurve:
+    data = read(path)
     if not isinstance(data, dict) or set(data) != {"params", "states"}:
         raise InputError(f'{path}: expected an object with keys "params" and "states"')
     params = _io.parse_real_list(data["params"], f"{path}.params")
@@ -118,8 +110,8 @@ def _curve_from_file(path: str, tol: ToleranceConfig) -> ParamCurve:
         return ParamCurve(params, states, tol=tol)
 
 
-def _grid_model_from_file(path: str, tol: ToleranceConfig) -> GridModel:
-    data = _load_json(path)
+def _grid_model_from_file(read, path: str, tol: ToleranceConfig) -> GridModel:
+    data = read(path)
     required = {"momenta", "mass", "epsilon", "V"}
     if not isinstance(data, dict) or not required.issubset(data):
         raise InputError(f"{path}: expected an object with keys {sorted(required)}")
@@ -147,9 +139,9 @@ def _grid_model_from_file(path: str, tol: ToleranceConfig) -> GridModel:
 # Command handlers ------------------------------------------------------------
 
 
-def _run_phase(args: dict, tol: ToleranceConfig):
-    states = _states_from_file(args["states"])
-    obs = _resolve_observable(args, tol)
+def _run_phase(args: dict, tol: ToleranceConfig, read):
+    states = _states_from_file(read, args["states"])
+    obs = _resolve_observable(read, args, tol)
     res = generalized_phase_chain(states, obs, tol=tol)
     results = {
         "value": res.value,
@@ -159,9 +151,9 @@ def _run_phase(args: dict, tol: ToleranceConfig):
     return results, {}, Table(**{name: [value] for name, value in results.items()})
 
 
-def _run_curve(args: dict, tol: ToleranceConfig):
-    curve = _curve_from_file(args["curve"], tol)
-    obs = _resolve_observable(args, tol)
+def _run_curve(args: dict, tol: ToleranceConfig, read):
+    curve = _curve_from_file(read, args["curve"], tol)
+    obs = _resolve_observable(read, args, tol)
     samples = connection_samples(curve, obs, tol)
     res = curve_phase(curve, obs, tol, samples=samples)
     results = {
@@ -176,10 +168,10 @@ def _run_curve(args: dict, tol: ToleranceConfig):
     return results, diagnostics, Table(s=samples.params, a_o=samples.values)
 
 
-def _run_null_curve(args: dict, tol: ToleranceConfig):
-    a = _state_from_file(args["a"])
-    b = _state_from_file(args["b"])
-    obs = _resolve_observable(args, tol)
+def _run_null_curve(args: dict, tol: ToleranceConfig, read):
+    a = _state_from_file(read, args["a"])
+    b = _state_from_file(read, args["b"])
+    obs = _resolve_observable(read, args, tol)
     samples_count, tau = args["samples"], args["tau"]
     if samples_count < 3:
         raise InputError(f"argument 'samples' must be at least 3, got {samples_count}")
@@ -207,10 +199,10 @@ def _run_null_curve(args: dict, tol: ToleranceConfig):
     return results, diagnostics, Table(s=samples.params, a_o=samples.values)
 
 
-def _run_cycle(args: dict, tol: ToleranceConfig):
-    h = _observable_from_file(args["h"], tol)
+def _run_cycle(args: dict, tol: ToleranceConfig, read):
+    h = _observable_from_file(read, args["h"], tol)
     if args["basis"]:
-        basis = _states_from_file(args["basis"])
+        basis = _states_from_file(read, args["basis"])
     else:
         if h.dim < 3:
             raise InputError("the default basis needs dim >= 3; pass --basis for dim-2 h")
@@ -228,7 +220,7 @@ def _run_cycle(args: dict, tol: ToleranceConfig):
     return results, diagnostics, Table(epsilon=[res.epsilon], extracted_phase=[res.extracted_phase])
 
 
-def _run_two_level(args: dict, tol: ToleranceConfig):
+def _run_two_level(args: dict, tol: ToleranceConfig, read):
     kind = args["kind"]
     params = TwoLevelParams(args["theta"], args["phi"])
     value = two_level_phase(kind, params, tol=tol)
@@ -236,10 +228,10 @@ def _run_two_level(args: dict, tol: ToleranceConfig):
     return results, {}, Table(theta=[params.theta], phi=[params.phi], phase=[value])
 
 
-def _run_perturb(args: dict, tol: ToleranceConfig):
+def _run_perturb(args: dict, tol: ToleranceConfig, read):
     with _naming(args["h0"]):
-        system = EigenSystem(_io.parse_real_list(_load_json(args["h0"]), args["h0"]))
-    potential = _observable_from_file(args["v"], tol)
+        system = EigenSystem(_io.parse_real_list(read(args["h0"]), args["h0"]))
+    potential = _observable_from_file(read, args["v"], tol)
     n = args["level"]
     shift = energy_shift(system, potential, n, args["coupling"])
     terms = third_order_phase_terms(system, potential, n, tol=tol)
@@ -271,8 +263,8 @@ def _incoming_index(model: GridModel, text: str) -> int:
     return index  # the solver refuses an index off the grid
 
 
-def _run_scatter_grid(args: dict, tol: ToleranceConfig):
-    model = _grid_model_from_file(args["model"], tol)
+def _run_scatter_grid(args: dict, tol: ToleranceConfig, read):
+    model = _grid_model_from_file(read, args["model"], tol)
     index = _incoming_index(model, args["incoming"])
     state = lippmann_schwinger_solve(model, index)
     report = born_forward_amplitude(model, index)
@@ -298,7 +290,7 @@ def _run_scatter_grid(args: dict, tol: ToleranceConfig):
     return results, diagnostics, table
 
 
-def _run_scatter_separable(args: dict, tol: ToleranceConfig):
+def _run_scatter_separable(args: dict, tol: ToleranceConfig, read):
     model = SeparableModel(coupling=args["coupling"], beta=args["beta"], mass=args["mass"])
     k, born_order = args["k"], args["born_order"]
     exact = separable_tmatrix(model, k, tol=tol)
@@ -375,9 +367,9 @@ def _row_argv(command: str, options: dict, row: dict) -> list[str]:
     return words + flags
 
 
-def _run_sweep(args: dict, tol: ToleranceConfig):
+def _run_sweep(args: dict, tol: ToleranceConfig, read):
     template_path, param, values = args["template"], args["param"], args["values"]
-    template = _io.load_json_file(template_path)
+    template = read(template_path)
     if not isinstance(template, dict) or "command" not in template:
         raise InputError(f'{template_path}: expected an object with a "command" key')
     command = template["command"]
@@ -398,21 +390,16 @@ def _run_sweep(args: dict, tol: ToleranceConfig):
             f"sweep key {unknown[0]!r} is not a flag of {command!r}; expected one of {sorted(options)}"
         )
     entries, rows = [], []
-    global _sweep_files
-    _sweep_files = {}
-    try:
-        for value in values:
-            try:
-                (_, handler, *_), job = _parse_job(parser, _row_argv(command, options, {**base, param: value}))
-            except SystemExit:  # the parser has printed its usage and the offending flag
-                raise InputError(
-                    f"{template_path}: the row {param}={value!r} is not a valid {command!r} command line"
-                ) from None
-            sub_results, _, _ = handler(job, tol)
-            entries.append({"value": value, "results": sub_results})
-            rows.append(_flatten_row(param, value, sub_results))
-    finally:
-        _sweep_files = None
+    for value in values:
+        try:
+            (_, handler, *_), job = _parse_job(parser, _row_argv(command, options, {**base, param: value}))
+        except SystemExit:  # the parser has printed its usage and the offending flag
+            raise InputError(
+                f"{template_path}: the row {param}={value!r} is not a valid {command!r} command line"
+            ) from None
+        sub_results, _, _ = handler(job, tol, read)  # the rows share the sweep's reader
+        entries.append({"value": value, "results": sub_results})
+        rows.append(_flatten_row(param, value, sub_results))
     # Object columns keep each value's own type: --values 1 1.5 prints 1 and 1.5.
     table = Table(**{name: np.array([row[name] for row in rows], dtype=object) for name in rows[0]})
     results = {"command": command, "param": param, "rows": entries}
@@ -633,10 +620,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     """Entry point; returns the process exit status."""
     (command, handler, output, csv, tol), args = _parse_job(_build_parser(), argv)
+    read = functools.cache(_io.load_json_file)  # the job's reader: each file is decoded once
     try:
         try:
             start = time.perf_counter()
-            results, diagnostics, table = handler(args, tol)
+            results, diagnostics, table = handler(args, tol, read)
             report = {
                 "command": command,
                 "args": args,

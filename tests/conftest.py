@@ -338,13 +338,22 @@ def _csv_cell_oracle(value) -> str:
     raise TypeError(f"cannot place {type(value).__name__} in a CSV cell")
 
 
+def _csv_quoted_oracle(text: str) -> str:
+    """RFC 4180 minimal quoting: a field is quoted only where it holds a
+    comma, a double quote, CR or LF, and a quote inside it is doubled."""
+    if set(text) & {",", '"', "\r", "\n"}:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def csv_text_oracle(header: list, rows: list) -> str:
     """CSV text written row by row, each cell by its own type: strings as
     they are, bools as true/false, integers in decimal, and floats with 17
-    significant digits (integral ones as "1.0"). The reference for the
-    column-wise table writer _io.write_csv_text."""
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell_oracle(cell) for cell in row) for row in rows]
+    significant digits (integral ones as "1.0"). Header names and strings are
+    quoted by RFC 4180's minimal rule. The reference for the column-wise table
+    writer _io.write_csv_text."""
+    lines = [",".join(map(_csv_quoted_oracle, header))]
+    lines += [",".join(_csv_quoted_oracle(_csv_cell_oracle(cell)) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ subcommand wraps.
 
 import argparse
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -1252,6 +1253,29 @@ class TestSweep:
         # the first row's job fails as the direct job does, and the sweep ends there
         assert swept == direct
         assert opened == [template, str(h)]
+
+    def test_a_direct_job_opens_a_file_named_twice_once(self, capsys, tmp_path, monkeypatch):
+        state = write_json(tmp_path / "a.json", cvec([0.6, 0.8j]))
+        opened = self.count_opens(monkeypatch)
+        code, _, _ = invoke(capsys, "null-curve", "--a", state, "--b", state, "--identity", "--samples", "5")
+        assert code == 0
+        assert opened == [state]
+
+    def test_a_swept_path_holding_a_comma_is_one_csv_cell(self, capsys, tmp_path, h3_file):
+        h_comma = shutil.copy(h3_file, tmp_path / "h,1.json")
+        h_quote = shutil.copy(h3_file, tmp_path / 'h"2.json')
+        template = write_json(tmp_path / "job.json", {"command": "cycle", "h": h3_file, "epsilon": 0.01})
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = invoke(
+            capsys, "sweep", "--template", template, "--param", "h",
+            "--values", str(h_comma), str(h_quote), "--csv", str(out_csv),
+        )
+        assert code == 0
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["h", "amplitude_re", "amplitude_im", "extracted_phase", "epsilon"]
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert [row[0] for row in rows] == [str(h_comma), str(h_quote)]
 
 
 def sweep_jobs(d: pathlib.Path) -> dict:
