@@ -75,20 +75,15 @@ def _naming(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _state_from_file(read, path: str) -> StateVector:
+def _state_from_file(read, path: str, tol: ToleranceConfig) -> StateVector:
     with _naming(path):
-        return StateVector(_io.parse_vector(read(path), path))
+        return StateVector(_io.parse_vector(read(path), path), tol)
 
 
-def _states_from_file(read, path: str) -> list[StateVector]:
-    data = read(path)
-    if not isinstance(data, list):
-        raise InputError(f"{path}: expected an array of state vectors")
-    rows = _io.complex_rows(data)
-    if rows is None:  # ragged or malformed: row by row, so the bad element is named
-        rows = (_io.parse_vector(row, f"{path}[{i}]") for i, row in enumerate(data))
+def _states_from_file(read, path: str, tol: ToleranceConfig) -> list[StateVector]:
+    rows = _io.parse_matrix(read(path), path)
     with _naming(path):
-        return [StateVector(row) for row in rows]
+        return [StateVector(row, tol) for row in rows]
 
 
 def _observable_from_file(read, path: str, tol: ToleranceConfig) -> Observable:
@@ -140,7 +135,7 @@ def _grid_model_from_file(read, path: str, tol: ToleranceConfig) -> GridModel:
 
 
 def _run_phase(args: dict, tol: ToleranceConfig, read):
-    states = _states_from_file(read, args["states"])
+    states = _states_from_file(read, args["states"], tol)
     obs = _resolve_observable(read, args, tol)
     res = generalized_phase_chain(states, obs, tol=tol)
     results = {
@@ -169,8 +164,8 @@ def _run_curve(args: dict, tol: ToleranceConfig, read):
 
 
 def _run_null_curve(args: dict, tol: ToleranceConfig, read):
-    a = _state_from_file(read, args["a"])
-    b = _state_from_file(read, args["b"])
+    a = _state_from_file(read, args["a"], tol)
+    b = _state_from_file(read, args["b"], tol)
     obs = _resolve_observable(read, args, tol)
     samples_count, tau = args["samples"], args["tau"]
     if samples_count < 3:
@@ -202,7 +197,7 @@ def _run_null_curve(args: dict, tol: ToleranceConfig, read):
 def _run_cycle(args: dict, tol: ToleranceConfig, read):
     h = _observable_from_file(read, args["h"], tol)
     if args["basis"]:
-        basis = _states_from_file(read, args["basis"])
+        basis = _states_from_file(read, args["basis"], tol)
     else:
         if h.dim < 3:
             raise InputError("the default basis needs dim >= 3; pass --basis for dim-2 h")
@@ -311,13 +306,8 @@ def _run_scatter_separable(args: dict, tol: ToleranceConfig, read):
 def _flatten_row(param: str, value, results: dict) -> dict:
     """One sweep row: the swept value, then the scalar results by column name."""
     row = {param: value}
-    for key, item in results.items():
-        if isinstance(item, bool) or key == param:
-            continue
-        if isinstance(item, (int, float)):
-            row[key] = item
-        elif isinstance(item, complex):
-            row[f"{key}_re"], row[f"{key}_im"] = item.real, item.imag
+    row.update((key, item) for key, item in results.items()
+               if key != param and isinstance(item, (int, float, complex)) and not isinstance(item, bool))
     return row
 
 
@@ -367,7 +357,7 @@ def _row_argv(command: str, options: dict, row: dict) -> list[str]:
     return words + flags
 
 
-def _run_sweep(args: dict, tol: ToleranceConfig, read):
+def _run_sweep(parser: argparse.ArgumentParser, args: dict, tol: ToleranceConfig, read):
     template_path, param, values = args["template"], args["param"], args["values"]
     template = read(template_path)
     if not isinstance(template, dict) or "command" not in template:
@@ -377,7 +367,6 @@ def _run_sweep(args: dict, tol: ToleranceConfig, read):
         raise InputError(f'{template_path}: "command" must be a string, got {command!r}')
     if command == "sweep":
         raise InputError("sweep templates cannot nest another sweep")
-    parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     if command not in commands:
         raise InputError(f"{template_path}: unknown command {command!r}")
@@ -400,8 +389,9 @@ def _run_sweep(args: dict, tol: ToleranceConfig, read):
         sub_results, _, _ = handler(job, tol, read)  # the rows share the sweep's reader
         entries.append({"value": value, "results": sub_results})
         rows.append(_flatten_row(param, value, sub_results))
-    # Object columns keep each value's own type: --values 1 1.5 prints 1 and 1.5.
-    table = Table(**{name: np.array([row[name] for row in rows], dtype=object) for name in rows[0]})
+    # The swept column keeps each value's own type: --values 1 1.5 prints 1 and 1.5.
+    table = Table(**{name: np.array([row[name] for row in rows], dtype=object if name == param else None)
+                     for name in rows[0]})
     results = {"command": command, "param": param, "rows": entries}
     diagnostics = {"row_count": len(entries)}
     return results, diagnostics, table
@@ -612,7 +602,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--param", required=True, help="template key to sweep")
     p.add_argument("--values", required=True, nargs="+", type=_parse_scalar,
                    help="values to substitute (parsed as int, float, or string)")
-    _add_common(p, _run_sweep)
+    _add_common(p, functools.partial(_run_sweep, parser))  # rows parse on this parser
 
     return parser
 

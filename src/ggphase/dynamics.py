@@ -387,7 +387,7 @@ def survival_amplitude(
         If H0 is not diagonal (its basis defines the levels) or order is
         outside 0..3.
     Overflow
-        If an ordered integral or the amplitude is not a finite double.
+        If a phase t (E_m - E_n) or the amplitude is not a finite double.
     """
     if integer("order", order) not in (0, 1, 2, 3):
         raise InvalidArgument(f"order must be in 0..3, got {order}")
@@ -400,20 +400,25 @@ def survival_amplitude(
         raise InvalidArgument(f"level index {i} out of range for dim {H0.dim}")
     if V.dim != H0.dim:
         raise InvalidArgument(f"V dim {V.dim} does not match H0 dim {H0.dim}")
-    energies = np.real(np.diagonal(h0))
-    v = V.entries
     amp = 1.0 + 0.0j
-    w_im = energies[i] - energies
-    with np.errstate(over="ignore", invalid="ignore"):
-        if order >= 1:
-            amp += -1j * t * v[i, i]
-        if order >= 2:
-            f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), t)
-            amp -= _kernels.fsum_complex(_complex_product(_complex_product(v[i, :], v[:, i]), f2))
-        if order >= 3:
-            f3 = _third_order_integrals(energies, i, f2, t)
-            terms = _complex_product(_complex_product(v[i, :, None], v), v[None, :, i])
-            amp += 1j * _kernels.fsum_complex(_complex_product(terms, f3))
+    # the order-k integral is t^k times its value at t = 1 for the levels t E,
+    # so each t goes into a V, and no t^k has to be a double
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = t * np.real(np.diagonal(h0))
+            v = t * V.entries
+            w_im = levels[i] - levels
+            if order >= 1:
+                amp += -1j * v[i, i]
+            if order >= 2:
+                f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), 1.0)
+                amp -= _kernels.fsum_complex(_complex_product(_complex_product(v[i, :], v[:, i]), f2))
+            if order >= 3:
+                f3 = _third_order_integrals(levels, i, f2, 1.0)
+                terms = _complex_product(_complex_product(v[i, :, None], v), v[None, :, i])
+                amp += 1j * _kernels.fsum_complex(_complex_product(terms, f3))
+    except Overflow:  # an integral at t = 1 overflows only where a phase does
+        raise Overflow(f"a phase t (E_m - E_n) leaves the doubles at t = {t}") from None
     if not cmath.isfinite(amp):
         raise Overflow(f"survival amplitude leaves the doubles at t = {t}")
     return amp

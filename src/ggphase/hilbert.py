@@ -33,10 +33,10 @@ __all__ = [
 
 def finite_number(name: str, value, positive: bool = False) -> float:
     """``value`` as a float; InvalidArgument unless it is a finite real number,
-    and > 0 when ``positive``. A string is refused, not parsed, and a complex
-    number, numpy's included, is refused, not cast to its real part."""
+    and > 0 when ``positive``. A string is refused, not parsed, and a bool or
+    a complex number, numpy's included, is refused, not cast to a float."""
     try:
-        x = math.nan if isinstance(value, (str, bytes, complex, np.complexfloating)) else float(value)
+        x = math.nan if isinstance(value, (str, bytes, bool, np.bool_, complex, np.complexfloating)) else float(value)
     except OverflowError:
         raise InvalidArgument(f"{name} must be a finite number, got an integer too large for a double") from None
     except (TypeError, ValueError):

@@ -242,8 +242,8 @@ MALFORMED_STATES = [
 
 
 class TestStateFiles:
-    """A well-formed states file is read in one pass; a ragged or malformed
-    one row by row, so its errors are those of the located parsers."""
+    """A states file is read as a matrix file is: in one pass when well
+    formed, else row by row, so its errors are those of the located parsers."""
 
     @pytest.mark.parametrize("data", MALFORMED_STATES)
     def test_malformed_state_is_named(self, capsys, tmp_path, data):
@@ -256,19 +256,35 @@ class TestStateFiles:
         assert out == ""
         assert err == f"ggphase: error: {want.value}\n"
 
-    def test_rows_are_checked_in_order(self, capsys, tmp_path):
-        # A vanishing row before a malformed one is the reported error, as when
-        # each row was parsed and built before the next was read.
+    def test_the_file_is_parsed_before_a_state_is_built(self, capsys, tmp_path):
+        # A malformed row after a vanishing one is the reported error: the
+        # whole file parses before the first state is built.
         states = write_json(tmp_path / "F.json", [[1, 0], [0, 0], [1, True]])
         code, _, err = invoke(capsys, "phase", "--states", states, "--identity")
         assert code == 1
-        assert err == f"ggphase: error: {states}: state vector has vanishing norm\n"
+        assert err == f"ggphase: error: {states}[2][1]: expected a number, got a boolean\n"
 
     def test_ragged_states_are_an_invocation_error(self, capsys, tmp_path):
         states = write_json(tmp_path / "F.json", [[1, 0], [1, 0, 0], [0, 1]])
         code, out, err = invoke(capsys, "phase", "--states", states, "--identity")
         assert (code, out) == (1, "")
-        assert err == "ggphase: error: states must share one dimension\n"
+        assert err == f"ggphase: error: {states}: rows have unequal lengths\n"
+
+    @pytest.mark.parametrize("command", ["phase", "null-curve", "cycle"])
+    def test_tol_zero_reaches_state_files(self, capsys, tmp_path, h3_file, command):
+        # a state of norm^2 5e-7 vanishes under --tol-zero 1e-3, as a curve
+        # file's state does, and the file that holds it is named
+        row = cvec([5e-4, 5e-4j, 0.0])
+        small = write_json(tmp_path / "small.json", row)
+        rows = write_json(tmp_path / "rows.json", [[1, 0, 0], row, [0, 0, 1]])
+        argv, named = {
+            "phase": (["--states", rows, "--identity"], rows),
+            "null-curve": (["--a", write_json(tmp_path / "a.json", [1, 0, 0]), "--b", small, "--identity"], small),
+            "cycle": (["--h", h3_file, "--epsilon", "0.01", "--basis", rows], rows),
+        }[command]
+        code, out, err = invoke(capsys, command, *argv, "--tol-zero", "1e-3")
+        assert (code, out) == (1, "")
+        assert err == f"ggphase: error: {named}: state vector has vanishing norm\n"
 
     def test_one_pass_states_match_the_row_parser(self, capsys, tmp_path):
         rng = rng_for(12)

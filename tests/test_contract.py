@@ -128,6 +128,13 @@ class TestArgumentContract:
         with pytest.raises(InvalidArgument, match="must be a finite number"):
             ENTRY_POINTS[entry](z)
 
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy bool"])
+    @pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+    def test_a_bool_for_a_real_scalar_is_refused(self, entry, flag):
+        # float(True) is 1.0, so a bool would otherwise pass as the number 1
+        with pytest.raises(InvalidArgument, match="must be a finite number"):
+            ENTRY_POINTS[entry](flag)
+
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_huge_entries_stay_in_the_taxonomy(self, entry):
         try:
