@@ -306,8 +306,11 @@ def _run_scatter_separable(args: dict, tol: ToleranceConfig, read):
 def _flatten_row(param: str, value, results: dict) -> dict:
     """One sweep row: the swept value, then the scalar results by column name."""
     row = {param: value}
-    row.update((key, item) for key, item in results.items()
-               if key != param and isinstance(item, (int, float, complex)) and not isinstance(item, bool))
+    for key, item in results.items():
+        if isinstance(item, bool) or key == param:
+            continue
+        if isinstance(item, (int, float, complex)):
+            row[key] = item
     return row
 
 

@@ -339,21 +339,21 @@ def f_mn(w1: float, w2: float, w3: float, t: float) -> complex:
 
 
 def _third_order_integrals(energies: np.ndarray, i: int, f2: np.ndarray, t: float) -> np.ndarray:
-    """f_mn(w_im, w_mn, w_ni, t) of every level pair (m, n) from the
-    second-order values f2[m], whose nodes {0, x_m, 0}, x_m = i t w_im, lack
-    one of the pair's {0, x_m, x_n, 0}: where |x_m - x_n| > _CLUSTER_DIAMETER
-    the pair is (f2[m] - f2[n]) / (i (w_im - w_in)), in real arithmetic, and
-    the other pairs (m = n among them) run the batch on their own rows."""
+    """f_mn(t w_im, t w_mn, t w_ni, 1) of every level pair (m, n) from the
+    second-order values f2[m] at 1 of t w_im, whose nodes {0, x_m, 0},
+    x_m = i t w_im, lack one of the pair's {0, x_m, x_n, 0}: where
+    |x_m - x_n| > _CLUSTER_DIAMETER the pair is (f2[m] - f2[n]) / (x_m - x_n),
+    in real arithmetic, and the other pairs (m = n among them) run the batch."""
     w_im = energies[i] - energies
-    gap = w_im[:, None] - w_im[None, :]
-    tight = np.abs(t * gap) <= _CLUSTER_DIAMETER
+    gap = t * (w_im[:, None] - w_im[None, :])
+    tight = np.abs(gap) <= _CLUSTER_DIAMETER
     gap[tight] = 1.0
     f3 = np.empty(gap.shape, dtype=np.complex128)
     f3.real = (f2.imag[:, None] - f2.imag[None, :]) / gap
     f3.imag = (f2.real[None, :] - f2.real[:, None]) / gap
     m, n = np.nonzero(tight)
-    freqs = np.stack([w_im[m], energies[m] - energies[n], energies[n] - energies[i]], axis=1)
-    f3[m, n] = _ordered_exponential_integral(freqs, t)
+    freqs = t * np.stack([w_im[m], energies[m] - energies[n], energies[n] - energies[i]], axis=1)
+    f3[m, n] = _ordered_exponential_integral(freqs, 1.0)
     return f3
 
 
@@ -400,24 +400,25 @@ def survival_amplitude(
         raise InvalidArgument(f"level index {i} out of range for dim {H0.dim}")
     if V.dim != H0.dim:
         raise InvalidArgument(f"V dim {V.dim} does not match H0 dim {H0.dim}")
+    energies = np.real(np.diagonal(h0))
     amp = 1.0 + 0.0j
-    # the order-k integral is t^k times its value at t = 1 for the levels t E,
-    # so each t goes into a V, and no t^k has to be a double
+    # the order-k integral is t^k times its value at 1 of the frequencies
+    # t w, so each t goes into a V and no t^k has to be a double; t scales
+    # level differences, never levels, so a common offset costs no bits
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            levels = t * np.real(np.diagonal(h0))
             v = t * V.entries
-            w_im = levels[i] - levels
+            w_im = t * (energies[i] - energies)
             if order >= 1:
                 amp += -1j * v[i, i]
             if order >= 2:
                 f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), 1.0)
                 amp -= _kernels.fsum_complex(_complex_product(_complex_product(v[i, :], v[:, i]), f2))
             if order >= 3:
-                f3 = _third_order_integrals(levels, i, f2, 1.0)
+                f3 = _third_order_integrals(energies, i, f2, t)
                 terms = _complex_product(_complex_product(v[i, :, None], v), v[None, :, i])
                 amp += 1j * _kernels.fsum_complex(_complex_product(terms, f3))
-    except Overflow:  # an integral at t = 1 overflows only where a phase does
+    except Overflow:  # an integral at 1 overflows only where a phase does
         raise Overflow(f"a phase t (E_m - E_n) leaves the doubles at t = {t}") from None
     if not cmath.isfinite(amp):
         raise Overflow(f"survival amplitude leaves the doubles at t = {t}")

@@ -422,6 +422,16 @@ class TestSurvivalAmplitude:
             errs.append(abs(got - exact_survival(h0, v, 1, t)))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
+    @pytest.mark.parametrize("t", [0.7, -3.0, 40.0])
+    def test_a_common_level_offset_keeps_the_bits(self, t):
+        # the offset levels are exact doubles, so every w_pq is the same
+        # double with and without 1e9; only t (E_p - E_q) is ever rounded
+        levels = np.array([0.0, 0.75, -1.25, 2.5, 0.8125])
+        _, v = self.seeded_system(96, 5)
+        v = Observable(v.entries / abs(t))
+        got = survival_amplitude(Observable(np.diag(levels + 1e9)), v, 1, t)
+        assert got == survival_amplitude(Observable(np.diag(levels)), v, 1, t)
+
     def test_second_order_error_scales_eightfold(self):
         h0, v = self.seeded_system(99, 3)
         errs = []
@@ -477,15 +487,16 @@ class TestSurvivalAmplitude:
 
 
 def batch_third_order_table(energies: np.ndarray, i: int, t: float) -> np.ndarray:
-    """f_mn(w_im, w_mn, w_ni, t) of every level pair (m, n) as one (dim^2, 3)
-    row batch of the divided-difference dynamic program: the reference for
-    the level-pair difference quotients."""
+    """f_mn(w_im, w_mn, w_ni, t) / t^3 of every level pair (m, n), the
+    integrals at 1 of the frequencies t w, as one (dim^2, 3) row batch of the
+    divided-difference dynamic program: the reference for the level-pair
+    difference quotients."""
     dim = len(energies)
     w_im = energies[i] - energies
     w_mn = energies[:, None] - energies[None, :]
     w_ni = energies - energies[i]
     freqs = np.stack(np.broadcast_arrays(w_im[:, None], w_mn, w_ni[None, :]), axis=-1)
-    return _ordered_exponential_integral(freqs.reshape(dim * dim, 3), t).reshape(dim, dim)
+    return _ordered_exponential_integral(t * freqs.reshape(dim * dim, 3), 1.0).reshape(dim, dim)
 
 
 class TestThirdOrderFromSecondOrder:
@@ -516,7 +527,7 @@ class TestThirdOrderFromSecondOrder:
     def test_amplitude_matches_the_batch(self, seed, t):
         h0, v = self.stressed_system(seed, t)
         energies = np.real(np.diagonal(h0.entries))
-        vv = v.entries
+        vv = t * v.entries
         terms = vv[0, :, None] * vv * vv[None, :, 0] * batch_third_order_table(energies, 0, t)
         want = survival_amplitude(h0, v, 0, t, order=2) + 1j * complex(
             math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel())
@@ -529,7 +540,7 @@ class TestThirdOrderFromSecondOrder:
         h0, _ = self.stressed_system(113, t)
         energies = np.real(np.diagonal(h0.entries))
         w_im = energies[0] - energies
-        f2 = _ordered_exponential_integral(np.stack([w_im, -w_im], axis=1), t)
+        f2 = _ordered_exponential_integral(np.stack([t * w_im, -t * w_im], axis=1), 1.0)
         got = dynamics._third_order_integrals(energies, 0, f2, t)
         want = batch_third_order_table(energies, 0, t)
         tight = np.abs(t * (w_im[:, None] - w_im[None, :])) <= _CLUSTER_DIAMETER
@@ -615,6 +626,15 @@ class TestLargeTimes:
             # the m = n = i integral t^3 / 6 is not a double, but its term is
             # about (t V)^3 / 6 = 1e-31 next to the first-order -i t V = -1e-10i
             assert abs(survival_amplitude(h0, v, 0, 1e110) - (1.0 - 1e-10j)) < 1e-15
+
+    def test_degenerate_levels_near_the_largest_double(self):
+        # t E is not a double, but every phase t (E_m - E_n) is 0
+        v = Observable(np.full((3, 3), 1e-12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = survival_amplitude(Observable(np.diag([1e300] * 3)), v, 0, 1e10)
+        assert got == survival_amplitude(Observable(np.zeros((3, 3))), v, 0, 1e10)
+        assert cmath.isfinite(got) and got != 1.0
 
     def test_overflowing_amplitude_is_typed(self):
         h0 = Observable(np.diag([0.0, 1.0, 2.5]))
